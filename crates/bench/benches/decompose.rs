@@ -73,7 +73,7 @@ fn bench_parallel_decompose(c: &mut Criterion) {
     for threads in [2usize, 4, 8] {
         let par = Parallelism {
             threads,
-            depth: None,
+            eager: false,
         };
         group.bench_function(BenchmarkId::new(format!("threads_{threads}"), n), |b| {
             b.iter(|| decompose_with(&set, &base, Strategy::DfsRewrite, par).unwrap())

@@ -2,6 +2,14 @@
 //! overlapping PCs — naive 2ⁿ enumeration vs DFS pruning vs DFS plus the
 //! rewrite rule. The paper reports >1000× reduction; the counter is
 //! satisfiability-solver invocations.
+//!
+//! The third row runs [`Strategy::DfsRewrite`], whose rewrite rule is
+//! generalized into a witness carried down the DFS: a known point of the
+//! prefix settles one branch of every split, so it pays one probe per
+//! split where the paper's rule saves the second probe only when the
+//! include branch is empty. It therefore sits further below the DFS row
+//! than the paper's third series. `tests/reproduction.rs` asserts the
+//! strict order of all three rows at equal cell counts.
 
 use super::intel_missing;
 use crate::harness::Scale;

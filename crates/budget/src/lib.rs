@@ -7,6 +7,8 @@
 //! search (`pc-predicate`), the branch & bound node loop (`pc-solver`),
 //! and the decomposition / serving layers (`pc-core`). `pc-solver` does
 //! not depend on `pc-predicate`, so the shared type lives below both.
+//! The same goes for [`WorkGate`], which every search consults before
+//! handing work to the pool.
 //!
 //! # Model
 //!
@@ -59,10 +61,12 @@ use std::time::{Duration, Instant};
 pub mod caps;
 #[cfg(feature = "fault")]
 pub mod fault;
+mod gate;
 
 pub mod pressure;
 
 pub use caps::{parse_cap_value, parse_line_caps, BudgetCaps};
+pub use gate::WorkGate;
 
 /// Why a budget tripped: the first limit crossed, sticky for the
 /// budget's lifetime.

@@ -27,7 +27,7 @@
 use crate::decompose::{decompose_ordered_budgeted, Parallelism};
 use crate::estimate::{Estimates, SplitOrdering};
 use crate::{ActiveSet, BoundError, Cell, DecomposeStats, PcSet, Strategy};
-use pc_budget::QueryBudget;
+use pc_budget::{QueryBudget, WorkGate};
 use pc_predicate::Region;
 use pc_solver::{
     greedy, solve_lp_tableau, solve_milp_budgeted, CanonicalTableau, ConstraintOp, LinearProgram,
@@ -38,12 +38,6 @@ use std::cell::Cell as StdCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// Below this many constraints a decomposition never fans out across
-/// threads: the include/exclude tree is too small to be worth exposing to
-/// the pool at all (forks are deque pushes now, but an Arc'd region and a
-/// merge step per fork still cost more than a handful of SAT checks).
-pub const PARALLEL_MIN_CONSTRAINTS: usize = 8;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -78,10 +72,11 @@ pub struct BoundOptions {
     /// (`parallel_subtrees`, and GROUP-BY `sat_checks` — two group tasks
     /// racing on the same uncached specialization both pay the check).
     pub threads: usize,
-    /// Optional cap on the decomposition fork depth; `None` (default)
-    /// forks every split above the sequential cutoff. See
-    /// [`Parallelism::depth`].
-    pub parallel_depth: Option<usize>,
+    /// Fork the decomposition at every eligible split from the root
+    /// instead of once it has run [`WorkGate::GRAIN`] inline (see
+    /// [`Parallelism::eager`]; off by default). Never changes results:
+    /// the oracle for "forked == inline" tests.
+    pub eager_fork: bool,
     /// GROUP-BY strategy: decompose once against the base query and
     /// specialize the surviving cells per group key (with simplex warm
     /// starts chained between neighboring groups), instead of running a
@@ -147,7 +142,7 @@ impl Default for BoundOptions {
             check_closure: true,
             lp_relax_cell_limit: 150,
             threads: 0,
-            parallel_depth: None,
+            eager_fork: false,
             shared_group_by: true,
             warm_start: true,
             tableau_carry: true,
@@ -370,10 +365,13 @@ impl WarmCaches {
     }
 }
 
-/// Run `f` over every item as its own stealable pool task, returning
-/// results in input order — the fan-out driver shared by the GROUP-BY
-/// paths and [`crate::Session::bound_many`]. No chunk barriers: a slow
-/// item delays only itself, and idle workers steal whatever remains.
+/// Run `f` over every item, returning results in input order — the
+/// fan-out driver shared by the GROUP-BY paths and
+/// [`crate::Session::bound_many`]. Items run inline, in order, until the
+/// call has worked [`WorkGate::GRAIN`]; the rest then become stealable
+/// pool tasks, one per item. A batch of small items so never pays a pool
+/// hand-off, and past the grain there are no chunk barriers: a slow item
+/// delays only itself, and idle workers steal whatever remains.
 ///
 /// **Panic isolation**: each task runs inside `catch_unwind`, so one
 /// poisoned item cannot take down its siblings or unwind through the
@@ -386,28 +384,36 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return items
-            .iter()
-            .map(|item| catch_unwind(AssertUnwindSafe(|| f(item))).ok())
-            .collect();
+    let run = |item: &T| catch_unwind(AssertUnwindSafe(|| f(item))).ok();
+    let gate = if threads <= 1 {
+        WorkGate::INLINE
+    } else {
+        WorkGate::start(false)
+    };
+    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
+    // The last item never forks: nothing would run beside it.
+    while out.len() + 1 < items.len() && !gate.is_open() {
+        out.push(run(&items[out.len()]));
     }
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let rest = &items[out.len()..];
+    if rest.len() <= 1 {
+        out.extend(rest.iter().map(run));
+        return out;
+    }
+    let slots: Vec<Mutex<Option<R>>> = rest.iter().map(|_| Mutex::new(None)).collect();
     rayon::scope(|s| {
-        for (slot, item) in slots.iter().zip(items) {
+        for (slot, item) in slots.iter().zip(rest) {
             s.spawn(move |_| {
                 // Catch *before* touching the slot: the slot mutex is
                 // only ever locked around this store, so it cannot be
                 // poisoned by a task panic.
-                let result = catch_unwind(AssertUnwindSafe(|| f(item))).ok();
+                let result = run(item);
                 *slot.lock().unwrap() = result;
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap())
-        .collect()
+    out.extend(slots.into_iter().map(|slot| slot.into_inner().unwrap()));
+    out
 }
 
 /// The cell allocation problem shared by every aggregate.
@@ -573,9 +579,10 @@ impl<'a> BoundEngine<'a> {
         // factors (≥ 2 components); single-component and disjoint-hinted
         // sets take the flat paths unchanged.
         if self.options.shard && !self.set.disjoint_hint() && self.set.len() >= 2 {
-            let components = crate::shard::interaction_components(self.set);
+            let boxes = crate::shard::constraint_boxes(self.set);
+            let components = crate::shard::components_of(&boxes);
             if components.len() > 1 {
-                return self.bound_sharded_oneshot(query, components, warm, budget);
+                return self.bound_sharded_oneshot(query, &boxes, components, warm, budget);
             }
         }
         let problem = self.build_problem(query, warm, budget)?;
@@ -586,10 +593,12 @@ impl<'a> BoundEngine<'a> {
     /// independently (parallel pool tasks, shared budget) against the
     /// query region, then recombine. Components the region doesn't touch
     /// skip decomposition entirely — their constraints' frequency rows
-    /// behave identically over zero member cells.
+    /// behave identically over zero member cells. `boxes` are the
+    /// constraint boxes the components were found from.
     fn bound_sharded_oneshot(
         &self,
         query: &AggQuery,
+        boxes: &[Region],
         components: Vec<Vec<usize>>,
         warm: Option<WarmCache>,
         budget: &QueryBudget,
@@ -610,7 +619,6 @@ impl<'a> BoundEngine<'a> {
             self.set.is_closed_within_with(&base, self.par_witness())
         };
 
-        let boxes = crate::shard::constraint_boxes(self.set);
         let inputs: Vec<(Arc<PcSet>, Vec<usize>, bool)> = components
             .into_iter()
             .map(|members| {
@@ -885,11 +893,10 @@ impl<'a> BoundEngine<'a> {
     /// Threads to spread a batch of independent tasks (GROUP-BY groups,
     /// session queries) over.
     pub(crate) fn task_threads(&self, n_items: usize) -> usize {
-        let par = crate::Parallelism {
-            threads: self.options.threads,
-            depth: None,
-        };
-        par.resolved_threads().min(n_items).max(1)
+        self.decompose_policy()
+            .resolved_threads()
+            .min(n_items)
+            .max(1)
     }
 
     /// Dispatch a constructed problem to the per-aggregate bound.
@@ -911,16 +918,11 @@ impl<'a> BoundEngine<'a> {
     // Problem construction
     // ------------------------------------------------------------------
 
-    /// The decomposition fan-out policy for an `n`-constraint set under
-    /// the engine's options.
-    fn decompose_policy(&self, n: usize) -> Parallelism {
-        if self.options.threads == 1 || n < PARALLEL_MIN_CONSTRAINTS {
-            Parallelism::SEQUENTIAL
-        } else {
-            Parallelism {
-                threads: self.options.threads,
-                depth: self.options.parallel_depth,
-            }
+    /// The decomposition fan-out policy under the engine's options.
+    fn decompose_policy(&self) -> Parallelism {
+        Parallelism {
+            threads: self.options.threads,
+            eager: self.options.eager_fork,
         }
     }
 
@@ -951,7 +953,7 @@ impl<'a> BoundEngine<'a> {
             self.set,
             base,
             self.options.strategy,
-            self.decompose_policy(self.set.len()),
+            self.decompose_policy(),
             budget,
             ordering.as_ref(),
         );

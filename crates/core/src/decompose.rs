@@ -10,13 +10,26 @@
 //! * [`Strategy::Dfs`] — Optimization 2: depth-first search over
 //!   include/exclude decisions, pruning whole subtrees whose prefix is
 //!   already unsatisfiable (a conjunction can only shrink).
-//! * [`Strategy::DfsRewrite`] — Optimization 3 on top: when prefix `X` is
-//!   satisfiable and `X ∧ ψ` is not, `X ∧ ¬ψ` is satisfiable *without a
-//!   solver call* (`X` splits into exactly those two parts).
-//! * [`Strategy::EarlyStop`] — Optimization 4: below depth `K`, stop
-//!   verifying and admit every remaining cell as satisfiable.
-//!   False-positive cells add allocation variables but no constraints, so
-//!   bounds stay correct and only get (possibly) looser.
+//! * [`Strategy::DfsRewrite`] — Optimization 3 on top, generalized into
+//!   a **carried witness**. Every node holds a point of its prefix
+//!   `X = region ∧ ¬excluded`, starting from any point of the base at the
+//!   root. Deciding `ψ` at the node, the point settles the branch it falls
+//!   in (`ψ(w)` true: `X ∧ ψ`, else `X ∧ ¬ψ`) without a solver call, so
+//!   only the other branch is probed, and that probe's witness rides into
+//!   its child. The paper's rewrite rule (`X` satisfiable and `X ∧ ψ` not,
+//!   so `X ∧ ¬ψ` is satisfiable for free) is the special case where the
+//!   probed branch is the include branch and comes back unsatisfiable.
+//!   Leaves emit the point they carry as the cell's witness, so no leaf
+//!   re-solves. One probe per split instead of up to two.
+//! * [`Strategy::EarlyStop`] — Optimization 4: [`Strategy::DfsRewrite`]
+//!   down to depth `K`, then stop verifying and admit every remaining
+//!   cell as satisfiable. False-positive cells add allocation variables
+//!   but no constraints, so bounds stay correct and only get (possibly)
+//!   looser.
+//!
+//! [`Strategy::Dfs`] never carries a point across a split: it probes both
+//! branches of every split, as the paper's Fig 7 "DFS" series does, and
+//! only hands each probe's witness to the child it admitted.
 //!
 //! Query-predicate pushdown (Optimization 1) enters through the `base`
 //! region: cells are decomposed inside `query ∩ domain`, so constraints
@@ -25,25 +38,25 @@
 //! # Parallelism
 //!
 //! The DFS strategies accept a [`Parallelism`] policy
-//! ([`decompose_with`]). Whenever *both* branches of a node survive and
-//! the remaining subtree is worth forking (more than
-//! [`PAR_SEQ_CUTOFF`] undecided constraints), they run as independent
-//! stealable tasks (`rayon::join` on the work-stealing pool), each
-//! accumulating into its own cell vector and [`DecomposeStats`], merged
-//! include-first afterwards — so the emitted cell order, the cell
-//! signatures and regions, and every counter except
-//! [`DecomposeStats::parallel_subtrees`] are *identical* to the
-//! sequential run (property-tested in `tests/prop_decompose.rs`). The
-//! one representation-level difference: a parallel policy also enables
-//! the first-hit-wins parallel witness search inside each SAT check
-//! ([`pc_predicate::sat::find_witness_with`]), so a cell's stored
-//! *witness* may be a different — equally genuine — point of the same
-//! cell than the sequential run's. Earlier
-//! versions clamped forking to the top `⌈log₂ threads⌉` levels because
-//! the backend spawned an OS thread per fork; with the pool a fork is a
-//! deque push, so every split above the sequential cutoff forks and the
-//! stealing discipline balances skewed subtrees on its own. The `X ∧ ¬Y`
-//! rewrite and prefix pruning are per-branch decisions and survive the
+//! ([`decompose_with`]). The search runs sequentially until it has done
+//! [`WorkGate::GRAIN`] of work inline: a cold hand-off to the pool costs
+//! about as much as a whole small decomposition, so forking one only adds
+//! latency. Past the grain, whenever *both* branches of a node survive and
+//! the remaining subtree is worth forking (more than [`PAR_SEQ_CUTOFF`]
+//! undecided constraints), they run as independent stealable tasks
+//! (`rayon::join` on the work-stealing pool), each accumulating into its
+//! own cell vector and [`DecomposeStats`], merged include-first
+//! afterwards — so the emitted cell order, the cell signatures and
+//! regions, and every counter except [`DecomposeStats::parallel_subtrees`]
+//! are *identical* to the sequential run (property-tested in
+//! `tests/prop_decompose.rs` under the eager gate,
+//! [`Parallelism::eager`], which forks at every eligible split from the
+//! root). The one representation-level difference: a parallel policy also
+//! lets each SAT probe fan out under its own gate
+//! ([`pc_predicate::sat::find_witness_gated`]), which is first-hit-wins, so
+//! a cell's stored *witness* may be a different — equally genuine — point
+//! of the same cell than the sequential run's. Carried witnesses, prefix
+//! pruning and the rewrite case are per-branch decisions and survive the
 //! split untouched.
 //!
 //! # Allocation discipline
@@ -75,7 +88,7 @@
 
 use crate::estimate::SplitOrdering;
 use crate::{ActiveSet, Cell, PcSet};
-use pc_budget::QueryBudget;
+use pc_budget::{QueryBudget, WorkGate};
 use pc_predicate::sat::SatOutcome;
 use pc_predicate::{sat, Predicate, Region};
 use std::fmt;
@@ -93,7 +106,8 @@ pub enum Strategy {
     Naive,
     /// DFS with prefix-unsatisfiability pruning (Optimization 2).
     Dfs,
-    /// DFS plus the `X ∧ ¬Y` rewrite (Optimization 3). The default.
+    /// DFS plus the `X ∧ ¬Y` rewrite (Optimization 3), generalized into
+    /// a witness carried down the tree (module docs). The default.
     DfsRewrite,
     /// [`Strategy::DfsRewrite`] down to `depth`, then admit unverified
     /// cells (Optimization 4).
@@ -141,7 +155,10 @@ pub struct DecomposeStats {
     pub cells: usize,
     /// Subtrees pruned by an unsatisfiable prefix.
     pub pruned_subtrees: u64,
-    /// Checks skipped by the rewrite rule.
+    /// Splits whose include branch probed unsatisfiable, admitting the
+    /// exclude branch without a check (the paper's rewrite rule; the
+    /// carried witness saves a check at every other split too, which
+    /// shows in [`DecomposeStats::sat_checks`], not here).
     pub rewrite_skips: u64,
     /// Cells admitted without verification by early stopping.
     pub assumed_sat: u64,
@@ -212,25 +229,25 @@ pub struct Parallelism {
     /// Worker threads to target. `0` = auto-detect
     /// (`rayon::current_num_threads`), `1` = sequential.
     pub threads: usize,
-    /// Optional cap on the number of DFS levels (from the root) at which
-    /// forking is allowed. `None` (the default) forks at *every* split
-    /// with more than [`PAR_SEQ_CUTOFF`] undecided constraints — the
-    /// work-stealing pool makes forks cheap enough that a depth clamp is
-    /// pure tuning, kept for A/B experiments.
-    pub depth: Option<usize>,
+    /// Open the search's [`WorkGate`] at the root: fork every eligible
+    /// split, instead of only once the search has run
+    /// [`WorkGate::GRAIN`] inline. Cells are identical either way; this
+    /// is the oracle for "forked == inline" tests, not a tuning knob.
+    pub eager: bool,
 }
 
 impl Parallelism {
     /// Strictly sequential execution.
     pub const SEQUENTIAL: Parallelism = Parallelism {
         threads: 1,
-        depth: None,
+        eager: false,
     };
 
-    /// Auto-detected thread count, unlimited fork depth.
+    /// Auto-detected thread count, forking once the search has run the
+    /// grain inline.
     pub const AUTO: Parallelism = Parallelism {
         threads: 0,
-        depth: None,
+        eager: false,
     };
 
     /// The thread count after auto-detection.
@@ -242,17 +259,15 @@ impl Parallelism {
         }
     }
 
-    /// Levels of the DFS (counted from the root) at which both-branch
-    /// nodes may fork. `threads: 1` always means sequential — an explicit
-    /// `depth` cannot re-enable forking on a sequential policy. With
-    /// `depth: None` every level may fork; the per-node
-    /// [`PAR_SEQ_CUTOFF`] on remaining constraints is what keeps leaves
-    /// inline.
-    pub fn fork_levels(&self, n_constraints: usize) -> usize {
+    /// The gate of a search starting now under this policy:
+    /// [`WorkGate::INLINE`] when it resolves to one thread (`eager` cannot
+    /// re-enable forking on a sequential policy).
+    fn gate(&self) -> WorkGate {
         if self.resolved_threads() <= 1 {
-            return 0;
+            WorkGate::INLINE
+        } else {
+            WorkGate::start(self.eager)
         }
-        self.depth.unwrap_or(n_constraints).min(n_constraints)
     }
 }
 
@@ -410,34 +425,30 @@ pub fn decompose_ordered_budgeted(
             }
         }
         Strategy::Dfs | Strategy::DfsRewrite | Strategy::EarlyStop { .. } => {
-            let (rewrite, stop_depth) = match strategy {
+            let (carry, stop_depth) = match strategy {
                 Strategy::Dfs => (false, usize::MAX),
                 Strategy::DfsRewrite => (true, usize::MAX),
                 Strategy::EarlyStop { depth } => (true, depth),
                 Strategy::Naive => unreachable!(),
             };
-            let fork_levels = par.fork_levels(n);
-            dfs(
-                &Frame {
-                    set,
-                    rewrite,
-                    stop_depth,
-                    fork_levels,
-                    // A parallel policy also lets each node's SAT check
-                    // fan its branch disjuncts out as stealable tasks
-                    // (sat::find_witness_with) — the checks stay inline
-                    // below the solver's own width cutoff.
-                    par_witness: fork_levels > 0,
-                    budget,
-                    ordering,
-                },
-                Arc::new(base.clone()),
-                Vec::new(),
-                ActiveSet::new(),
-                0,
-                &mut cells,
-                &mut stats,
-            );
+            let frame = Frame {
+                set,
+                carry,
+                stop_depth,
+                gate: par.gate(),
+                eager: par.eager,
+                budget,
+                ordering,
+            };
+            let root = Node {
+                region: Arc::new(base.clone()),
+                excluded: Vec::new(),
+                active: ActiveSet::new(),
+                // The root prefix has no exclusions: any point of the
+                // (non-empty) base is a witness of it.
+                witness: base.pick_witness(),
+            };
+            dfs(&frame, root, 0, &mut cells, &mut stats);
         }
     }
     stats.cells = cells.len();
@@ -469,16 +480,19 @@ fn push_frontier(
 }
 
 /// Invariant parameters of one decomposition, threaded through the DFS by
-/// reference instead of as six separate arguments.
+/// reference instead of as separate arguments.
 struct Frame<'a> {
     set: &'a PcSet,
-    rewrite: bool,
+    /// Carry a witness across splits so it settles one branch for free
+    /// (every DFS strategy but [`Strategy::Dfs`]).
+    carry: bool,
     stop_depth: usize,
-    /// DFS levels (from the root) at which both-branch nodes may fork; 0
+    /// The search's fork gate, started at entry; [`WorkGate::INLINE`]
     /// means sequential.
-    fork_levels: usize,
-    /// Whether SAT checks may use the parallel witness search.
-    par_witness: bool,
+    gate: WorkGate,
+    /// [`Parallelism::eager`]: the gate above and each SAT probe's own
+    /// gate start open.
+    eager: bool,
     /// Cooperative budget, checked once per DFS node and charged once per
     /// satisfiability probe. [`QueryBudget::unlimited`] in the classic
     /// entry points.
@@ -489,12 +503,27 @@ struct Frame<'a> {
     ordering: Option<&'a SplitOrdering>,
 }
 
+/// One DFS node: the prefix box and exclusions, the constraints included
+/// so far, and a point of `region ∧ ¬excluded` when the prefix was
+/// verified (`None` once early stopping admits it unverified).
+struct Node<'a> {
+    region: Arc<Region>,
+    excluded: Vec<&'a Predicate>,
+    active: ActiveSet,
+    witness: Option<Vec<f64>>,
+}
+
+/// The verdict on one branch of a split: `None` = pruned, `Some(None)` =
+/// admitted unverified (early stop), `Some(Some(w))` = proven with
+/// witness `w`.
+type Branch = Option<Option<Vec<f64>>>;
+
 impl Frame<'_> {
-    /// Fork the split at `idx`? Only within the allowed levels, and only
-    /// when the subtree still holds enough undecided constraints to
+    /// Fork the split at `idx`? Only once the search's gate is open, and
+    /// only when the subtree still holds enough undecided constraints to
     /// amortize a stealable task.
     fn should_fork(&self, idx: usize) -> bool {
-        idx < self.fork_levels && self.set.len() - idx > PAR_SEQ_CUTOFF
+        self.set.len() - idx > PAR_SEQ_CUTOFF && self.gate.is_open()
     }
 
     /// The catalog index of the constraint decided at DFS depth `idx`.
@@ -512,59 +541,61 @@ impl Frame<'_> {
         }
     }
 
-    /// Budget-aware satisfiability probe: `Some(sat?)` when the check ran,
-    /// `None` when the budget tripped (before or during the search — a
-    /// tripped probe must never be read as "unsatisfiable").
-    fn probe(&self, region: &Region, negs: &[&Predicate]) -> Option<bool> {
-        match sat::find_witness_budgeted(region, negs, self.par_witness, self.budget) {
-            SatOutcome::Sat(_) => Some(true),
-            SatOutcome::Unsat => Some(false),
-            SatOutcome::Tripped => None,
-        }
+    /// Budget-aware satisfiability probe, counted in `stats`: the branch
+    /// verdict when the check ran, `None` when the budget tripped (before
+    /// or during the search — a tripped probe must never be read as
+    /// "unsatisfiable").
+    fn probe(
+        &self,
+        region: &Region,
+        negs: &[&Predicate],
+        stats: &mut DecomposeStats,
+    ) -> Option<Branch> {
+        // A parallel search also lets each probe fan its branch disjuncts
+        // out, under a gate of the probe's own.
+        let gate = if self.gate == WorkGate::INLINE {
+            WorkGate::INLINE
+        } else {
+            WorkGate::start(self.eager)
+        };
+        let verdict = match sat::find_witness_gated(region, negs, gate, self.budget) {
+            SatOutcome::Sat(w) => Some(Some(w)),
+            SatOutcome::Unsat => None,
+            SatOutcome::Tripped => return None,
+        };
+        stats.sat_checks += 1;
+        Some(verdict)
     }
 }
 
 /// DFS over include/exclude decisions for constraint `idx`, with the
-/// invariant that the current prefix (region ∧ ¬excluded) is satisfiable
-/// (or assumed so past `stop_depth`). A node whose branches *both*
-/// survive forks them as stealable pool tasks whenever
-/// [`Frame::should_fork`] allows.
-#[allow(clippy::too_many_arguments)]
+/// invariant that the node's prefix (region ∧ ¬excluded) is satisfiable
+/// (or assumed so past `stop_depth`) and, when verified, witnessed by the
+/// node's point. A node whose branches *both* survive forks them as
+/// stealable pool tasks whenever [`Frame::should_fork`] allows.
 fn dfs<'a>(
     frame: &Frame<'a>,
-    region: Arc<Region>,
-    excluded: Vec<&'a Predicate>,
-    active: ActiveSet,
+    node: Node<'a>,
     idx: usize,
     cells: &mut Vec<Cell>,
     stats: &mut DecomposeStats,
 ) {
     let set = frame.set;
+    let Node {
+        region,
+        excluded,
+        active,
+        witness,
+    } = node;
     if idx == set.len() {
         if !active.is_empty() {
-            let witness = if frame.stop_depth == usize::MAX {
-                // exact mode: prefix satisfiability was verified; reproduce
-                // the witness for downstream consumers (cheap relative to
-                // the checks already done)
-                match sat::find_witness_budgeted(
-                    &region,
-                    &excluded,
-                    frame.par_witness,
-                    frame.budget,
-                ) {
-                    SatOutcome::Sat(w) => Some(w),
-                    // Unsat cannot happen (the prefix was verified);
-                    // a trip here only loses the stored witness — the
-                    // cell itself is fully decided.
-                    SatOutcome::Unsat | SatOutcome::Tripped => None,
-                }
-            } else {
-                None
-            };
             cells.push(Cell {
                 region,
                 active,
-                witness,
+                // The carried point is the cell's witness: no re-solve.
+                // Early stop never stores one, even on leaves whose every
+                // split happened to be verified.
+                witness: witness.filter(|_| frame.stop_depth == usize::MAX),
                 undecided: ActiveSet::new(),
             });
         }
@@ -588,138 +619,100 @@ fn dfs<'a>(
         Some(tightened) => Arc::new(tightened),
         None => Arc::clone(&region),
     };
+    let exc_negs = || {
+        let mut negs = excluded.clone();
+        negs.push(&pc.predicate);
+        negs
+    };
 
-    let (include_sat, exclude_sat);
-    if idx >= frame.stop_depth {
+    let (inc, exc): (Branch, Branch) = if idx >= frame.stop_depth {
         // Past the early-stop depth: admit both branches unverified.
         stats.assumed_sat += 2;
-        include_sat = true;
-        exclude_sat = true;
+        (Some(None), Some(None))
     } else {
-        // Include: X ∧ ψ.
-        include_sat = match frame.probe(&inc_region, &excluded) {
-            Some(s) => {
-                stats.sat_checks += 1;
-                s
-            }
-            None => {
-                push_frontier(region, active, frame.frontier_undecided(idx), cells, stats);
-                return;
-            }
-        };
-        // Exclude: X ∧ ¬ψ.
-        exclude_sat = if frame.rewrite && !include_sat {
-            // Rewrite rule: X is satisfiable (DFS invariant) and X ∧ ψ is
-            // not, so every point of X avoids ψ — X ∧ ¬ψ is satisfiable
-            // for free.
-            stats.rewrite_skips += 1;
-            true
-        } else {
-            let mut probe_negs = excluded.clone();
-            probe_negs.push(&pc.predicate);
-            match frame.probe(&region, &probe_negs) {
-                Some(s) => {
-                    stats.sat_checks += 1;
-                    s
+        let verdicts = match witness.filter(|_| frame.carry) {
+            // The carried point lies in X = region ∧ ¬excluded, so it
+            // proves the branch it falls in; only the other is probed.
+            Some(w) if pc.predicate.eval(&w) => frame
+                .probe(&region, &exc_negs(), stats)
+                .map(|exc| (Some(Some(w)), exc)),
+            Some(w) => frame.probe(&inc_region, &excluded, stats).map(|inc| {
+                if inc.is_none() {
+                    // X ∧ ψ is empty: the rewrite rule's case.
+                    stats.rewrite_skips += 1;
                 }
-                None => {
-                    push_frontier(region, active, frame.frontier_undecided(idx), cells, stats);
-                    return;
-                }
-            }
+                (inc, Some(Some(w)))
+            }),
+            // Strategy::Dfs: probe both branches.
+            None => frame
+                .probe(&inc_region, &excluded, stats)
+                .and_then(|inc| Some((inc, frame.probe(&region, &exc_negs(), stats)?))),
         };
-        if !include_sat {
-            stats.pruned_subtrees += 1;
-        }
-        if !exclude_sat {
-            stats.pruned_subtrees += 1;
-        }
+        let Some((inc, exc)) = verdicts else {
+            push_frontier(region, active, frame.frontier_undecided(idx), cells, stats);
+            return;
+        };
+        stats.pruned_subtrees += u64::from(inc.is_none()) + u64::from(exc.is_none());
         // Stage the split's survival for the estimate layer (published by
         // the caller only if the whole run finishes untripped).
         if let Some(ordering) = frame.ordering {
-            ordering.record_split(ci, include_sat as u64 + exclude_sat as u64);
+            ordering.record_split(ci, u64::from(inc.is_some()) + u64::from(exc.is_some()));
             stats.ordered_splits += 1;
         }
-    }
+        (inc, exc)
+    };
 
-    match (include_sat, exclude_sat) {
-        (true, true) if frame.should_fork(idx) => {
-            // Fork: each subtree gets its own accumulator; merge
-            // include-first so the output order matches sequential.
-            let mut inc_active = active.clone();
-            inc_active.insert(ci);
-            let inc_excluded = excluded.clone();
-            let mut exc = excluded;
-            exc.push(&pc.predicate);
-            let (mut inc_out, mut exc_out) = (
-                (Vec::new(), DecomposeStats::default()),
-                (Vec::new(), DecomposeStats::default()),
-            );
-            rayon::join(
-                || {
-                    dfs(
-                        frame,
-                        inc_region,
-                        inc_excluded,
-                        inc_active,
-                        idx + 1,
-                        &mut inc_out.0,
-                        &mut inc_out.1,
-                    )
-                },
-                || {
-                    dfs(
-                        frame,
-                        region,
-                        exc,
-                        active,
-                        idx + 1,
-                        &mut exc_out.0,
-                        &mut exc_out.1,
-                    )
-                },
-            );
-            stats.parallel_subtrees += 2;
-            stats.absorb(&inc_out.1);
-            stats.absorb(&exc_out.1);
-            cells.append(&mut inc_out.0);
-            cells.append(&mut exc_out.0);
+    let include = |excluded: Vec<&'a Predicate>, witness| {
+        let mut active = active.clone();
+        active.insert(ci);
+        Node {
+            region: Arc::clone(&inc_region),
+            excluded,
+            active,
+            witness,
         }
-        (true, true) => {
-            let mut inc_active = active.clone();
-            inc_active.insert(ci);
-            dfs(
-                frame,
-                inc_region,
-                excluded.clone(),
-                inc_active,
-                idx + 1,
-                cells,
-                stats,
-            );
-            let mut exc = excluded;
-            exc.push(&pc.predicate);
-            dfs(frame, region, exc, active, idx + 1, cells, stats);
+    };
+    match (inc, exc) {
+        (Some(iw), Some(ew)) => {
+            let inc_node = include(excluded.clone(), iw);
+            let exc_node = Node {
+                region,
+                excluded: exc_negs(),
+                active,
+                witness: ew,
+            };
+            if !frame.should_fork(idx) {
+                dfs(frame, inc_node, idx + 1, cells, stats);
+                dfs(frame, exc_node, idx + 1, cells, stats);
+            } else {
+                // Fork: each subtree gets its own accumulator; merge
+                // include-first so the output order matches sequential.
+                let (mut inc_out, mut exc_out) = (
+                    (Vec::new(), DecomposeStats::default()),
+                    (Vec::new(), DecomposeStats::default()),
+                );
+                rayon::join(
+                    || dfs(frame, inc_node, idx + 1, &mut inc_out.0, &mut inc_out.1),
+                    || dfs(frame, exc_node, idx + 1, &mut exc_out.0, &mut exc_out.1),
+                );
+                stats.parallel_subtrees += 2;
+                stats.absorb(&inc_out.1);
+                stats.absorb(&exc_out.1);
+                cells.append(&mut inc_out.0);
+                cells.append(&mut exc_out.0);
+            }
         }
-        (true, false) => {
-            let mut inc_active = active;
-            inc_active.insert(ci);
-            dfs(
-                frame,
-                inc_region,
-                excluded,
-                inc_active,
-                idx + 1,
-                cells,
-                stats,
-            );
+        (Some(iw), None) => dfs(frame, include(excluded, iw), idx + 1, cells, stats),
+        (None, Some(ew)) => {
+            let exc_node = Node {
+                region,
+                excluded: exc_negs(),
+                active,
+                witness: ew,
+            };
+            dfs(frame, exc_node, idx + 1, cells, stats);
         }
-        (false, true) => {
-            let mut exc = excluded;
-            exc.push(&pc.predicate);
-            dfs(frame, region, exc, active, idx + 1, cells, stats);
-        }
-        (false, false) => {}
+        (None, None) => {}
     }
 }
 
@@ -803,7 +796,7 @@ mod tests {
         for threads in [2usize, 4, 8] {
             let par = Parallelism {
                 threads,
-                depth: None,
+                eager: true,
             };
             let (pcells, pstats) = decompose_with(&set, &base, Strategy::DfsRewrite, par).unwrap();
             // same cells in the same order, not just as a set
@@ -821,28 +814,34 @@ mod tests {
     }
 
     #[test]
-    fn fork_levels_derivation() {
-        // sequential policies never fork, even with an explicit depth
-        assert_eq!(Parallelism::SEQUENTIAL.fork_levels(20), 0);
-        let sequential_with_depth = Parallelism {
-            threads: 1,
-            depth: Some(3),
+    fn gate_derivation() {
+        // sequential policies never fork, even when eager
+        assert_eq!(Parallelism::SEQUENTIAL.gate(), WorkGate::INLINE);
+        let p = |threads, eager| Parallelism { threads, eager };
+        assert_eq!(p(1, true).gate(), WorkGate::INLINE);
+        // parallel policies fork: at once when eager, else past the grain
+        assert!(p(2, true).gate().is_open());
+        assert_ne!(p(8, false).gate(), WorkGate::INLINE);
+    }
+
+    #[test]
+    fn default_gate_keeps_a_small_search_inline() {
+        let set = PcSet::new(schema())
+            .with(pc_on_utc(0.0, 10.0))
+            .with(pc_on_utc(5.0, 15.0))
+            .with(pc_on_utc(8.0, 20.0))
+            .with(pc_on_utc(0.0, 20.0))
+            .with(pc_on_utc(12.0, 30.0));
+        let base = Region::full(set.schema());
+        let par = Parallelism {
+            threads: 4,
+            eager: false,
         };
-        assert_eq!(sequential_with_depth.fork_levels(20), 0);
-        // parallel policies fork at every level by default …
-        let p = |threads| Parallelism {
-            threads,
-            depth: None,
-        };
-        assert_eq!(p(2).fork_levels(20), 20);
-        assert_eq!(p(8).fork_levels(20), 20);
-        // … unless an explicit cap says otherwise (clamped to the tree)
-        let capped = Parallelism {
-            threads: 8,
-            depth: Some(5),
-        };
-        assert_eq!(capped.fork_levels(20), 5);
-        assert_eq!(capped.fork_levels(3), 3);
+        let (_, stats) = decompose_with(&set, &base, Strategy::DfsRewrite, par).unwrap();
+        assert_eq!(
+            stats.parallel_subtrees, 0,
+            "a search under the grain never forks"
+        );
     }
 
     #[test]
@@ -856,10 +855,10 @@ mod tests {
                 }
                 s
             })),
-            rewrite: true,
+            carry: true,
             stop_depth: usize::MAX,
-            fork_levels: n,
-            par_witness: false,
+            gate: WorkGate::start(true),
+            eager: true,
             budget: Box::leak(Box::new(QueryBudget::unlimited())),
             ordering: None,
         };
@@ -907,6 +906,48 @@ mod tests {
                     cell.is_active(i),
                     "witness membership must match activity"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn carried_witnesses_are_genuine_for_every_strategy() {
+        let two_d = |x0: f64, x1: f64, y0: f64, y1: f64| {
+            PredicateConstraint::new(
+                pc_predicate::Predicate::always()
+                    .and(Atom::between(0, x0, x1))
+                    .and(Atom::between(1, y0, y1)),
+                ValueConstraint::none(),
+                FrequencyConstraint::at_most(10),
+            )
+        };
+        let set = PcSet::new(schema())
+            .with(two_d(0.0, 10.0, 0.0, 5.0))
+            .with(two_d(5.0, 15.0, 2.0, 8.0))
+            .with(two_d(8.0, 20.0, 0.0, 10.0))
+            .with(two_d(0.0, 20.0, 4.0, 6.0))
+            .with(two_d(3.0, 4.0, 0.0, 10.0))
+            .with(pc_on_utc(12.0, 30.0));
+        let mut base = Region::full(set.schema());
+        base.intersect_atom(&Atom::between(1, 1.0, 9.0));
+        let n = set.len();
+        for strategy in [
+            Strategy::Naive,
+            Strategy::Dfs,
+            Strategy::DfsRewrite,
+            Strategy::EarlyStop { depth: 3 },
+            Strategy::EarlyStop { depth: n },
+        ] {
+            let (cells, _) = decompose(&set, &base, strategy).unwrap();
+            assert!(!cells.is_empty(), "{strategy:?}");
+            let exact = !matches!(strategy, Strategy::EarlyStop { .. });
+            for cell in &cells {
+                assert_eq!(cell.witness.is_some(), exact, "{strategy:?}");
+                let Some(w) = &cell.witness else { continue };
+                assert!(cell.region.contains_row(w), "{strategy:?}");
+                for (i, pc) in set.constraints().iter().enumerate() {
+                    assert_eq!(pc.predicate.eval(w), cell.is_active(i), "{strategy:?}");
+                }
             }
         }
     }
@@ -1098,7 +1139,7 @@ mod tests {
         let (exact, _) = decompose(&set, &base, Strategy::DfsRewrite).unwrap();
         let par = Parallelism {
             threads: 4,
-            depth: None,
+            eager: true,
         };
         for cap in [0u64, 2, 5, 9] {
             let budget = QueryBudget::armed().with_sat_cap(cap);

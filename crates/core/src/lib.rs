@@ -12,12 +12,16 @@
 //! 1. **Cell decomposition** ([`decompose()`](decompose())) of possibly-overlapping
 //!    predicates into disjoint satisfiable cells, with the paper's four
 //!    optimizations: query-predicate pushdown, DFS prefix pruning, the
-//!    `X ∧ ¬Y` rewrite, and approximate early stopping — plus a parallel
-//!    fork/join driver ([`decompose::decompose_with`]) that forks every
-//!    surviving include/exclude split above a small sequential cutoff as
-//!    stealable tasks on the work-stealing pool, with bit-identical
-//!    results, bitset cell signatures ([`ActiveSet`]), and
-//!    clone-on-tighten region sharing.
+//!    `X ∧ ¬Y` rewrite, and approximate early stopping. The rewrite
+//!    generalizes into a **carried witness**: each DFS node keeps a point
+//!    of its prefix, which settles one branch of every split for free
+//!    (one SAT probe per split, no re-solve at the leaves). Searches are
+//!    **sequential first**: the decomposition DFS, the SAT witness
+//!    search, branch & bound and the batch fan-outs all run inline until
+//!    they have worked one [`budget::WorkGate::GRAIN`], and only then
+//!    hand subtrees to the work-stealing pool, with bit-identical cells,
+//!    bitset cell signatures ([`ActiveSet`]), and clone-on-tighten region
+//!    sharing.
 //! 2. A **mixed-integer linear program** (§4.2) allocating rows to cells,
 //!    solved by `pc-solver`, with the greedy fast path for disjoint sets
 //!    and simplex **warm starts** chained across related solves.
@@ -121,9 +125,9 @@
 //!     of every in-flight query, which finish early with sound degraded
 //!     answers. See the `pc-serve` crate docs for the wire reference.
 //!
-//! Parallelism, fan-out depth, and the group-by fast paths are all knobs
-//! on [`BoundOptions`] (`threads`, `parallel_depth`, `shared_group_by`,
-//! `warm_start`); under the exact strategies every configuration returns
+//! Parallelism and the group-by fast paths are knobs on [`BoundOptions`]
+//! (`threads`, `eager_fork`, `shared_group_by`, `warm_start`); under the
+//! exact strategies every configuration returns
 //! identical bounds — the knobs trade machine resources for latency, not
 //! accuracy. The one caveat is the deliberately approximate
 //! [`Strategy::EarlyStop`], where the shared group-by path may admit more
@@ -183,9 +187,7 @@ mod session;
 pub mod shard;
 pub mod specialize;
 
-pub use bounds::{
-    BoundEngine, BoundOptions, BoundReport, LpWork, ResultRange, PARALLEL_MIN_CONSTRAINTS,
-};
+pub use bounds::{BoundEngine, BoundOptions, BoundReport, LpWork, ResultRange};
 pub use cell::{ActiveSet, Cell};
 pub use constraint::{FrequencyConstraint, PredicateConstraint, ValueConstraint};
 pub use decompose::{

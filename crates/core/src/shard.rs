@@ -140,7 +140,7 @@ fn axis_score(boxes: &[Region], axis: usize) -> f64 {
 /// already disjoint on that axis, so factored catalogs (many shards laid
 /// out along one dimension) pay near-linear instead of quadratic work —
 /// this runs on every one-shot bound of a multi-component set.
-fn components_of(boxes: &[Region]) -> Vec<Vec<usize>> {
+pub(crate) fn components_of(boxes: &[Region]) -> Vec<Vec<usize>> {
     let n = boxes.len();
     let mut uf = UnionFind::new(n);
     if n > 1 {
@@ -367,6 +367,7 @@ impl ShardedCellSet {
         estimates: Option<&Estimates>,
         budget: &QueryBudget,
     ) -> Result<ShardedCellSet, BoundError> {
+        let boxes = constraint_boxes(set);
         let components: Vec<Vec<usize>> = if !options.shard || set.disjoint_hint() || set.len() < 2
         {
             if set.is_empty() {
@@ -375,9 +376,8 @@ impl ShardedCellSet {
                 vec![(0..set.len()).collect()]
             }
         } else {
-            interaction_components(set)
+            components_of(&boxes)
         };
-        let boxes = constraint_boxes(set);
         let threads = BoundEngine::with_options(set, *options).task_threads(components.len());
         let built = pooled_map_catch(&components, threads, &|members: &Vec<usize>| {
             build_shard(

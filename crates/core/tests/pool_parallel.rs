@@ -4,10 +4,10 @@
 //! puts them — on a single-core container the global pool has one worker
 //! and every parallel path degrades to inline execution. This binary pins
 //! `RAYON_NUM_THREADS=4` before anything touches the pool (its own
-//! process, so the setting is race-free), making the fork-at-every-split
-//! decomposition, the per-group GROUP-BY tasks, and the parallel MILP
-//! genuinely concurrent, then checks the results are exactly the
-//! sequential ones.
+//! process, so the setting is race-free), making the decomposition under
+//! the eager gate (a fork at every eligible split), the per-group GROUP-BY
+//! tasks, and the parallel MILP genuinely concurrent, then checks the
+//! results are exactly the sequential ones.
 
 use pc_core::{
     decompose, decompose_with, BoundEngine, BoundOptions, FrequencyConstraint, Parallelism, PcSet,
@@ -57,7 +57,7 @@ fn forked_decomposition_is_bit_identical() {
     for threads in [0usize, 2, 4, 8] {
         let par = Parallelism {
             threads,
-            depth: None,
+            eager: true,
         };
         let (cells, stats) = decompose_with(&set, &base, Strategy::DfsRewrite, par).unwrap();
         assert_eq!(seq_cells.len(), cells.len(), "threads={threads}");
@@ -109,13 +109,21 @@ fn parallel_engine_bounds_match_sequential() {
             ..BoundOptions::default()
         },
     );
-    let parallel = BoundEngine::with_options(
-        &set,
-        BoundOptions {
-            threads: 0,
-            ..BoundOptions::default()
-        },
-    );
+    // the default gate, and the eager one that forks every eligible split
+    for eager_fork in [false, true] {
+        let parallel = BoundEngine::with_options(
+            &set,
+            BoundOptions {
+                threads: 0,
+                eager_fork,
+                ..BoundOptions::default()
+            },
+        );
+        bounds_match(&sequential, &parallel);
+    }
+}
+
+fn bounds_match(sequential: &BoundEngine, parallel: &BoundEngine) {
     for agg in [
         AggKind::Sum,
         AggKind::Count,

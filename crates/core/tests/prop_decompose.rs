@@ -2,7 +2,8 @@
 //! produce the same satisfiable cells on arbitrary overlapping constraint
 //! sets, early stopping must only add cells, cells must genuinely
 //! partition the predicate space (witnesses are exclusive), and the
-//! parallel fork/join driver must emit exactly the sequential result.
+//! parallel fork/join driver must emit exactly the sequential result
+//! (run under the eager gate, so it forks at every eligible split).
 
 use pc_core::{
     decompose, decompose_with, FrequencyConstraint, Parallelism, PcSet, PredicateConstraint,
@@ -79,16 +80,11 @@ proptest! {
     fn parallel_equals_sequential(
         preds in prop::collection::vec(arb_box(), 1..7),
         threads in 2usize..9,
-        explicit_depth in 0usize..4,
-        use_explicit: bool,
     ) {
         let set = build_set(preds);
         let base = Region::full(set.schema());
         let (seq_cells, seq_stats) = decompose(&set, &base, Strategy::DfsRewrite).unwrap();
-        let par = Parallelism {
-            threads,
-            depth: if use_explicit { Some(explicit_depth) } else { None },
-        };
+        let par = Parallelism { threads, eager: true };
         let (par_cells, par_stats) =
             decompose_with(&set, &base, Strategy::DfsRewrite, par).unwrap();
         // identical cells in identical order — not merely as a set
@@ -116,7 +112,7 @@ proptest! {
         let base = Region::full(set.schema());
         let strategy = Strategy::EarlyStop { depth };
         let (seq_cells, seq_stats) = decompose(&set, &base, strategy).unwrap();
-        let par = Parallelism { threads, depth: None };
+        let par = Parallelism { threads, eager: true };
         let (par_cells, par_stats) = decompose_with(&set, &base, strategy, par).unwrap();
         prop_assert_eq!(signatures(&seq_cells), signatures(&par_cells));
         prop_assert_eq!(seq_stats.assumed_sat, par_stats.assumed_sat);

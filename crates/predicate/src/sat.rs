@@ -17,15 +17,19 @@
 //!
 //! The branch step is a disjunction: a witness avoiding the picked `ψ`
 //! must violate at least one of its atoms, and the per-atom subproblems
-//! are independent. [`find_witness_with`] runs them as stealable tasks on
-//! the work-stealing pool whenever the search is still *wide* (more than
-//! [`PAR_WITNESS_CUTOFF`] live exclusions — subtree size is exponential in
-//! that count, so narrow searches stay inline). The first task to find a
-//! witness wins: a shared stop flag cancels the remaining subtrees, which
-//! only ever skips work that would have produced a *different equally
-//! valid* witness. Satisfiability verdicts are identical to the
-//! sequential search; the witness row itself may differ between runs
-//! (both are genuine points of the cell).
+//! are independent. A search allowed to fork ([`find_witness_with`],
+//! [`find_witness_gated`]) runs them as stealable tasks on the
+//! work-stealing pool when two conditions hold. The node must still be
+//! *wide*: more than [`PAR_WITNESS_CUTOFF`] live exclusions, since subtree
+//! size is exponential in that count. And the search's [`WorkGate`] must
+//! be open: the search has already run [`WorkGate::GRAIN`] inline, so a
+//! probe that finishes sooner (nearly all of them) never pays a pool
+//! hand-off. The eager gate forks at every wide node from the first. The
+//! first task to find a witness wins: a shared stop flag cancels the
+//! remaining subtrees, which only ever skips work that would have
+//! produced a *different equally valid* witness. Satisfiability verdicts
+//! are identical to the sequential search; the witness row itself may
+//! differ between runs (both are genuine points of the cell).
 //!
 //! # Branch ordering
 //!
@@ -51,7 +55,7 @@
 //! EarlyStop-style sound widening).
 
 use crate::{Interval, Predicate, Region};
-use pc_budget::QueryBudget;
+use pc_budget::{QueryBudget, WorkGate};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -96,19 +100,22 @@ pub const PAR_WITNESS_CUTOFF: usize = 6;
 pub fn find_witness(base: &Region, negs: &[&Predicate]) -> Option<Vec<f64>> {
     #[cfg(feature = "fault")]
     pc_budget::fault::point("sat::probe");
-    search(base, negs, false, None, &QueryBudget::unlimited())
+    search(
+        base,
+        negs,
+        &WorkGate::INLINE,
+        None,
+        &QueryBudget::unlimited(),
+    )
 }
 
 /// [`find_witness`] with an explicit parallelism opt-in: when `parallel`
-/// is true and the global pool has more than one worker, wide branch
-/// disjunctions fork as first-hit-wins stealable tasks (see the module
-/// docs). The satisfiability verdict is identical either way; only the
-/// identity of the returned witness may vary.
+/// is true, wide branch disjunctions fork as first-hit-wins stealable
+/// tasks once the search has run [`WorkGate::GRAIN`] inline (see the
+/// module docs). The satisfiability verdict is identical either way; only
+/// the identity of the returned witness may vary.
 pub fn find_witness_with(base: &Region, negs: &[&Predicate], parallel: bool) -> Option<Vec<f64>> {
-    #[cfg(feature = "fault")]
-    pc_budget::fault::point("sat::probe");
-    let parallel = parallel && rayon::current_num_threads() > 1;
-    search(base, negs, parallel, None, &QueryBudget::unlimited())
+    find_witness_budgeted(base, negs, parallel, &QueryBudget::unlimited()).witness()
 }
 
 /// [`find_witness_with`] under a [`QueryBudget`]: charges one SAT probe,
@@ -122,13 +129,34 @@ pub fn find_witness_budgeted(
     parallel: bool,
     budget: &QueryBudget,
 ) -> SatOutcome {
+    let gate = if parallel {
+        WorkGate::start(false)
+    } else {
+        WorkGate::INLINE
+    };
+    find_witness_gated(base, negs, gate, budget)
+}
+
+/// [`find_witness_budgeted`] with the caller's [`WorkGate`]: the eager
+/// gate forks every wide disjunction from the first, [`WorkGate::INLINE`]
+/// never forks. A one-worker pool always searches inline.
+pub fn find_witness_gated(
+    base: &Region,
+    negs: &[&Predicate],
+    gate: WorkGate,
+    budget: &QueryBudget,
+) -> SatOutcome {
     #[cfg(feature = "fault")]
     pc_budget::fault::point("sat::probe");
     if !budget.charge_sat() {
         return SatOutcome::Tripped;
     }
-    let parallel = parallel && rayon::current_num_threads() > 1;
-    match search(base, negs, parallel, None, budget) {
+    let gate = if rayon::current_num_threads() > 1 {
+        gate
+    } else {
+        WorkGate::INLINE
+    };
+    match search(base, negs, &gate, None, budget) {
         Some(w) => SatOutcome::Sat(w),
         // A `None` under a tripped budget is an abandoned search, not a
         // refutation (the trip may have landed after a genuine UNSAT
@@ -139,17 +167,18 @@ pub fn find_witness_budgeted(
     }
 }
 
-/// The DPLL-style search. `stop` is the shared first-hit-wins
-/// cancellation flag of an enclosing parallel fan-out: once set, every
-/// search under that fan-out may return `None` *as a cancellation* — the
-/// fan-out that set it has already recorded a genuine witness, and
-/// cancelled results are discarded, never interpreted as UNSAT. A
-/// tripped `budget` aborts the same way; the budgeted public entry
-/// re-reads the budget to tell the two `None`s apart.
+/// The DPLL-style search; wide nodes fork once `gate` is open. `stop` is
+/// the shared first-hit-wins cancellation flag of an enclosing parallel
+/// fan-out: once set, every search under that fan-out may return `None`
+/// *as a cancellation* — the fan-out that set it has already recorded a
+/// genuine witness, and cancelled results are discarded, never
+/// interpreted as UNSAT. A tripped `budget` aborts the same way; the
+/// budgeted public entry re-reads the budget to tell the two `None`s
+/// apart.
 fn search(
     base: &Region,
     negs: &[&Predicate],
-    parallel: bool,
+    gate: &WorkGate,
     stop: Option<&AtomicBool>,
     budget: &QueryBudget,
 ) -> Option<Vec<f64>> {
@@ -219,10 +248,10 @@ fn search(
 
     // A witness avoiding ψ must violate at least one of its atoms — the
     // branch disjunction, tried largest-surviving-volume first (module
-    // docs, "Branch ordering"). Wide parallel searches materialize the
-    // branch boxes up front and fan them out as tasks.
+    // docs, "Branch ordering"). Wide searches past their gate materialize
+    // the branch boxes up front and fan them out as tasks.
     let branches = ordered_branches(base, pick);
-    if parallel && live.len() > PAR_WITNESS_CUTOFF && branches.len() > 1 {
+    if live.len() > PAR_WITNESS_CUTOFF && branches.len() > 1 && gate.is_open() {
         let branches = branches
             .into_iter()
             .map(|b| {
@@ -233,7 +262,7 @@ fn search(
                 })
             })
             .collect();
-        return fan_out(base, &rest, branches, stop, budget);
+        return fan_out(base, &rest, branches, gate, stop, budget);
     }
 
     // Sequential branch loop: clone the base box lazily, only for the
@@ -243,9 +272,9 @@ fn search(
             Some((attr, narrowed)) => {
                 let mut shrunk = base.clone();
                 shrunk.set_interval(attr, narrowed);
-                search(&shrunk, &rest, parallel, stop, budget)
+                search(&shrunk, &rest, gate, stop, budget)
             }
-            None => search(base, &rest, parallel, stop, budget),
+            None => search(base, &rest, gate, stop, budget),
         };
         if found.is_some() {
             return found;
@@ -319,6 +348,7 @@ fn fan_out(
     base: &Region,
     rest: &[&Predicate],
     branches: Vec<Option<Region>>,
+    gate: &WorkGate,
     stop: Option<&AtomicBool>,
     budget: &QueryBudget,
 ) -> Option<Vec<f64>> {
@@ -333,8 +363,8 @@ fn fan_out(
                     return;
                 }
                 let found = match &branch {
-                    Some(shrunk) => search(shrunk, rest, true, Some(stop), budget),
-                    None => search(base, rest, true, Some(stop), budget),
+                    Some(shrunk) => search(shrunk, rest, gate, Some(stop), budget),
+                    None => search(base, rest, gate, Some(stop), budget),
                 };
                 if let Some(w) = found {
                     stop.store(true, Ordering::Relaxed);

@@ -5,6 +5,7 @@
 //! some grid point of `base` avoids every `ψⱼ`. On discrete (Int) domains
 //! the grid enumeration is exhaustive, so the oracle is exact.
 
+use pc_budget::{QueryBudget, WorkGate};
 use pc_predicate::{sat, Atom, AttrType, Interval, IntervalSet, Predicate, Region, Schema};
 use proptest::prelude::*;
 
@@ -94,10 +95,10 @@ proptest! {
 
     /// The parallel witness search agrees with the sequential one on the
     /// *verdict* (the witness row itself is first-hit-wins and may
-    /// differ), and its witnesses are genuine. Exclusion lists above
-    /// `PAR_WITNESS_CUTOFF` keep the fan-out path live on multi-worker
-    /// pools; on a one-worker pool the call degrades to sequential, so
-    /// the property holds on any host.
+    /// differ), and its witnesses are genuine. The eager gate and
+    /// exclusion lists above `PAR_WITNESS_CUTOFF` keep the fan-out path
+    /// live on multi-worker pools; on a one-worker pool the call degrades
+    /// to sequential, so the property holds on any host.
     #[test]
     fn parallel_witness_search_matches_sequential(
         base_pred in arb_predicate(3),
@@ -107,7 +108,13 @@ proptest! {
         let base = base_pred.to_region(&schema);
         let neg_refs: Vec<&Predicate> = negs.iter().collect();
         let seq = sat::find_witness(&base, &neg_refs);
-        let par = sat::find_witness_with(&base, &neg_refs, true);
+        let par = sat::find_witness_gated(
+            &base,
+            &neg_refs,
+            WorkGate::start(true),
+            &QueryBudget::unlimited(),
+        )
+        .witness();
         prop_assert_eq!(seq.is_some(), par.is_some(), "SAT verdict must not depend on parallelism");
         if let Some(w) = par {
             prop_assert!(base.contains_row(&w));

@@ -62,10 +62,13 @@
 //!    and `tests/prop_milp_carry.rs` asserts carried nodes pivot
 //!    strictly less than rebuilt ones on Ge-bearing programs.
 //!
-//! * **Parallel search** ([`MilpOptions::threads`]): children are explored
-//!   as stealable tasks on the work-stealing pool (`rayon::join`), the
-//!   branch nearer the relaxation running hot on the current worker and
-//!   the far branch exposed for stealing. The incumbent objective is
+//! * **Parallel search** ([`MilpOptions::threads`]): once the search has
+//!   run [`WorkGate::GRAIN`] inline (a cold pool hand-off costs about as
+//!   much as a whole small search), children are explored as stealable
+//!   tasks on the work-stealing pool (`rayon::join`), the branch nearer
+//!   the relaxation running hot on the current worker and the far branch
+//!   exposed for stealing. Before that the same recursion runs both
+//!   children inline, near first. The incumbent objective is
 //!   shared through an [`AtomicU64`] (bit-cast `f64`) read lock-free at
 //!   every prune test, so a bound proven on one worker prunes subtrees on
 //!   all of them. The full incumbent updates under a mutex with
@@ -84,7 +87,7 @@ use crate::simplex::{
     solve_lp_tableau, BranchBound, CanonicalTableau, ChildSolve, SolveStats, WarmStart,
 };
 use crate::{Sense, SolverError};
-use pc_budget::{QueryBudget, TripReason};
+use pc_budget::{QueryBudget, TripReason, WorkGate};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -159,9 +162,10 @@ pub struct MilpOptions {
     pub best_effort: bool,
     /// Worker threads for the search: `1` (the default) runs the
     /// deterministic sequential DFS; `0` or `≥ 2` explores children as
-    /// stealable tasks on the global work-stealing pool (the pool's size,
-    /// not this number, decides actual concurrency). Objective and
-    /// feasibility are identical in every mode.
+    /// stealable tasks on the global work-stealing pool once the search
+    /// has run [`WorkGate::GRAIN`] inline (the pool's size, not this
+    /// number, decides actual concurrency). Objective and feasibility are
+    /// identical in every mode.
     pub threads: usize,
     /// Thread each node's parent simplex basis into the child relaxation
     /// (on by default; tier 2 of the module docs). Never affects results,
@@ -350,6 +354,8 @@ struct Search<'a> {
     options: MilpOptions,
     /// The caller's cooperative budget, charged once per claimed node.
     budget: &'a QueryBudget,
+    /// When [`Search::run_parallel`] may start forking children.
+    gate: WorkGate,
     maximizing: bool,
     /// Best incumbent objective, bit-cast, for lock-free prune tests.
     /// Initialized to the sense's identity (−∞ / +∞) so "no incumbent"
@@ -388,6 +394,11 @@ impl<'a> Search<'a> {
             problem,
             options,
             budget,
+            gate: if options.threads == 1 {
+                WorkGate::INLINE
+            } else {
+                WorkGate::start(false)
+            },
             maximizing,
             best_bits: AtomicU64::new(identity.to_bits()),
             incumbent: Mutex::new(None),
@@ -711,9 +722,10 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Parallel exploration: the near child runs hot on this worker, the
-    /// far child becomes a stealable task. Deep chains fall back to the
-    /// stack search to bound recursion.
+    /// Parallel exploration: once the gate is open, the near child runs
+    /// hot on this worker and the far child becomes a stealable task;
+    /// before that both run inline, near first. Deep chains fall back to
+    /// the stack search to bound recursion.
     fn run_parallel(&self, overrides: Overrides, warmth: Warmth, depth: usize, is_near: bool) {
         if depth >= PAR_DEPTH_LIMIT {
             return self.run_stack(overrides, warmth);
@@ -726,10 +738,15 @@ impl<'a> Search<'a> {
         };
         let (near, far) = Self::children(overrides, var, v);
         let far_warmth = child_warmth.clone();
-        rayon::join(
-            || self.run_parallel(near, child_warmth, depth + 1, true),
-            || self.run_parallel(far, far_warmth, depth + 1, false),
-        );
+        if self.gate.is_open() {
+            rayon::join(
+                || self.run_parallel(near, child_warmth, depth + 1, true),
+                || self.run_parallel(far, far_warmth, depth + 1, false),
+            );
+        } else {
+            self.run_parallel(near, child_warmth, depth + 1, true);
+            self.run_parallel(far, far_warmth, depth + 1, false);
+        }
     }
 
     fn finish(self) -> Result<(MilpSolution, Option<CanonicalTableau>), SolverError> {

@@ -143,3 +143,55 @@ proptest! {
         }
     }
 }
+
+/// A 0-1 knapsack with a second, partial capacity row: hundreds of
+/// branch & bound nodes, so a parallel search runs well past the fork
+/// gate's grain before it finishes.
+fn long_knapsack(n: usize) -> LinearProgram {
+    let w: Vec<f64> = (0..n).map(|i| (37 + (i * 53) % 71) as f64).collect();
+    let v: Vec<f64> = w
+        .iter()
+        .enumerate()
+        .map(|(i, wi)| wi + ((i * 29) % 13) as f64)
+        .collect();
+    let mut lp = LinearProgram::maximize(v);
+    for i in 0..n {
+        lp.set_bounds(i, 0.0, 1.0);
+    }
+    let cap = w.iter().sum::<f64>() / 2.0 + 0.5;
+    lp.add_constraint((0..n).map(|i| (i, w[i])).collect(), ConstraintOp::Le, cap);
+    lp.add_constraint(
+        (0..n).step_by(2).map(|i| (i, w[i])).collect(),
+        ConstraintOp::Le,
+        cap / 2.0 + 7.5,
+    );
+    lp
+}
+
+#[test]
+fn long_parallel_search_proves_the_sequential_optimum() {
+    // The small random programs above finish before the fork gate opens;
+    // these run past it, so their children really fork onto the pool.
+    pool4();
+    for n in [12, 14, 16] {
+        let problem = MilpProblem::all_integer(long_knapsack(n));
+        let seq = solve_milp(
+            &problem,
+            MilpOptions {
+                threads: 1,
+                ..MilpOptions::default()
+            },
+        );
+        assert!(seq.as_ref().is_ok_and(|s| s.nodes > 100), "{seq:?}");
+        for _ in 0..2 {
+            let par = solve_milp(
+                &problem,
+                MilpOptions {
+                    threads: 0,
+                    ..MilpOptions::default()
+                },
+            );
+            assert_equivalent("long seq vs par", &seq, &par, &problem.lp).unwrap();
+        }
+    }
+}
