@@ -63,9 +63,20 @@
 //!
 //! Regions travel the tree as [`Arc<Region>`]: a branch clones the box
 //! only when one of its atoms genuinely tightens an interval
-//! ([`Region::tightened_by`]); otherwise the child shares the parent's
-//! allocation. Cell signatures are [`ActiveSet`] bitsets, not index
-//! vectors.
+//! ([`Region::tightened_by`]), and a clone copies only the interval
+//! buffer (the attribute types are shared with the schema); otherwise the
+//! child shares the parent's allocation. Cell signatures are
+//! [`ActiveSet`] bitsets, not index vectors.
+//!
+//! The prefix's exclusions live on one stack per search, sized for the
+//! deepest path when the search starts. The exclude probe and the exclude
+//! branch push the split's predicate and pop it on return; the include
+//! branch reuses the stack as it is. Only a fork past the gate copies it,
+//! once, for the include task. The GROUP-BY splice
+//! (`crate::specialize::splice_locals`) keeps its exclusions the same
+//! way. Each SAT probe then allocates its own region copy, exclusion
+//! array and witness, however deep its search runs
+//! ([`pc_predicate::sat`], "Allocation discipline").
 //!
 //! # Sharding: factoring over the constraint-interaction graph
 //!
@@ -442,13 +453,14 @@ pub fn decompose_ordered_budgeted(
             };
             let root = Node {
                 region: Arc::new(base.clone()),
-                excluded: Vec::new(),
                 active: ActiveSet::new(),
                 // The root prefix has no exclusions: any point of the
                 // (non-empty) base is a witness of it.
                 witness: base.pick_witness(),
             };
-            dfs(&frame, root, 0, &mut cells, &mut stats);
+            // One exclusion stack for the whole search: depth ≤ n.
+            let mut excluded = Vec::with_capacity(n);
+            dfs(&frame, &mut excluded, root, 0, &mut cells, &mut stats);
         }
     }
     stats.cells = cells.len();
@@ -503,12 +515,12 @@ struct Frame<'a> {
     ordering: Option<&'a SplitOrdering>,
 }
 
-/// One DFS node: the prefix box and exclusions, the constraints included
-/// so far, and a point of `region ∧ ¬excluded` when the prefix was
-/// verified (`None` once early stopping admits it unverified).
-struct Node<'a> {
+/// One DFS node: the prefix box, the constraints included so far, and a
+/// point of `region ∧ ¬excluded` when the prefix was verified (`None` once
+/// early stopping admits it unverified). The prefix's exclusions live on
+/// the search's shared stack, not in the node.
+struct Node {
     region: Arc<Region>,
-    excluded: Vec<&'a Predicate>,
     active: ActiveSet,
     witness: Option<Vec<f64>>,
 }
@@ -518,7 +530,7 @@ struct Node<'a> {
 /// witness `w`.
 type Branch = Option<Option<Vec<f64>>>;
 
-impl Frame<'_> {
+impl<'a> Frame<'a> {
     /// Fork the split at `idx`? Only once the search's gate is open, and
     /// only when the subtree still holds enough undecided constraints to
     /// amortize a stealable task.
@@ -566,16 +578,36 @@ impl Frame<'_> {
         stats.sat_checks += 1;
         Some(verdict)
     }
+
+    /// [`Frame::probe`] of `region ∧ ¬excluded ∧ ¬psi`: pushes `psi` onto
+    /// the exclusion stack for the probe and pops it again.
+    fn probe_excluding(
+        &self,
+        region: &Region,
+        excluded: &mut Vec<&'a Predicate>,
+        psi: &'a Predicate,
+        stats: &mut DecomposeStats,
+    ) -> Option<Branch> {
+        excluded.push(psi);
+        let verdict = self.probe(region, excluded, stats);
+        excluded.pop();
+        verdict
+    }
 }
 
 /// DFS over include/exclude decisions for constraint `idx`, with the
 /// invariant that the node's prefix (region ∧ ¬excluded) is satisfiable
 /// (or assumed so past `stop_depth`) and, when verified, witnessed by the
-/// node's point. A node whose branches *both* survive forks them as
-/// stealable pool tasks whenever [`Frame::should_fork`] allows.
+/// node's point. `excluded` is the search's one exclusion stack: the
+/// exclude probe and the exclude branch push the split's predicate and pop
+/// it on return, so the stack holds exactly the prefix's exclusions on
+/// entry and on exit. A node whose branches *both* survive forks them as
+/// stealable pool tasks whenever [`Frame::should_fork`] allows; only then
+/// is the stack copied, once, for the include task.
 fn dfs<'a>(
     frame: &Frame<'a>,
-    node: Node<'a>,
+    excluded: &mut Vec<&'a Predicate>,
+    node: Node,
     idx: usize,
     cells: &mut Vec<Cell>,
     stats: &mut DecomposeStats,
@@ -583,7 +615,6 @@ fn dfs<'a>(
     let set = frame.set;
     let Node {
         region,
-        excluded,
         active,
         witness,
     } = node;
@@ -610,19 +641,14 @@ fn dfs<'a>(
     // Under an estimate-guided order, depth `idx` decides the idx-th most
     // selective constraint; signatures always use the catalog index.
     let ci = frame.constraint_at(idx);
-    let pc = &set.constraints()[ci];
+    let psi = &set.constraints()[ci].predicate;
 
     // Include branch box: clone-on-tighten — most constraints repeat
     // intervals the prefix already fixed, and those branches share the
     // parent's allocation.
-    let inc_region = match region.tightened_by(pc.predicate.atoms()) {
+    let inc_region = match region.tightened_by(psi.atoms()) {
         Some(tightened) => Arc::new(tightened),
         None => Arc::clone(&region),
-    };
-    let exc_negs = || {
-        let mut negs = excluded.clone();
-        negs.push(&pc.predicate);
-        negs
     };
 
     let (inc, exc): (Branch, Branch) = if idx >= frame.stop_depth {
@@ -633,10 +659,10 @@ fn dfs<'a>(
         let verdicts = match witness.filter(|_| frame.carry) {
             // The carried point lies in X = region ∧ ¬excluded, so it
             // proves the branch it falls in; only the other is probed.
-            Some(w) if pc.predicate.eval(&w) => frame
-                .probe(&region, &exc_negs(), stats)
+            Some(w) if psi.eval(&w) => frame
+                .probe_excluding(&region, excluded, psi, stats)
                 .map(|exc| (Some(Some(w)), exc)),
-            Some(w) => frame.probe(&inc_region, &excluded, stats).map(|inc| {
+            Some(w) => frame.probe(&inc_region, excluded, stats).map(|inc| {
                 if inc.is_none() {
                     // X ∧ ψ is empty: the rewrite rule's case.
                     stats.rewrite_skips += 1;
@@ -645,8 +671,8 @@ fn dfs<'a>(
             }),
             // Strategy::Dfs: probe both branches.
             None => frame
-                .probe(&inc_region, &excluded, stats)
-                .and_then(|inc| Some((inc, frame.probe(&region, &exc_negs(), stats)?))),
+                .probe(&inc_region, excluded, stats)
+                .and_then(|inc| Some((inc, frame.probe_excluding(&region, excluded, psi, stats)?))),
         };
         let Some((inc, exc)) = verdicts else {
             push_frontier(region, active, frame.frontier_undecided(idx), cells, stats);
@@ -662,39 +688,62 @@ fn dfs<'a>(
         (inc, exc)
     };
 
-    let include = |excluded: Vec<&'a Predicate>, witness| {
+    let include = |witness| {
         let mut active = active.clone();
         active.insert(ci);
         Node {
             region: Arc::clone(&inc_region),
-            excluded,
             active,
             witness,
         }
     };
     match (inc, exc) {
         (Some(iw), Some(ew)) => {
-            let inc_node = include(excluded.clone(), iw);
+            let inc_node = include(iw);
             let exc_node = Node {
                 region,
-                excluded: exc_negs(),
                 active,
                 witness: ew,
             };
             if !frame.should_fork(idx) {
-                dfs(frame, inc_node, idx + 1, cells, stats);
-                dfs(frame, exc_node, idx + 1, cells, stats);
+                dfs(frame, excluded, inc_node, idx + 1, cells, stats);
+                excluded.push(psi);
+                dfs(frame, excluded, exc_node, idx + 1, cells, stats);
+                excluded.pop();
             } else {
-                // Fork: each subtree gets its own accumulator; merge
-                // include-first so the output order matches sequential.
+                // Fork: the include task gets its own copy of the stack,
+                // each subtree its own accumulator; merge include-first so
+                // the output order matches sequential.
+                let mut inc_excluded = Vec::with_capacity(set.len());
+                inc_excluded.extend_from_slice(excluded);
+                excluded.push(psi);
                 let (mut inc_out, mut exc_out) = (
                     (Vec::new(), DecomposeStats::default()),
                     (Vec::new(), DecomposeStats::default()),
                 );
                 rayon::join(
-                    || dfs(frame, inc_node, idx + 1, &mut inc_out.0, &mut inc_out.1),
-                    || dfs(frame, exc_node, idx + 1, &mut exc_out.0, &mut exc_out.1),
+                    || {
+                        dfs(
+                            frame,
+                            &mut inc_excluded,
+                            inc_node,
+                            idx + 1,
+                            &mut inc_out.0,
+                            &mut inc_out.1,
+                        )
+                    },
+                    || {
+                        dfs(
+                            frame,
+                            excluded,
+                            exc_node,
+                            idx + 1,
+                            &mut exc_out.0,
+                            &mut exc_out.1,
+                        )
+                    },
                 );
+                excluded.pop();
                 stats.parallel_subtrees += 2;
                 stats.absorb(&inc_out.1);
                 stats.absorb(&exc_out.1);
@@ -702,15 +751,16 @@ fn dfs<'a>(
                 cells.append(&mut exc_out.0);
             }
         }
-        (Some(iw), None) => dfs(frame, include(excluded, iw), idx + 1, cells, stats),
+        (Some(iw), None) => dfs(frame, excluded, include(iw), idx + 1, cells, stats),
         (None, Some(ew)) => {
             let exc_node = Node {
                 region,
-                excluded: exc_negs(),
                 active,
                 witness: ew,
             };
-            dfs(frame, exc_node, idx + 1, cells, stats);
+            excluded.push(psi);
+            dfs(frame, excluded, exc_node, idx + 1, cells, stats);
+            excluded.pop();
         }
         (None, None) => {}
     }

@@ -17,8 +17,6 @@
 //!   constraint's allowed-box width divided by the domain width (an
 //!   unbounded or degenerate domain axis contributes 1.0). Pure geometry,
 //!   computed once per constraint in O(attrs).
-//! * **per-attribute width ratios** — the factors of that product, kept
-//!   so shard- or query-local orders can re-weight single axes.
 //! * **a live split-survival counter** ([`SurvivalCounter`]) — how many
 //!   include/exclude branches a decomposition opened on this constraint
 //!   and how many survived (were satisfiable). Updated as decomposition
@@ -62,7 +60,7 @@
 //! biased sample (branches it never probed look like deaths); discarding
 //! the stage keeps the counters honest.
 
-use crate::PcSet;
+use crate::{PcSet, PredicateConstraint};
 use pc_predicate::Interval;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,19 +101,31 @@ impl SurvivalCounter {
     }
 }
 
-/// Selectivity estimate of one constraint: geometry (volume, per-axis
-/// width ratios) plus the live survival history.
+/// Selectivity estimate of one constraint: geometry (volume) plus the
+/// live survival history.
 #[derive(Debug, Clone)]
 pub struct ConstraintEstimate {
     /// Normalized allowed-box volume over the domain, in `[0, 1]`.
     pub volume: f64,
-    /// The per-attribute factors of `volume` (domain-relative widths).
-    pub width_ratios: Vec<f64>,
     /// Shared live split-survival tally.
     pub survival: Arc<SurvivalCounter>,
 }
 
 impl ConstraintEstimate {
+    /// A fresh estimate of `pc` over `set`'s schema and domain: its
+    /// volume in O(attrs), an empty survival history.
+    fn fresh(set: &PcSet, pc: &PredicateConstraint) -> ConstraintEstimate {
+        let allowed = pc.allowed_region(set.schema());
+        let domain = set.domain();
+        let volume = (0..allowed.width())
+            .map(|a| width_ratio(allowed.interval(a), domain.interval(a)))
+            .product();
+        ConstraintEstimate {
+            volume,
+            survival: Arc::new(SurvivalCounter::default()),
+        }
+    }
+
     /// The ordering score: smaller = more selective = decided earlier.
     pub fn score(&self) -> f64 {
         self.volume * self.survival.rate()
@@ -154,27 +164,10 @@ impl Estimates {
     /// Compute fresh estimates for every constraint of `set` (survival
     /// counters start empty — geometry decides until runs publish).
     pub fn for_set(set: &PcSet) -> Estimates {
-        let schema = set.schema();
-        let domain = set.domain();
         let entries = set
             .constraints()
             .iter()
-            .map(|pc| {
-                let allowed = pc.allowed_region(schema);
-                let mut volume = 1.0;
-                let width_ratios: Vec<f64> = (0..schema.width())
-                    .map(|a| {
-                        let r = width_ratio(allowed.interval(a), domain.interval(a));
-                        volume *= r;
-                        r
-                    })
-                    .collect();
-                ConstraintEstimate {
-                    volume,
-                    width_ratios,
-                    survival: Arc::new(SurvivalCounter::default()),
-                }
-            })
+            .map(|pc| ConstraintEstimate::fresh(set, pc))
             .collect();
         Estimates { entries }
     }
@@ -219,9 +212,10 @@ impl Estimates {
     /// shallowly, `Arc` counters shared).
     pub fn derive_add(&self, set: &PcSet) -> Estimates {
         debug_assert_eq!(set.len(), self.entries.len() + 1);
-        let fresh = Estimates::for_set(set);
-        let mut entries = self.entries.clone();
-        entries.push(fresh.entries[set.len() - 1].clone());
+        let added = set.constraints().last().expect("one constraint was added");
+        let mut entries = Vec::with_capacity(set.len());
+        entries.extend_from_slice(&self.entries);
+        entries.push(ConstraintEstimate::fresh(set, added));
         Estimates { entries }
     }
 
@@ -342,14 +336,17 @@ mod tests {
 
     #[test]
     fn unbounded_axes_contribute_no_information() {
-        let set = set_with(100.0, vec![pc_box(0.0, 100.0)]);
+        // attr 1 ("v") is unbounded in both the box and the domain, so the
+        // volume is attr 0's ratio alone
+        let set = set_with(100.0, vec![pc_box(0.0, 100.0), pc_box(0.0, 25.0)]);
         let est = Estimates::for_set(&set);
-        // attr 1 ("v") is unbounded in both the box and the domain
-        assert_eq!(est.entries()[0].width_ratios[1], 1.0);
+        assert_eq!(est.entries()[0].volume, 1.0);
+        assert_eq!(est.entries()[1].volume, 0.25);
         assert!(
             (est.score(0) - 0.5).abs() < 1e-12,
             "full box, empty history"
         );
+        assert!((est.score(1) - 0.125).abs() < 1e-12);
     }
 
     #[test]
@@ -379,6 +376,12 @@ mod tests {
         bigger.push(pc_box(20.0, 25.0));
         let added = est.derive_add(&bigger);
         assert_eq!(added.len(), 3);
+        // the new entry is exactly a fresh one
+        assert_eq!(
+            added.entries()[2].volume,
+            Estimates::for_set(&bigger).entries()[2].volume
+        );
+        assert_eq!(added.entries()[2].survival.splits(), 0);
         // the surviving entries share their counters with the old table
         assert_eq!(added.entries()[0].survival.splits(), 2);
         assert!(Arc::ptr_eq(

@@ -145,8 +145,9 @@ pub(crate) fn components_of(boxes: &[Region]) -> Vec<Vec<usize>> {
     let mut uf = UnionFind::new(n);
     if n > 1 {
         let axis = (0..boxes[0].width())
-            .min_by(|&a, &b| axis_score(boxes, a).total_cmp(&axis_score(boxes, b)))
-            .unwrap_or(0);
+            .map(|a| (axis_score(boxes, a), a))
+            .min_by(|x, y| x.0.total_cmp(&y.0))
+            .map_or(0, |(_, a)| a);
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| {
             boxes[a]
@@ -170,15 +171,19 @@ pub(crate) fn components_of(boxes: &[Region]) -> Vec<Vec<usize>> {
             }
         }
     }
-    let mut by_root: Vec<(usize, Vec<usize>)> = Vec::new();
-    for i in 0..boxes.len() {
+    // Scanning members ascending meets each root first at its smallest
+    // member, so components come out ordered by smallest member.
+    let mut slot_of_root = vec![usize::MAX; n];
+    let mut components: Vec<Vec<usize>> = Vec::new();
+    for i in 0..n {
         let root = uf.find(i);
-        match by_root.iter_mut().find(|(r, _)| *r == root) {
-            Some((_, members)) => members.push(i),
-            None => by_root.push((root, vec![i])),
+        if slot_of_root[root] == usize::MAX {
+            slot_of_root[root] = components.len();
+            components.push(Vec::new());
         }
+        components[slot_of_root[root]].push(i);
     }
-    by_root.into_iter().map(|(_, members)| members).collect()
+    components
 }
 
 /// Connected components of the constraint-interaction graph of `set`:

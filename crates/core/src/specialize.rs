@@ -1079,13 +1079,17 @@ pub(crate) fn splice_locals<'a>(
     stats: &mut DecomposeStats,
 ) {
     let verified = witness.is_some();
+    // One exclusion stack for the whole splice: each level pushes at most
+    // its own local.
+    let mut excluded = shared_negs;
+    excluded.reserve(locals.len());
     splice_dfs(
         locals,
         0,
         region,
         active.clone(),
         undecided,
-        shared_negs,
+        &mut excluded,
         witness,
         verified,
         parallel,
@@ -1094,6 +1098,9 @@ pub(crate) fn splice_locals<'a>(
     );
 }
 
+/// One level of [`splice_locals`]. `excluded` holds exactly the prefix's
+/// exclusions on entry and on exit: the exclude probe and the exclude
+/// branch push the level's local and pop it again.
 #[allow(clippy::too_many_arguments)]
 fn splice_dfs<'a>(
     locals: &[(usize, &'a PredicateConstraint)],
@@ -1101,7 +1108,7 @@ fn splice_dfs<'a>(
     region: Arc<Region>,
     active: ActiveSet,
     undecided: &ActiveSet,
-    excluded: Vec<&'a Predicate>,
+    excluded: &mut Vec<&'a Predicate>,
     witness: Option<Vec<f64>>,
     verified: bool,
     parallel: bool,
@@ -1143,7 +1150,7 @@ fn splice_dfs<'a>(
                 inc_region,
                 inc_active,
                 undecided,
-                excluded.clone(),
+                excluded,
                 None,
                 false,
                 parallel,
@@ -1151,21 +1158,21 @@ fn splice_dfs<'a>(
                 stats,
             );
         }
-        let mut exc = excluded;
-        exc.push(&pc.predicate);
+        excluded.push(&pc.predicate);
         splice_dfs(
             locals,
             idx + 1,
             region,
             active,
             undecided,
-            exc,
+            excluded,
             None,
             false,
             parallel,
             out,
             stats,
         );
+        excluded.pop();
         return;
     }
 
@@ -1179,15 +1186,16 @@ fn splice_dfs<'a>(
         Some(w.clone())
     } else {
         stats.sat_checks += 1;
-        sat::find_witness_with(&inc_region, &excluded, parallel)
+        sat::find_witness_with(&inc_region, excluded, parallel)
     };
     let exc_witness = if !pc.predicate.eval(w) {
         Some(w.clone())
     } else {
-        let mut probe = excluded.clone();
-        probe.push(&pc.predicate);
+        excluded.push(&pc.predicate);
         stats.sat_checks += 1;
-        sat::find_witness_with(&region, &probe, parallel)
+        let found = sat::find_witness_with(&region, excluded, parallel);
+        excluded.pop();
+        found
     };
 
     if let Some(iw) = inc_witness {
@@ -1199,7 +1207,7 @@ fn splice_dfs<'a>(
             inc_region,
             inc_active,
             undecided,
-            excluded.clone(),
+            excluded,
             Some(iw),
             true,
             parallel,
@@ -1208,21 +1216,21 @@ fn splice_dfs<'a>(
         );
     }
     if let Some(ew) = exc_witness {
-        let mut exc = excluded;
-        exc.push(&pc.predicate);
+        excluded.push(&pc.predicate);
         splice_dfs(
             locals,
             idx + 1,
             region,
             active,
             undecided,
-            exc,
+            excluded,
             Some(ew),
             true,
             parallel,
             out,
             stats,
         );
+        excluded.pop();
     }
 }
 

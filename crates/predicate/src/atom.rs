@@ -1,4 +1,4 @@
-use crate::{AttrType, Interval, Schema};
+use crate::{Interval, Schema};
 use std::fmt;
 
 /// A single range condition `attr ∈ interval` — the building block of
@@ -38,15 +38,6 @@ impl Atom {
         self.interval.contains(row[self.attr])
     }
 
-    /// The negation `attr ∉ interval` as a disjunction of atoms (0–2).
-    pub fn negate(&self, ty: AttrType) -> Vec<Atom> {
-        self.interval
-            .complement(ty)
-            .into_iter()
-            .map(|iv| Atom::new(self.attr, iv))
-            .collect()
-    }
-
     /// Human-readable form using schema names.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
         struct D<'a>(&'a Atom, &'a Schema);
@@ -62,31 +53,13 @@ impl Atom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AttrType;
 
     #[test]
     fn eval_on_encoded_row() {
         let a = Atom::between(1, 0.0, 10.0);
         assert!(a.eval(&[99.0, 5.0]));
         assert!(!a.eval(&[99.0, 11.0]));
-    }
-
-    #[test]
-    fn negate_point_discrete() {
-        let a = Atom::eq(0, 5.0);
-        let neg = a.negate(AttrType::Cat);
-        assert_eq!(neg.len(), 2);
-        assert!(neg[0].eval(&[4.0]));
-        assert!(neg[1].eval(&[6.0]));
-        assert!(!neg.iter().any(|n| n.eval(&[5.0])));
-    }
-
-    #[test]
-    fn negate_half_line() {
-        let a = Atom::new(0, Interval::at_most(3.0, false));
-        let neg = a.negate(AttrType::Float);
-        assert_eq!(neg.len(), 1);
-        assert!(neg[0].eval(&[3.5]));
-        assert!(!neg[0].eval(&[3.0]));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use crate::AttrType;
 use std::fmt;
+use std::ops::Deref;
 
 /// A one-dimensional interval over the `f64` number line with independently
 /// open or closed endpoints. `±∞` endpoints are always treated as open.
@@ -181,13 +182,18 @@ impl Interval {
     ///
     /// Over discrete types the pieces have closed stepped endpoints
     /// (`¬[3,5] = (-∞,2] ∪ [6,∞)`); over floats they share the endpoint
-    /// with flipped openness.
-    pub fn complement(&self, ty: AttrType) -> Vec<Interval> {
+    /// with flipped openness. The pieces are held inline, so taking a
+    /// complement never allocates.
+    pub fn complement(&self, ty: AttrType) -> Complement {
+        let mut out = Complement {
+            pieces: [Interval::EMPTY; 2],
+            len: 0,
+        };
         if self.is_empty(ty) {
-            return vec![Interval::FULL];
+            out.push(Interval::FULL);
+            return out;
         }
         let n = self.normalize(ty);
-        let mut out = Vec::with_capacity(2);
         if n.lo != f64::NEG_INFINITY {
             let piece = if ty.is_discrete() {
                 Interval::at_most(n.lo - 1.0, false)
@@ -263,6 +269,29 @@ impl Interval {
             return Some(if n.hi_open { n.hi - 1.0 } else { n.hi });
         }
         Some(0.0)
+    }
+}
+
+/// The pieces of [`Interval::complement`], at most two, stored inline.
+/// Derefs to a slice of the pieces, lowest first.
+#[derive(Debug, Clone, Copy)]
+pub struct Complement {
+    pieces: [Interval; 2],
+    len: usize,
+}
+
+impl Complement {
+    fn push(&mut self, piece: Interval) {
+        self.pieces[self.len] = piece;
+        self.len += 1;
+    }
+}
+
+impl Deref for Complement {
+    type Target = [Interval];
+
+    fn deref(&self) -> &[Interval] {
+        &self.pieces[..self.len]
     }
 }
 
@@ -379,7 +408,16 @@ mod tests {
     #[test]
     fn complement_of_empty_is_full() {
         let pieces = Interval::EMPTY.complement(F);
-        assert_eq!(pieces, vec![Interval::FULL]);
+        assert_eq!(*pieces, [Interval::FULL]);
+    }
+
+    #[test]
+    fn complement_of_discrete_point() {
+        let pieces = Interval::point(5.0).complement(AttrType::Cat);
+        assert_eq!(pieces.len(), 2);
+        assert!(pieces[0].contains(4.0));
+        assert!(pieces[1].contains(6.0));
+        assert!(!pieces.iter().any(|p| p.contains(5.0)));
     }
 
     #[test]

@@ -80,8 +80,8 @@ impl IntervalSet {
     pub fn subtract_interval(&self, iv: &Interval, ty: AttrType) -> IntervalSet {
         let mut out = Vec::new();
         for p in &self.pieces {
-            for c in iv.complement(ty) {
-                let piece = p.intersect(&c);
+            for c in iv.complement(ty).iter() {
+                let piece = p.intersect(c);
                 if !piece.is_empty(ty) {
                     out.push(piece);
                 }

@@ -35,7 +35,7 @@ pub mod text;
 mod value;
 
 pub use atom::Atom;
-pub use interval::Interval;
+pub use interval::{Complement, Interval};
 pub use interval_set::IntervalSet;
 pub use predicate::Predicate;
 pub use region::Region;

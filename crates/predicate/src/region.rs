@@ -1,16 +1,18 @@
 use crate::{Atom, AttrType, Interval, Predicate, Schema};
 use std::fmt;
+use std::sync::Arc;
 
 /// An axis-aligned box over a schema: one interval per attribute.
 ///
 /// Regions are the geometric form of conjunctive predicates and the state
 /// carried through cell-decomposition DFS. All operations are width-aligned
-/// with a schema; the region stores the attribute types so emptiness is
-/// type-exact without re-threading the schema everywhere.
+/// with a schema; the region shares the schema's attribute types so
+/// emptiness is type-exact without re-threading the schema everywhere, and
+/// a clone allocates only the interval buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     intervals: Vec<Interval>,
-    types: Vec<AttrType>,
+    types: Arc<[AttrType]>,
 }
 
 impl Region {
@@ -18,7 +20,7 @@ impl Region {
     pub fn full(schema: &Schema) -> Self {
         Region {
             intervals: vec![Interval::FULL; schema.width()],
-            types: (0..schema.width()).map(|i| schema.attr_type(i)).collect(),
+            types: Arc::clone(schema.types()),
         }
     }
 
@@ -44,7 +46,7 @@ impl Region {
         self.types[attr]
     }
 
-    /// Replace the interval on `attr` (used by tests and PC generators).
+    /// Replace the interval on `attr`.
     pub fn set_interval(&mut self, attr: usize, iv: Interval) {
         self.intervals[attr] = iv;
     }
@@ -93,7 +95,7 @@ impl Region {
     pub fn is_empty(&self) -> bool {
         self.intervals
             .iter()
-            .zip(&self.types)
+            .zip(self.types.iter())
             .any(|(iv, ty)| iv.is_empty(*ty))
     }
 
@@ -115,20 +117,27 @@ impl Region {
         self.intervals
             .iter()
             .zip(&other.intervals)
-            .zip(&self.types)
+            .zip(self.types.iter())
             .all(|((a, b), ty)| a.contains_interval(b, *ty))
     }
 
-    /// True if the boxes share at least one point.
+    /// True if the boxes share at least one point: every attribute's
+    /// intervals meet. Decided axis by axis, without building the
+    /// intersection.
     pub fn overlaps(&self, other: &Region) -> bool {
-        !self.intersected(other).is_empty()
+        debug_assert_eq!(self.width(), other.width());
+        self.intervals
+            .iter()
+            .zip(&other.intervals)
+            .zip(self.types.iter())
+            .all(|((a, b), ty)| !a.intersect(b).is_empty(*ty))
     }
 
     /// A representative point of the region, if non-empty. Serves as a
     /// satisfiability witness in tests.
     pub fn pick_witness(&self) -> Option<Vec<f64>> {
         let mut row = Vec::with_capacity(self.width());
-        for (iv, ty) in self.intervals.iter().zip(&self.types) {
+        for (iv, ty) in self.intervals.iter().zip(self.types.iter()) {
             row.push(iv.pick(*ty)?);
         }
         Some(row)

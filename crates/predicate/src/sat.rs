@@ -13,11 +13,49 @@
 //! `base` by the atom's complement. The search is exact (no approximation)
 //! and produces a concrete witness row on success.
 //!
+//! # The branch loop
+//!
+//! The search is a backtracking depth-first search that extends one
+//! partial region and retreats at dead ends. Each level reads the
+//! exclusions its parent left live and keeps those that still overlap
+//! the region (a disjoint exclusion is vacuously satisfied; a covering one
+//! refutes the level). With none left, any point of the region is a
+//! witness. Otherwise it picks the live exclusion with the fewest atoms
+//! (ties to the one the caller listed first) and tries its branch
+//! disjuncts: a witness avoiding the picked `ψ` must violate at least one
+//! of its atoms, so each branch narrows one interval of the region to a
+//! piece of that atom's complement and recurses on the remaining live
+//! exclusions. The first witness ends the search; a level whose every
+//! branch fails is unsatisfiable.
+//!
+//! # Allocation discipline
+//!
+//! One probe owns one mutable [`Region`] and one exclusion array, whatever
+//! depth it reaches:
+//!
+//! * a branch narrows one interval of the region in place and restores it
+//!   on return;
+//! * a level owns a segment of the exclusion array. It swaps its live
+//!   exclusions to the front of the segment and its pick to the end of
+//!   those, and its children work on the live part before the pick, so
+//!   the array never grows past the caller's `k` exclusions. Swapping
+//!   only permutes a segment, and the pick's tie-break is the caller's
+//!   order, carried with each exclusion, so no permutation changes which
+//!   node the search visits next;
+//! * a level puts its branch disjuncts in branch order once and keeps
+//!   them in a fixed array on its stack frame, each as a slot (an atom and
+//!   a piece of its complement) that the branch re-derives when it runs;
+//!   [`crate::Interval::complement`] returns its pieces inline.
+//!
+//! A sequential probe therefore allocates three things: its copy of the
+//! base region, its exclusion array, and the witness it returns. Only a
+//! fork (see below) copies the region and the live exclusions again, once
+//! per task.
+//!
 //! # Parallel search
 //!
-//! The branch step is a disjunction: a witness avoiding the picked `ψ`
-//! must violate at least one of its atoms, and the per-atom subproblems
-//! are independent. A search allowed to fork ([`find_witness_with`],
+//! The branch step is a disjunction, and its subproblems are independent.
+//! A search allowed to fork ([`find_witness_with`],
 //! [`find_witness_gated`]) runs them as stealable tasks on the
 //! work-stealing pool when two conditions hold. The node must still be
 //! *wide*: more than [`PAR_WITNESS_CUTOFF`] live exclusions, since subtree
@@ -38,9 +76,10 @@
 //! the likeliest to still hold a witness, so trying it first ends a SAT
 //! search sooner (the Atreides-style most-promising-first rule, applied
 //! with pure interval arithmetic — no catalog statistics needed at this
-//! level). The verdict is order-independent — on failure every branch is
-//! still tried — so only the identity of the returned witness can shift,
-//! which the parallel-search contract above already allows.
+//! level). Equal fractions keep the atoms' declaration order. The verdict
+//! is order-independent — on failure every branch is still tried — so
+//! only the identity of the returned witness can shift, which the
+//! parallel-search contract above already allows.
 //!
 //! # Budgets
 //!
@@ -182,146 +221,298 @@ fn search(
     stop: Option<&AtomicBool>,
     budget: &QueryBudget,
 ) -> Option<Vec<f64>> {
-    if stop.is_some_and(|f| f.load(Ordering::Relaxed)) {
-        return None;
+    Search {
+        region: base.clone(),
+        excluded: negs.iter().copied().enumerate().collect(),
+        gate,
+        stop,
+        budget,
     }
-    if !budget.proceed() {
-        return None;
-    }
-    if base.is_empty() {
-        return None;
-    }
-    // Keep only excluded predicates whose box intersects `base`; a disjoint
-    // exclusion is vacuously satisfied. If any exclusion covers `base`
-    // entirely, no witness can exist. Both facts are decided per-atom on
-    // interval intersections without materializing `base ∩ ψ`.
-    let mut live: Vec<&Predicate> = Vec::with_capacity(negs.len());
-    for p in negs {
-        let mut disjoint = false;
-        let mut unchanged = true;
-        let atoms = p.atoms();
-        for (i, atom) in atoms.iter().enumerate() {
-            // Fold earlier atoms on the same attribute into the current
-            // interval so conjunctions like `x ∈ [0,3] ∧ x ∈ [5,8]` are
-            // recognized as empty (cumulative emptiness), exactly like the
-            // old materialized `base ∩ ψ` test. Predicates have a handful
-            // of atoms, so the inner scan is cheaper than a region clone.
-            let mut cur = *base.interval(atom.attr);
-            for prev in &atoms[..i] {
-                if prev.attr == atom.attr {
-                    cur = cur.intersect(&prev.interval);
-                }
-            }
-            let narrowed = cur.intersect(&atom.interval);
-            if narrowed.is_empty(base.attr_type(atom.attr)) {
-                // ψ can't capture any point of base
-                disjoint = true;
-                break;
-            }
-            if narrowed != cur {
-                unchanged = false;
-            }
-        }
-        if disjoint {
-            continue;
-        }
-        if unchanged || covers(p, base) {
-            return None;
-        }
-        live.push(p);
-    }
-    if live.is_empty() {
-        return base.pick_witness();
-    }
-    // Branch on the exclusion with the fewest atoms: fewest subproblems.
-    let (pick_idx, pick) = live
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, p)| p.atoms().len())
-        .map(|(i, p)| (i, *p))
-        .expect("live is non-empty");
-    let rest: Vec<&Predicate> = live
-        .iter()
-        .enumerate()
-        .filter_map(|(i, p)| (i != pick_idx).then_some(*p))
-        .collect();
-
-    // A witness avoiding ψ must violate at least one of its atoms — the
-    // branch disjunction, tried largest-surviving-volume first (module
-    // docs, "Branch ordering"). Wide searches past their gate materialize
-    // the branch boxes up front and fan them out as tasks.
-    let branches = ordered_branches(base, pick);
-    if live.len() > PAR_WITNESS_CUTOFF && branches.len() > 1 && gate.is_open() {
-        let branches = branches
-            .into_iter()
-            .map(|b| {
-                b.map(|(attr, narrowed)| {
-                    let mut shrunk = base.clone();
-                    shrunk.set_interval(attr, narrowed);
-                    shrunk
-                })
-            })
-            .collect();
-        return fan_out(base, &rest, branches, gate, stop, budget);
-    }
-
-    // Sequential branch loop: clone the base box lazily, only for the
-    // branches actually reached — the first witness stops the scan.
-    for branch in branches {
-        let found = match branch {
-            Some((attr, narrowed)) => {
-                let mut shrunk = base.clone();
-                shrunk.set_interval(attr, narrowed);
-                search(&shrunk, &rest, gate, stop, budget)
-            }
-            None => search(base, &rest, gate, stop, budget),
-        };
-        if found.is_some() {
-            return found;
-        }
-        if stop.is_some_and(|f| f.load(Ordering::Relaxed)) || !budget.proceed() {
-            return None;
-        }
-    }
-    None
+    .level(0, negs.len())
 }
 
-/// Enumerate the branch disjuncts of the picked exclusion against `base`,
-/// **largest surviving-width fraction first**. Each entry is
-/// `Some((attr, narrowed))` — recurse with `attr` shrunk to `narrowed` —
-/// or `None`, the single deduplicated non-narrowing branch that recurses
-/// on `base` unchanged (every such complement atom reduces to the
-/// identical subproblem, so it appears at most once, with fraction 1.0).
-/// Complement atoms whose intersection with `base` is empty are dropped
-/// here. Only `Interval` copies are staged — region clones stay
-/// one-per-branch-taken in the callers.
-fn ordered_branches(base: &Region, pick: &Predicate) -> Vec<Option<(usize, Interval)>> {
-    let mut scored: Vec<(f64, Option<(usize, Interval)>)> = Vec::new();
-    let mut unchanged_pushed = false;
-    for atom in pick.atoms() {
-        let ty = base.attr_type(atom.attr);
-        for neg_atom in atom.negate(ty) {
-            let cur = base.interval(neg_atom.attr);
-            let narrowed = cur.intersect(&neg_atom.interval);
+/// One probe's backtracking state (module docs, "Allocation
+/// discipline"): the region its branches narrow in place, and its
+/// exclusions, each tagged with its position in the caller's list, which
+/// its levels partition in place.
+struct Search<'a> {
+    region: Region,
+    excluded: Vec<(usize, &'a Predicate)>,
+    gate: &'a WorkGate,
+    stop: Option<&'a AtomicBool>,
+    budget: &'a QueryBudget,
+}
+
+/// How an exclusion meets the current region.
+enum Overlap {
+    /// Captures no point of the region: vacuously satisfied.
+    Disjoint,
+    /// Contains the whole region: no witness can exist.
+    Covers,
+    /// Cuts the region: stays live.
+    Partial,
+}
+
+impl Search<'_> {
+    /// The first-hit-wins flag is set or the budget tripped.
+    fn cancelled(&self) -> bool {
+        self.stop.is_some_and(|f| f.load(Ordering::Relaxed)) || !self.budget.proceed()
+    }
+
+    /// Search `region ∧ ¬excluded[from..end]`. The level may permute its
+    /// segment, never anything outside it.
+    fn level(&mut self, from: usize, end: usize) -> Option<Vec<f64>> {
+        if self.cancelled() || self.region.is_empty() {
+            return None;
+        }
+        // Move the live exclusions to the front of the segment.
+        let mut live_end = from;
+        for i in from..end {
+            match overlap(self.excluded[i].1, &self.region) {
+                Overlap::Disjoint => {}
+                Overlap::Covers => return None,
+                Overlap::Partial => {
+                    self.excluded.swap(i, live_end);
+                    live_end += 1;
+                }
+            }
+        }
+        // Branch on the exclusion with the fewest atoms (fewest
+        // subproblems), ties to the one the caller listed first, so the
+        // pick never depends on how earlier levels permuted the segment.
+        // It moves to the end of the live part; the rest are the
+        // children's segment.
+        let pick_at = (from..live_end).min_by_key(|&i| {
+            let (rank, p) = self.excluded[i];
+            (p.atoms().len(), rank)
+        });
+        let Some(pick_at) = pick_at else {
+            return self.region.pick_witness();
+        };
+        let rest_end = live_end - 1;
+        self.excluded.swap(pick_at, rest_end);
+        let pick = self.excluded[rest_end].1;
+        self.branch(pick, from, rest_end)
+    }
+
+    /// Try the branch disjuncts of `pick` over the remaining live
+    /// exclusions `excluded[from..end]`, largest surviving volume first
+    /// (module docs, "Branch ordering"). Wide searches past their gate fan
+    /// them out.
+    fn branch(&mut self, pick: &Predicate, from: usize, end: usize) -> Option<Vec<f64>> {
+        let live = end - from + 1;
+        if live > PAR_WITNESS_CUTOFF && self.gate.is_open() {
+            let branches = all_branches(&self.region, pick);
+            if branches.len() > 1 {
+                return self.fan_out(from, end, branches);
+            }
+        }
+        let mut batch = [0; BATCH];
+        let mut after = None;
+        loop {
+            let (n, last) = next_branches(&self.region, pick, after, &mut batch);
+            for &slot in &batch[..n] {
+                let found = match narrowing(&self.region, pick, slot) {
+                    Some((attr, narrowed)) => {
+                        let saved = *self.region.interval(attr);
+                        self.region.set_interval(attr, narrowed);
+                        let found = self.level(from, end);
+                        self.region.set_interval(attr, saved);
+                        found
+                    }
+                    None => self.level(from, end),
+                };
+                if found.is_some() {
+                    return found;
+                }
+                if self.cancelled() {
+                    return None;
+                }
+            }
+            if n < BATCH {
+                return None;
+            }
+            after = Some(last);
+        }
+    }
+
+    /// Run the branch disjuncts as first-hit-wins stealable tasks, each
+    /// on its own copy of the region and of the live exclusions
+    /// `excluded[from..end]`. Any task that finds a witness sets the (shared)
+    /// stop flag — cancelling every other subtree under the same root —
+    /// and the first such witness *at this level* is the result. A level
+    /// whose tasks were all cancelled returns `None`, which its own parent
+    /// fan-out discards: the witness that caused the cancellation
+    /// propagates up the chain of the task that found it.
+    fn fan_out(&self, from: usize, end: usize, branches: Vec<Narrowing>) -> Option<Vec<f64>> {
+        let local_stop = AtomicBool::new(false);
+        let stop = self.stop.unwrap_or(&local_stop);
+        let rest = &self.excluded[from..end];
+        let result: Mutex<Option<Vec<f64>>> = Mutex::new(None);
+        rayon::scope(|s| {
+            for narrowing in branches {
+                let result = &result;
+                s.spawn(move |_| {
+                    if stop.load(Ordering::Relaxed) || !self.budget.proceed() {
+                        return;
+                    }
+                    let mut region = self.region.clone();
+                    if let Some((attr, narrowed)) = narrowing {
+                        region.set_interval(attr, narrowed);
+                    }
+                    let found = Search {
+                        region,
+                        excluded: rest.to_vec(),
+                        gate: self.gate,
+                        stop: Some(stop),
+                        budget: self.budget,
+                    }
+                    .level(0, rest.len());
+                    if let Some(w) = found {
+                        stop.store(true, Ordering::Relaxed);
+                        let mut slot = result.lock().unwrap();
+                        if slot.is_none() {
+                            *slot = Some(w);
+                        }
+                    }
+                });
+            }
+        });
+        result.into_inner().unwrap()
+    }
+}
+
+/// Classify `p` against `region` per atom, on interval intersections,
+/// without materializing `region ∩ p`.
+fn overlap(p: &Predicate, region: &Region) -> Overlap {
+    let atoms = p.atoms();
+    let mut unchanged = true;
+    for (i, atom) in atoms.iter().enumerate() {
+        // Fold earlier atoms on the same attribute into the current
+        // interval so conjunctions like `x ∈ [0,3] ∧ x ∈ [5,8]` are
+        // recognized as empty (cumulative emptiness), exactly like a
+        // materialized `region ∩ p` test. Predicates have a handful of
+        // atoms, so the inner scan is cheaper than a region clone.
+        let mut cur = *region.interval(atom.attr);
+        for prev in &atoms[..i] {
+            if prev.attr == atom.attr {
+                cur = cur.intersect(&prev.interval);
+            }
+        }
+        let narrowed = cur.intersect(&atom.interval);
+        if narrowed.is_empty(region.attr_type(atom.attr)) {
+            return Overlap::Disjoint;
+        }
+        if narrowed != cur {
+            unchanged = false;
+        }
+    }
+    if unchanged || covers(p, region) {
+        Overlap::Covers
+    } else {
+        Overlap::Partial
+    }
+}
+
+/// One branch disjunct: recurse with `attr` narrowed to the interval, or
+/// (`None`) on the region unchanged.
+type Narrowing = Option<(usize, Interval)>;
+
+/// Position of a branch disjunct in branch order: its surviving fraction,
+/// then its slot.
+type BranchKey = (f64, usize);
+
+/// Branch disjuncts one enumeration puts in order. A level keeps their
+/// slots on its stack frame; a pick of up to four atoms (nearly all of
+/// them) is enumerated once, a wider one once per batch.
+const BATCH: usize = 8;
+
+/// The branch disjunct in `slot` of the picked exclusion: piece
+/// `slot % 2` of the complement of atom `slot / 2`, met with the region.
+fn narrowing(region: &Region, pick: &Predicate, slot: usize) -> Narrowing {
+    let atom = &pick.atoms()[slot / 2];
+    let cur = region.interval(atom.attr);
+    let piece = atom.interval.complement(region.attr_type(atom.attr))[slot % 2];
+    let narrowed = cur.intersect(&piece);
+    (narrowed != *cur).then_some((atom.attr, narrowed))
+}
+
+/// Fill `batch` with the slots of the next up to [`BATCH`] branch
+/// disjuncts of the picked exclusion after `after` (from the first when
+/// `None`), in branch order, and return how many there are and the key of
+/// the last. Branch order is **largest surviving-width fraction first**,
+/// ties in slot order: atom by atom, each atom's complement pieces lowest
+/// first. A piece whose intersection with the region is empty is no
+/// branch. Every piece that leaves the region unchanged reduces to the
+/// same subproblem, so only the first of them is a branch (fraction 1.0).
+fn next_branches(
+    region: &Region,
+    pick: &Predicate,
+    after: Option<BranchKey>,
+    batch: &mut [usize; BATCH],
+) -> (usize, BranchKey) {
+    let mut keys = [(0.0, 0); BATCH];
+    let mut len = 0;
+    let mut unchanged_seen = false;
+    for (i, atom) in pick.atoms().iter().enumerate() {
+        let ty = region.attr_type(atom.attr);
+        let cur = region.interval(atom.attr);
+        for (j, piece) in atom.interval.complement(ty).iter().enumerate() {
+            let narrowed = cur.intersect(piece);
             if narrowed.is_empty(ty) {
                 continue;
             }
-            if narrowed == *cur {
-                if !unchanged_pushed {
-                    unchanged_pushed = true;
-                    scored.push((1.0, None));
+            let frac = if narrowed == *cur {
+                if unchanged_seen {
+                    continue;
                 }
+                unchanged_seen = true;
+                1.0
             } else {
-                let frac = surviving_fraction(&narrowed, cur);
-                scored.push((frac, Some((neg_atom.attr, narrowed))));
+                surviving_fraction(&narrowed, cur)
+            };
+            let key = (frac, 2 * i + j);
+            if after.is_some_and(|a| !precedes(a, key)) {
+                continue;
             }
+            // Insertion into the ordered batch; a full batch drops its
+            // last, which the next batch enumerates again.
+            let mut at = len;
+            while at > 0 && precedes(key, keys[at - 1]) {
+                at -= 1;
+            }
+            if at == BATCH {
+                continue;
+            }
+            len = (len + 1).min(BATCH);
+            keys.copy_within(at..len - 1, at + 1);
+            batch.copy_within(at..len - 1, at + 1);
+            keys[at] = key;
+            batch[at] = key.1;
         }
     }
-    // Stable sort: equal fractions keep declaration order, so the
-    // ordering is deterministic and degenerates to the historical order
-    // on unscorable (unbounded) axes.
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    scored.into_iter().map(|(_, b)| b).collect()
+    (len, keys[len.saturating_sub(1)])
+}
+
+/// Every branch disjunct of the picked exclusion, in branch order: the
+/// task list of a fan-out.
+fn all_branches(region: &Region, pick: &Predicate) -> Vec<Narrowing> {
+    let mut branches = Vec::new();
+    let mut batch = [0; BATCH];
+    let mut after = None;
+    loop {
+        let (n, last) = next_branches(region, pick, after, &mut batch);
+        branches.extend(batch[..n].iter().map(|&slot| narrowing(region, pick, slot)));
+        if n < BATCH {
+            return branches;
+        }
+        after = Some(last);
+    }
+}
+
+/// Whether the disjunct keyed `a` is tried before the one keyed `b`.
+fn precedes(a: BranchKey, b: BranchKey) -> bool {
+    a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
 /// Fraction of `cur`'s width that `narrowed` keeps, in `[0, 1]`. An
@@ -335,48 +526,6 @@ fn surviving_fraction(narrowed: &Interval, cur: &Interval) -> f64 {
         return if nw.is_finite() { 0.5 } else { 1.0 };
     }
     ((narrowed.hi - narrowed.lo) / cur_w).clamp(0.0, 1.0)
-}
-
-/// Run the branch disjuncts as first-hit-wins stealable tasks. Any task
-/// that finds a witness sets the (shared) stop flag — cancelling every
-/// other subtree under the same root — and the first such witness *at
-/// this level* is the result. A level whose tasks were all cancelled
-/// returns `None`, which its own parent fan-out discards: the witness
-/// that caused the cancellation propagates up the chain of the task that
-/// found it.
-fn fan_out(
-    base: &Region,
-    rest: &[&Predicate],
-    branches: Vec<Option<Region>>,
-    gate: &WorkGate,
-    stop: Option<&AtomicBool>,
-    budget: &QueryBudget,
-) -> Option<Vec<f64>> {
-    let local_stop = AtomicBool::new(false);
-    let stop = stop.unwrap_or(&local_stop);
-    let result: Mutex<Option<Vec<f64>>> = Mutex::new(None);
-    rayon::scope(|s| {
-        for branch in branches {
-            let result = &result;
-            s.spawn(move |_| {
-                if stop.load(Ordering::Relaxed) || !budget.proceed() {
-                    return;
-                }
-                let found = match &branch {
-                    Some(shrunk) => search(shrunk, rest, gate, Some(stop), budget),
-                    None => search(base, rest, gate, Some(stop), budget),
-                };
-                if let Some(w) = found {
-                    stop.store(true, Ordering::Relaxed);
-                    let mut slot = result.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(w);
-                    }
-                }
-            });
-        }
-    });
-    result.into_inner().unwrap()
 }
 
 /// Decide satisfiability without materializing the witness.

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 /// The logical type of an attribute.
 ///
@@ -28,10 +29,12 @@ impl AttrType {
 ///
 /// Attribute identity throughout the library is the positional index into
 /// the schema; names exist for display and for resolving user queries.
+/// Names and types are shared behind `Arc`, so cloning a schema, and every
+/// [`crate::Region`] built over it, copies pointers instead of the lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
-    names: Vec<String>,
-    types: Vec<AttrType>,
+    names: Arc<[String]>,
+    types: Arc<[AttrType]>,
 }
 
 impl Schema {
@@ -52,7 +55,10 @@ impl Schema {
             names.push(name);
             types.push(ty);
         }
-        Schema { names, types }
+        Schema {
+            names: names.into(),
+            types: types.into(),
+        }
     }
 
     /// Number of attributes.
@@ -65,6 +71,11 @@ impl Schema {
     #[inline]
     pub fn attr_type(&self, idx: usize) -> AttrType {
         self.types[idx]
+    }
+
+    /// The shared per-attribute type list.
+    pub(crate) fn types(&self) -> &Arc<[AttrType]> {
+        &self.types
     }
 
     /// The name of attribute `idx`.
@@ -98,7 +109,7 @@ impl Schema {
 impl fmt::Display for Schema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, (name, ty)) in self.names.iter().zip(&self.types).enumerate() {
+        for (i, (name, ty)) in self.names.iter().zip(self.types.iter()).enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -3,7 +3,10 @@
 //! The SAT solver is verified against a brute-force rasterization oracle:
 //! over a small discrete grid, `base ∧ ¬ψ₁ ∧ … ∧ ¬ψₖ` is satisfiable iff
 //! some grid point of `base` avoids every `ψⱼ`. On discrete (Int) domains
-//! the grid enumeration is exhaustive, so the oracle is exact.
+//! the grid enumeration is exhaustive, so the oracle is exact. Up to a
+//! dozen exclusions over three attributes drive the search several levels
+//! deep, so it narrows and restores intervals and re-partitions its
+//! exclusions many times per case.
 
 use pc_budget::{QueryBudget, WorkGate};
 use pc_predicate::{sat, Atom, AttrType, Interval, IntervalSet, Predicate, Region, Schema};
@@ -30,6 +33,17 @@ prop_compose! {
 prop_compose! {
     fn arb_predicate(width: usize)(
         atoms in prop::collection::vec((0..width, arb_interval()), 0..3)
+    ) -> Predicate {
+        Predicate::new(atoms.into_iter().map(|(attr, iv)| Atom::new(attr, iv)).collect())
+    }
+}
+
+prop_compose! {
+    /// A predicate with at least one atom: an excluded tautology refutes
+    /// every cell at the first level, so deep-search properties draw their
+    /// exclusions from here.
+    fn arb_exclusion(width: usize)(
+        atoms in prop::collection::vec((0..width, arb_interval()), 1..4)
     ) -> Predicate {
         Predicate::new(atoms.into_iter().map(|(attr, iv)| Atom::new(attr, iv)).collect())
     }
@@ -62,25 +76,26 @@ fn oracle_sat(base: &Region, negs: &[&Predicate], width: usize) -> bool {
 proptest! {
     #[test]
     fn sat_matches_grid_oracle(
-        base_pred in arb_predicate(2),
-        negs in prop::collection::vec(arb_predicate(2), 0..4)
+        base_pred in arb_predicate(3),
+        negs in prop::collection::vec(arb_exclusion(3), 0..12)
     ) {
-        let schema = int_schema(2);
+        let schema = int_schema(3);
         let mut base = base_pred.to_region(&schema);
         // confine the base to the oracle's grid so both sides see the same
         // universe
-        base.intersect_atom(&Atom::between(0, 0.0, GRID as f64));
-        base.intersect_atom(&Atom::between(1, 0.0, GRID as f64));
+        for attr in 0..3 {
+            base.intersect_atom(&Atom::between(attr, 0.0, GRID as f64));
+        }
         let neg_refs: Vec<&Predicate> = negs.iter().collect();
         let got = sat::is_sat(&base, &neg_refs);
-        let want = oracle_sat(&base, &neg_refs, 2);
+        let want = oracle_sat(&base, &neg_refs, 3);
         prop_assert_eq!(got, want);
     }
 
     #[test]
     fn witness_is_genuine(
         base_pred in arb_predicate(3),
-        negs in prop::collection::vec(arb_predicate(3), 0..4)
+        negs in prop::collection::vec(arb_exclusion(3), 0..12)
     ) {
         let schema = int_schema(3);
         let base = base_pred.to_region(&schema);
@@ -122,6 +137,14 @@ proptest! {
                 prop_assert!(!p.eval(&w), "parallel witness satisfies an excluded predicate");
             }
         }
+    }
+
+    /// The per-axis overlap test agrees with building the intersection.
+    #[test]
+    fn overlaps_matches_intersection(a in arb_predicate(3), b in arb_predicate(3)) {
+        let schema = int_schema(3);
+        let (a, b) = (a.to_region(&schema), b.to_region(&schema));
+        prop_assert_eq!(a.overlaps(&b), !a.intersected(&b).is_empty());
     }
 
     #[test]
