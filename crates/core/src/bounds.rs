@@ -8,6 +8,17 @@
 //! with the MILP of §4.2 — or the greedy per-variable optimum when the set
 //! is disjoint (the "Faster Algorithm in Special Cases").
 //!
+//! With [`BoundOptions::shard`] on, a one-shot bound first keeps only the
+//! constraints whose predicate meets `query ∩ domain` (the ones the query
+//! *reaches*). A constraint it does not reach has no cell in the region,
+//! so the whole pipeline — closure probe, interaction components, shard
+//! sub-sets, decomposition, frequency rows, allocation — runs on the
+//! reached sub-catalog, and its cost follows what the query touches, not
+//! the catalog size. An unreached constraint can still change one
+//! verdict: a frequency floor whose allowed region misses the domain has
+//! nowhere to put its rows, so the call fails [`BoundError::Infeasible`]
+//! exactly as the full-catalog path does.
+//!
 //! Soundness details the paper leaves implicit, made explicit here:
 //!
 //! * **Frequency lower bounds under pushdown.** Restricting attention to
@@ -26,7 +37,7 @@
 
 use crate::decompose::{decompose_ordered_budgeted, Parallelism};
 use crate::estimate::{Estimates, SplitOrdering};
-use crate::{ActiveSet, BoundError, Cell, DecomposeStats, PcSet, Strategy};
+use crate::{ActiveSet, BoundError, Cell, DecomposeStats, PcSet, PredicateConstraint, Strategy};
 use pc_budget::{QueryBudget, WorkGate};
 use pc_predicate::Region;
 use pc_solver::{
@@ -108,16 +119,22 @@ pub struct BoundOptions {
     /// (`pc … --no-tableau-carry`): never affects results, only work —
     /// see [`BoundReport::solver`] for the counters.
     pub tableau_carry: bool,
-    /// Factor the cell set over the constraint-interaction graph (on by
-    /// default): connected components of the pairwise attribute-box
-    /// overlap graph decompose independently as parallel shards and their
-    /// bounds recombine exactly (see [`crate::shard`]). Sets that are one
-    /// component (every constraint transitively overlapping) take the
-    /// flat path unchanged; disjoint-hinted sets keep their own fast
-    /// path. Under the exact strategies the sharded and flat answers are
-    /// identical (property-tested); under [`Strategy::EarlyStop`] both
-    /// are sound but may admit different unverified cells. Disable to A/B
-    /// the factoring against the flat product.
+    /// Factor the cell set over the constraint-interaction graph of the
+    /// constraints the query region reaches (on by default): a one-shot
+    /// bound drops every constraint whose predicate misses
+    /// `query ∩ domain` (each is a component with no cells in the region;
+    /// see the module docs), and the connected components of the reached
+    /// constraints' pairwise attribute-box overlap graph decompose
+    /// independently as parallel shards whose bounds recombine exactly
+    /// (see [`crate::shard`]). Reached sets that are one component take
+    /// the flat path; disjoint-hinted sets keep their own fast path. So
+    /// [`Strategy::Naive`]'s [`crate::decompose::NAIVE_LIMIT`] and
+    /// [`Strategy::EarlyStop`]'s depth count reached constraints. Under
+    /// the exact strategies the sharded and flat answers are identical
+    /// (property-tested); under [`Strategy::EarlyStop`] both are sound
+    /// but may admit different unverified cells. Disable to A/B against
+    /// the full-catalog flat path, which is also the property-test
+    /// oracle.
     pub shard: bool,
     /// Estimate-guided search ordering (on by default; see
     /// [`crate::estimate`]): the decomposition decides include/exclude
@@ -247,8 +264,10 @@ pub struct BoundReport {
     pub degraded: bool,
     /// Per-shard SAT-check counts when the call routed through the
     /// sharded path ([`BoundOptions::shard`], [`crate::shard`]), in shard
-    /// order — the skew profile of the factored decomposition. Empty on
-    /// the flat paths.
+    /// order — the skew profile of the factored decomposition. A one-shot
+    /// bound counts the shards of the constraints its region reaches; a
+    /// [`crate::Session`] counts every shard of its epoch. Empty on the
+    /// flat paths.
     pub shard_sat_checks: Vec<u64>,
     /// Why the budget tripped, when [`BoundReport::degraded`] is set and
     /// the cause is known: the budget's sticky first-trip record, or
@@ -568,46 +587,95 @@ impl<'a> BoundEngine<'a> {
 
     /// [`BoundEngine::bound_budgeted`] with an externally owned warm-start
     /// chain — how a [`crate::Session`] threads one cache through many
-    /// queries instead of each call starting cold.
+    /// queries instead of each call starting cold. With
+    /// [`BoundOptions::shard`] on, the pipeline runs on the constraints
+    /// the query region reaches (module docs).
     pub(crate) fn bound_with_warm(
         &self,
         query: &AggQuery,
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<BoundReport, BoundError> {
-        // Factor over the constraint-interaction graph when it actually
-        // factors (≥ 2 components); single-component and disjoint-hinted
-        // sets take the flat paths unchanged.
-        if self.options.shard && !self.set.disjoint_hint() && self.set.len() >= 2 {
-            let boxes = crate::shard::constraint_boxes(self.set);
-            let components = crate::shard::components_of(&boxes);
-            if components.len() > 1 {
-                return self.bound_sharded_oneshot(query, &boxes, components, warm, budget);
+        // Optimization 1: push the query predicate into decomposition.
+        let mut base = query.predicate.to_region(self.set.schema());
+        base.intersect(self.set.domain());
+        if !self.options.shard {
+            let problem = self.build_problem(query, &base, warm, budget)?;
+            return self.bound_problem(query.agg, &problem);
+        }
+        let reached = self.reached(&base)?;
+        if reached.len() == self.set.len() {
+            return self.bound_factored(query, &base, warm, budget);
+        }
+        let sub = crate::shard::sub_set(self.set, &reached);
+        self.sub_engine(&sub, &reached)
+            .bound_factored(query, &base, warm, budget)
+    }
+
+    /// The constraints whose predicate meets `base` (ascending), decided
+    /// by [`crate::specialize::overlaps_region`], which allocates nothing.
+    /// Fails [`BoundError::Infeasible`] when a constraint it drops carries
+    /// a frequency floor the flat path's rows would keep: the dropped
+    /// constraint has no cell in `base`, so the rows it forces have
+    /// nowhere to go.
+    fn reached(&self, base: &Region) -> Result<Vec<usize>, BoundError> {
+        let mut reached = Vec::with_capacity(self.set.len());
+        for (j, pc) in self.set.constraints().iter().enumerate() {
+            if crate::specialize::overlaps_region(pc, base) {
+                reached.push(j);
+            } else if pc.frequency.lo > 0 && self.floor_kept(pc, base) {
+                return Err(BoundError::Infeasible);
             }
         }
-        let problem = self.build_problem(query, warm, budget)?;
+        Ok(reached)
+    }
+
+    /// An engine over `sub` = this engine's constraints `members` (in
+    /// that order), with the same options and — under
+    /// [`BoundOptions::ordering`] — this engine's estimates restricted to
+    /// the members, so survival learned on the sub-set publishes into the
+    /// shared counters.
+    fn sub_engine<'s>(&self, sub: &'s PcSet, members: &[usize]) -> BoundEngine<'s> {
+        let engine = BoundEngine::with_options(sub, self.options);
+        if self.options.ordering {
+            engine.set_estimates(Arc::new(self.estimates().restrict(members)));
+        }
+        engine
+    }
+
+    /// Bound over this engine's whole set: factor over the
+    /// constraint-interaction graph when it actually factors (≥ 2
+    /// components); single-component and disjoint-hinted sets take the
+    /// flat path.
+    fn bound_factored(
+        &self,
+        query: &AggQuery,
+        base: &Region,
+        warm: Option<WarmCache>,
+        budget: &QueryBudget,
+    ) -> Result<BoundReport, BoundError> {
+        if !self.set.disjoint_hint() && self.set.len() >= 2 {
+            let components = crate::shard::interaction_components(self.set);
+            if components.len() > 1 {
+                return self.bound_sharded_oneshot(query, base, &components, warm, budget);
+            }
+        }
+        let problem = self.build_problem(query, base, warm, budget)?;
         self.bound_problem(query.agg, &problem)
     }
 
     /// One-shot sharded bound: decompose each interaction-graph component
     /// independently (parallel pool tasks, shared budget) against the
-    /// query region, then recombine. Components the region doesn't touch
-    /// skip decomposition entirely — their constraints' frequency rows
-    /// behave identically over zero member cells. `boxes` are the
-    /// constraint boxes the components were found from.
+    /// query region, then recombine.
     fn bound_sharded_oneshot(
         &self,
         query: &AggQuery,
-        boxes: &[Region],
-        components: Vec<Vec<usize>>,
+        base: &Region,
+        components: &[Vec<usize>],
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<BoundReport, BoundError> {
-        let schema = self.set.schema();
-        let mut base = query.predicate.to_region(schema);
-        base.intersect(self.set.domain());
-
-        // Closure is a global question — one probe over the full set, not
+        // Closure is a global question — one probe over the whole set, not
         // per shard (mirrors `build_problem`'s ladder).
         let mut skipped_closure = false;
         let closed = if !self.options.check_closure {
@@ -616,39 +684,17 @@ impl<'a> BoundEngine<'a> {
             skipped_closure = true;
             false
         } else {
-            self.set.is_closed_within_with(&base, self.par_witness())
+            self.set.is_closed_within_with(base, self.par_witness())
         };
 
-        let inputs: Vec<(Arc<PcSet>, Vec<usize>, bool)> = components
-            .into_iter()
-            .map(|members| {
-                let touched = members.iter().any(|&m| boxes[m].overlaps(&base));
-                let sub = Arc::new(crate::shard::sub_set(self.set, &members));
-                (sub, members, touched)
-            })
-            .collect();
-        let threads = self.task_threads(inputs.len());
-        let options = self.options;
-        // Restrict the catalog-wide estimates to each shard's members so
-        // per-shard split ordering works from (and feeds back into) the
-        // shared survival counters.
-        let estimates = self.options.ordering.then(|| Arc::clone(self.estimates()));
-        let built = pooled_map_catch(&inputs, threads, &|(sub, members, touched): &(
-            Arc<PcSet>,
-            Vec<usize>,
-            bool,
-        )| {
-            let (cells, stats) = if *touched {
-                let engine = BoundEngine::with_options(sub, options);
-                if let Some(est) = &estimates {
-                    engine.set_estimates(Arc::new(est.restrict(members)));
-                }
-                engine.cells_for_base_budgeted(&base, budget)?
-            } else {
-                (Vec::new(), DecomposeStats::default())
-            };
+        let threads = self.task_threads(components.len());
+        let built = pooled_map_catch(components, threads, &|members: &Vec<usize>| {
+            let sub = Arc::new(crate::shard::sub_set(self.set, members));
+            let (cells, stats) = self
+                .sub_engine(&sub, members)
+                .cells_for_base_budgeted(base, budget)?;
             Ok::<ShardSlice, BoundError>(ShardSlice {
-                sub: Arc::clone(sub),
+                sub,
                 members: members.clone(),
                 cells,
                 stats,
@@ -661,7 +707,7 @@ impl<'a> BoundEngine<'a> {
         }
         self.bound_sharded(
             query,
-            &base,
+            base,
             closed,
             skipped_closure,
             slices,
@@ -763,6 +809,25 @@ impl<'a> BoundEngine<'a> {
             1u8
         };
         if query.agg == AggKind::Sum && !closed {
+            // The range is (−∞, ∞) whatever the allocation, but the
+            // verdict must match the flat path's: a frequency floor with
+            // nowhere to go makes the catalog infeasible. Only floors
+            // raise `Infeasible`, so build (not solve) just the problems
+            // of slices that carry one; floor-free catalogs stay free.
+            for slice in slices {
+                if slice.sub.constraints().iter().any(|pc| pc.frequency.lo > 0) {
+                    self.sub_engine(&slice.sub, &slice.members)
+                        .problem_from_cells_budgeted(
+                            query.attr,
+                            base,
+                            slice.cells,
+                            slice.stats,
+                            true,
+                            None,
+                            budget,
+                        )?;
+                }
+            }
             return Ok(BoundReport {
                 range: ResultRange {
                     lo: f64::NEG_INFINITY,
@@ -790,12 +855,9 @@ impl<'a> BoundEngine<'a> {
                     continue;
                 }
             }
-            let sub_engine = BoundEngine::with_options(&slice.sub, self.options);
-            if self.options.ordering {
-                // share the catalog-wide survival counters (members may be
-                // skew-reordered; the slice's sub-set uses the same order)
-                sub_engine.set_estimates(Arc::new(self.estimates().restrict(&slice.members)));
-            }
+            // Members may be skew-reordered; the slice's sub-set uses the
+            // same order, so the restricted estimates line up.
+            let sub_engine = self.sub_engine(&slice.sub, &slice.members);
             // Per-shard problems are built closure-free (`closed: true`);
             // the global closure verdict is applied once at the combine.
             let p = sub_engine.problem_from_cells_budgeted(
@@ -965,17 +1027,15 @@ impl<'a> BoundEngine<'a> {
         result.map_err(BoundError::from)
     }
 
+    /// The flat pipeline's problem: closure probe, decomposition inside
+    /// `base` (= query region ∩ domain), frequency rows.
     fn build_problem(
         &self,
         query: &AggQuery,
+        base: &Region,
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<CellProblem, BoundError> {
-        let schema = self.set.schema();
-        // Optimization 1: push the query predicate into decomposition.
-        let mut base = query.predicate.to_region(schema);
-        base.intersect(self.set.domain());
-
         // A tripped budget skips the closure probe and assumes *open* —
         // the sound direction (affected range ends widen to ±∞).
         let mut skipped_closure = false;
@@ -985,12 +1045,12 @@ impl<'a> BoundEngine<'a> {
             skipped_closure = true;
             false
         } else {
-            self.set.is_closed_within_with(&base, self.par_witness())
+            self.set.is_closed_within_with(base, self.par_witness())
         };
 
-        let (cells, stats) = self.cells_for_base_budgeted(&base, budget)?;
+        let (cells, stats) = self.cells_for_base_budgeted(base, budget)?;
         let problem =
-            self.problem_from_cells_budgeted(query.attr, &base, cells, stats, closed, warm, budget);
+            self.problem_from_cells_budgeted(query.attr, base, cells, stats, closed, warm, budget);
         if skipped_closure {
             if let Ok(p) = &problem {
                 p.degraded.set(true);
@@ -1038,7 +1098,6 @@ impl<'a> BoundEngine<'a> {
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<CellProblem, BoundError> {
-        let schema = self.set.schema();
         let estimates = self.options.ordering.then(|| self.estimates());
         let mut u = Vec::with_capacity(cells.len());
         let mut l = Vec::with_capacity(cells.len());
@@ -1119,14 +1178,8 @@ impl<'a> BoundEngine<'a> {
                 .enumerate()
                 .filter_map(|(i, c)| c.is_active(j).then_some(i))
                 .collect();
-            let mut allowed = pc.allowed_region(schema);
-            allowed.intersect(self.set.domain());
-            let fully_inside = base.contains_region(&allowed);
-            let kl_eff = if fully_inside && !undecided_somewhere {
-                pc.frequency.lo as f64
-            } else {
-                0.0
-            };
+            let floor = pc.frequency.lo > 0 && !undecided_somewhere && self.floor_kept(pc, base);
+            let kl_eff = if floor { pc.frequency.lo as f64 } else { 0.0 };
             if kl_eff > 0.0 {
                 let capacity: f64 = members.iter().map(|&i| cap[i]).sum();
                 if capacity < kl_eff {
@@ -1150,6 +1203,15 @@ impl<'a> BoundEngine<'a> {
             work: StdCell::new(LpWork::default()),
             budget: budget.clone(),
         })
+    }
+
+    /// Whether `pc`'s frequency floor survives pushdown into `base`: its
+    /// whole allowed region within the domain lies inside the base, so
+    /// every row the floor forces must land in a cell of the base.
+    fn floor_kept(&self, pc: &PredicateConstraint, base: &Region) -> bool {
+        let mut allowed = pc.allowed_region(self.set.schema());
+        allowed.intersect(self.set.domain());
+        base.contains_region(&allowed)
     }
 
     /// Fast path for disjoint sets: every constraint overlapping the base

@@ -33,7 +33,10 @@
 //!
 //! Query-predicate pushdown (Optimization 1) enters through the `base`
 //! region: cells are decomposed inside `query ∩ domain`, so constraints
-//! not overlapping the query never spawn cells.
+//! not overlapping the query never spawn cells. The one-shot engine goes
+//! further: with [`crate::BoundOptions::shard`] on it drops every
+//! constraint whose predicate misses the base *before* the search (see
+//! `crate::bounds`), so the DFS never splits on them at all.
 //!
 //! # Parallelism
 //!
@@ -107,7 +110,9 @@ use std::sync::Arc;
 
 /// Constraint-count ceiling for [`Strategy::Naive`]: `2ⁿ` cells past this
 /// are pointless to enumerate (and would overflow the mask well before
-/// exhausting patience).
+/// exhausting patience). A one-shot bound with
+/// [`crate::BoundOptions::shard`] on counts only the constraints its
+/// query region reaches.
 pub const NAIVE_LIMIT: usize = 25;
 
 /// Which decomposition algorithm to run.
@@ -198,13 +203,17 @@ pub struct DecomposeStats {
     /// ordering was off (or the search never split).
     pub ordered_splits: u64,
     /// Connected components of the constraint-interaction graph the cell
-    /// set was factored over ([`crate::shard::ShardedCellSet`]). `0` on
-    /// the flat (unsharded) paths; `1` means the set was sharded but is a
-    /// single component.
+    /// set was factored over ([`crate::shard::ShardedCellSet`]). A
+    /// one-shot bound factors only the constraints its query region
+    /// reaches, so it counts *reached* shards; a session counts every
+    /// shard of its epoch. `0` on the flat (unsharded) paths — including
+    /// a one-shot bound whose reached constraints form one component;
+    /// `1` means the set was sharded but is a single component.
     pub shards: usize,
     /// The largest shard's constraint count — the quantity that actually
-    /// drives the exponential worst case once the set is factored. `0` on
-    /// the flat paths.
+    /// drives the exponential worst case once the set is factored (over
+    /// reached shards for a one-shot bound, as for
+    /// [`DecomposeStats::shards`]). `0` on the flat paths.
     pub max_shard_constraints: usize,
 }
 

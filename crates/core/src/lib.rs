@@ -12,7 +12,11 @@
 //! 1. **Cell decomposition** ([`decompose()`](decompose())) of possibly-overlapping
 //!    predicates into disjoint satisfiable cells, with the paper's four
 //!    optimizations: query-predicate pushdown, DFS prefix pruning, the
-//!    `X ∧ ¬Y` rewrite, and approximate early stopping. The rewrite
+//!    `X ∧ ¬Y` rewrite, and approximate early stopping. Pushdown goes
+//!    past the paper's: a one-shot bound drops the constraints the query
+//!    region does not reach before anything runs, so its whole pipeline
+//!    (closure probe, decomposition, frequency rows, allocation) costs
+//!    what the query touches, not the catalog size. The rewrite
 //!    generalizes into a **carried witness**: each DFS node keeps a point
 //!    of its prefix, which settles one branch of every split for free
 //!    (one SAT probe per split, no re-solve at the leaves). Searches are
@@ -39,10 +43,12 @@
 //!    component ("shard") decomposes independently as a parallel pool
 //!    task, so the exponential decomposition cost is paid per shard,
 //!    not for the whole catalog; `COUNT`/`SUM` bounds combine as sums
-//!    of per-shard block-diagonal allocations, a query region only
-//!    specializes the shards it geometrically touches, and a shard
-//!    fully inside the region answers from its cached domain-wide
-//!    interval. Heavy shards re-order their constraints along quantile
+//!    of per-shard block-diagonal allocations. A one-shot bound factors
+//!    only the constraints its query region reaches; a session keeps
+//!    every shard of its epoch, a query region only specializes the
+//!    shards it geometrically touches, and a shard fully inside the
+//!    region answers from its cached domain-wide interval. Heavy
+//!    session shards re-order their constraints along quantile
 //!    boundaries before decomposing (skew-aware re-splitting).
 //! 6. A **versioned session layer** ([`Session`]) for serving query
 //!    traffic under constraint churn: the session owns a catalog of
@@ -61,22 +67,22 @@
 //!    Epoch derivation is **shard-local**: a mutation re-derives only
 //!    the shard(s) its box overlaps, the rest carry by `Arc`.
 //! 7. **Estimate-guided search ordering** ([`estimate`]): per-constraint
-//!    selectivity estimates on the catalog — normalized box volume,
-//!    per-attribute width ratios, and a live split-survival counter —
-//!    maintained incrementally with the session's epoch deltas and
-//!    recombined per shard. All three searches consume them: the
-//!    decomposition decides the most selective constraint first (DFS
-//!    prefix pruning kills subtrees before the uninformative splits
-//!    multiply them), the allocation MILP branches on the most selective
-//!    cells' variables (fractionality × weight), and the witness search
-//!    tries the most satisfiable-looking disjunct first. Ordering is a
-//!    visit-order permutation only — cells, verdicts, bounds, and
-//!    closure flags are bit-identical with it on or off
+//!    selectivity estimates on the catalog — normalized box volume and
+//!    a live split-survival counter — maintained incrementally with the
+//!    session's epoch deltas and restricted per shard (and per reached
+//!    sub-catalog) with shared counters. All three searches consume
+//!    them: the decomposition decides the most selective constraint
+//!    first (DFS prefix pruning kills subtrees before the uninformative
+//!    splits multiply them), the allocation MILP branches on the most
+//!    selective cells' variables (fractionality × weight), and the
+//!    witness search tries the most satisfiable-looking disjunct first.
+//!    Ordering is a visit-order permutation only — cells, verdicts,
+//!    bounds, and closure flags are bit-identical with it on or off
 //!    ([`BoundOptions::ordering`]); the win is counted in SAT checks
 //!    and branch & bound nodes ([`DecomposeStats::ordered_splits`],
-//!    [`LpWork::incumbent_first`]). A budget-tripped run stages
-//!    but never publishes its survival history — the unpublished-epoch
-//!    rule applied to estimates.
+//!    [`LpWork::incumbent_first`]). A budget-tripped run stages but
+//!    never publishes its survival history — the unpublished-epoch rule
+//!    applied to estimates.
 //! 8. **Budgets and graceful degradation** ([`QueryBudget`], re-exported
 //!    from [`budget`]): every engine entry point has a `_budgeted`
 //!    variant accepting a deadline / SAT-check cap / branch & bound node

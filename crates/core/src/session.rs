@@ -1002,10 +1002,11 @@ impl Session {
 
     /// Estimated relative cost of `query` against this epoch, from the
     /// estimate layer: the split-ordering scores (normalized box volume ×
-    /// split-survival rate) of the constraints whose boxes the query
-    /// region touches, over the whole catalog's. A query touching about
-    /// half the catalog's mass scores ~1.0; the gauge multiplies this
-    /// into its learned per-query service-time EWMA.
+    /// split-survival rate) of the constraints the query region reaches
+    /// (the engine's reach test, [`crate::specialize::overlaps_region`]),
+    /// over the whole catalog's. A query touching about half the
+    /// catalog's mass scores ~1.0; the gauge multiplies this into its
+    /// learned per-query service-time EWMA.
     fn cost_factor(&self, epoch: &Epoch, query: &AggQuery) -> f64 {
         let set = &*epoch.set;
         let mut target = query.predicate.to_region(set.schema());
@@ -1015,9 +1016,7 @@ impl Session {
         for (i, pc) in set.constraints().iter().enumerate() {
             let score = epoch.estimates.score(i).max(0.0);
             total += score;
-            let mut pc_box = pc.predicate.to_region(set.schema());
-            pc_box.intersect(set.domain());
-            if pc_box.overlaps(&target) {
+            if crate::specialize::overlaps_region(pc, &target) {
                 touched += score;
             }
         }

@@ -38,6 +38,14 @@
 //! interval verbatim ([`Shard`] caches it), and a shard disjoint from the
 //! region contributes nothing but its frequency rows.
 //!
+//! A one-shot bound (no epoch to keep) applies the same theorem before it
+//! builds anything: it keeps only the constraints whose predicate meets
+//! the query region and factors *those* — every unreached constraint is a
+//! component with no cells in the region, whose only possible effect, an
+//! unplaceable frequency floor, is checked up front. So its shards are
+//! the components of the reached constraints, and every one of them is
+//! decomposed.
+//!
 //! # Skew-aware re-splitting
 //!
 //! A connected component admits no geometric cut — any candidate boundary
@@ -100,7 +108,7 @@ impl UnionFind {
 
 /// Each constraint's attribute box: predicate region ∩ domain. Two
 /// constraints interact iff their boxes overlap.
-pub(crate) fn constraint_boxes(set: &PcSet) -> Vec<Region> {
+fn constraint_boxes(set: &PcSet) -> Vec<Region> {
     set.constraints()
         .iter()
         .map(|pc| {
@@ -139,8 +147,8 @@ fn axis_score(boxes: &[Region], axis: usize) -> f64 {
 /// An interval sweep along the most discriminating attribute skips pairs
 /// already disjoint on that axis, so factored catalogs (many shards laid
 /// out along one dimension) pay near-linear instead of quadratic work —
-/// this runs on every one-shot bound of a multi-component set.
-pub(crate) fn components_of(boxes: &[Region]) -> Vec<Vec<usize>> {
+/// this runs on the reached constraints of every one-shot bound.
+fn components_of(boxes: &[Region]) -> Vec<Vec<usize>> {
     let n = boxes.len();
     let mut uf = UnionFind::new(n);
     if n > 1 {

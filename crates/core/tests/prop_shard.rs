@@ -4,10 +4,12 @@
 //! GROUP-BY, and sessions under random mutation sequences) must equal the
 //! unsharded oracle (`BoundOptions { shard: false }`) — the factoring
 //! theorem is that connected components of the constraint-interaction
-//! graph decompose and allocate independently. A fault-feature test
-//! checks the isolation story: a budget trip inside one shard's build
-//! degrades only that shard's contribution, and a skew unit test checks
-//! the quantile re-ordering of heavy shards never moves a bound.
+//! graph decompose and allocate independently. Some generated constraints
+//! admit no row at all, so `Infeasible` verdicts are compared too. A
+//! fault-feature test checks the isolation story: a budget trip inside
+//! one shard's build degrades only that shard's contribution, and a skew
+//! unit test checks the quantile re-ordering of heavy shards never moves
+//! a bound.
 
 use pc_core::{
     BoundEngine, BoundError, BoundOptions, ConstraintId, FrequencyConstraint, PcSet,
@@ -66,9 +68,10 @@ prop_compose! {
         ku in 1u64..8,
         forced: bool,
         cross in 0usize..10,
+        stray in 0usize..20,
     ) -> PredicateConstraint {
         let (vlo, vhi) = (c.min(d) as f64, c.max(d) as f64 + 1.0);
-        if cross < 3 {
+        let mut pc = if cross < 3 {
             // cross-cutting: an arbitrary span that may bridge tiles
             let (xlo, xhi) = (
                 (tile * TILE + a.min(b)) as f64,
@@ -82,7 +85,14 @@ prop_compose! {
                 (tile * TILE + a.max(b)) as f64 + 1.0,
             );
             pc_on(xlo, xhi, vlo, vhi, forced, ku)
+        };
+        if stray == 0 {
+            // About 1 in 20: a value range outside the predicate's v
+            // interval, so the constraint admits no row at all — a forced
+            // one makes the catalog infeasible, and both paths must say so.
+            pc.values = ValueConstraint::none().with(1, Interval::closed(vhi + 1.0, vhi + 2.0));
         }
+        pc
     }
 }
 
@@ -101,6 +111,21 @@ prop_compose! {
         };
         AggQuery::new(agg, 1, predicate)
     }
+}
+
+/// The sub-catalog of the constraints `q`'s region reaches: those whose
+/// predicate box meets `query ∩ domain`, in catalog order.
+fn reached_set(set: &PcSet, q: &AggQuery) -> PcSet {
+    let mut region = q.predicate.to_region(set.schema());
+    region.intersect(set.domain());
+    let mut sub = PcSet::new(set.schema().clone());
+    sub.set_domain(set.domain().clone());
+    for pc in set.constraints() {
+        if pc.predicate.to_region(set.schema()).overlaps(&region) {
+            sub.push(pc.clone());
+        }
+    }
+    sub
 }
 
 fn flat_options() -> BoundOptions {
@@ -193,14 +218,14 @@ proptest! {
 
     /// One-shot engine: sharded bounds equal the unsharded oracle for
     /// every aggregate and query region, and the report carries the shard
-    /// topology whenever the catalog genuinely factored.
+    /// topology whenever the constraints the query reaches genuinely
+    /// factored.
     #[test]
     fn sharded_bounds_equal_unsharded_oracle(
         pcs in prop::collection::vec(arb_pc(), 1..7),
         qs in prop::collection::vec(arb_query(), 1..4),
     ) {
         let set = build_set(pcs);
-        let components = pc_core::interaction_components(&set).len();
         let sharded = BoundEngine::new(&set);
         let flat = BoundEngine::with_options(&set, flat_options());
         for q in &qs {
@@ -208,6 +233,7 @@ proptest! {
             if let Err(msg) = results_equal(q, &flat.bound(q), &s) {
                 return Err(TestCaseError::fail(msg));
             }
+            let components = pc_core::interaction_components(&reached_set(&set, q)).len();
             if components > 1 {
                 if let Ok(r) = &s {
                     prop_assert_eq!(r.stats.shards, components, "{:?}", q);
@@ -402,4 +428,142 @@ fn budget_trip_in_one_shard_degrades_only_that_shard() {
         r_span.range.lo < exact_span.range.lo - 1e-9 || r_span.degraded,
         "the spanning query saw the tripped shard"
     );
+}
+
+/// A catalog with an unsatisfiable forced constraint is infeasible for
+/// every query, whether or not the query reaches that constraint and
+/// whatever its closure verdict. `c1` forces a row whose value range
+/// misses its own predicate's `v` interval; the two constraints sit on
+/// disjoint `x` ranges, so the catalog factors into two shards, and
+/// `SUM` over an open region must not skip the verdict on the sharded
+/// path — one-shot or served from a session.
+#[test]
+fn unplaceable_floor_is_infeasible_on_every_path() {
+    let schema = Schema::new(vec![("x", AttrType::Int), ("v", AttrType::Float)]);
+    let mut domain = Region::full(&schema);
+    domain.set_interval(0, Interval::closed(0.0, 10.0));
+    domain.set_interval(1, Interval::closed(0.0, 100.0));
+    let mut set = PcSet::new(schema)
+        .with(PredicateConstraint::new(
+            Predicate::atom(Atom::between(0, 0.0, 2.0)),
+            ValueConstraint::none().with(1, Interval::closed(0.0, 10.0)),
+            FrequencyConstraint::at_most(5),
+        ))
+        .with(PredicateConstraint::new(
+            Predicate::atom(Atom::between(0, 5.0, 7.0)).and(Atom::between(1, 0.0, 10.0)),
+            ValueConstraint::none().with(1, Interval::closed(20.0, 30.0)),
+            FrequencyConstraint::between(1, 5),
+        ));
+    set.set_domain(domain);
+    assert_eq!(pc_core::interaction_components(&set).len(), 2);
+
+    let engines = [
+        ("engine sharded", BoundEngine::new(&set)),
+        (
+            "engine flat",
+            BoundEngine::with_options(&set, flat_options()),
+        ),
+    ];
+    let sessions = [
+        ("session sharded", Session::new(set.clone())),
+        (
+            "session flat",
+            Session::with_options(
+                set.clone(),
+                SessionOptions {
+                    bound: flat_options(),
+                    ..SessionOptions::default()
+                },
+            ),
+        ),
+    ];
+    // [0, 10] and [4, 8] reach c1 (both open); [0, 2] misses it (closed
+    // by c0) and [8, 10] reaches nothing (open).
+    for (lo, hi) in [(0.0, 10.0), (4.0, 8.0), (0.0, 2.0), (8.0, 10.0)] {
+        for agg in [
+            AggKind::Sum,
+            AggKind::Count,
+            AggKind::Avg,
+            AggKind::Min,
+            AggKind::Max,
+        ] {
+            let q = AggQuery::new(agg, 1, Predicate::atom(Atom::between(0, lo, hi)));
+            let results = engines
+                .iter()
+                .map(|(name, e)| (name, e.bound(&q)))
+                .chain(sessions.iter().map(|(name, s)| (name, s.bound(&q))));
+            for (name, r) in results {
+                assert_eq!(
+                    r.as_ref().map(|r| r.range),
+                    Err(&BoundError::Infeasible),
+                    "{name}: {agg:?} over x in [{lo}, {hi}]"
+                );
+            }
+        }
+    }
+}
+
+/// A one-shot bound's work follows the constraints its region reaches:
+/// on a single-component catalog (a catch-all joins everything), the
+/// boxes far from the query window must cost nothing — not a split, not
+/// a SAT check. The full catalog must bound exactly like the catalog of
+/// only its reached constraints over the same domain: same range, same
+/// cells, same SAT checks, same ordered splits.
+#[test]
+fn bound_work_follows_the_reached_constraints() {
+    let catch_all = PredicateConstraint::new(
+        Predicate::always(),
+        ValueConstraint::none().with(1, Interval::closed(0.0, VMAX as f64)),
+        FrequencyConstraint::at_most(40),
+    );
+    let near = [
+        pc_on(0.0, 2.0, 0.0, 10.0, true, 4),
+        pc_on(1.0, 3.0, 2.0, 12.0, true, 5),
+        pc_on(2.0, 4.0, 5.0, 15.0, false, 3),
+    ];
+    let far = [
+        pc_on(8.0, 10.0, 0.0, 10.0, true, 3),
+        pc_on(9.0, 11.0, 5.0, 15.0, false, 4),
+        pc_on(10.0, 12.0, 3.0, 9.0, true, 2),
+    ];
+    let mut all = vec![catch_all.clone()];
+    all.extend(near.iter().cloned());
+    all.extend(far.iter().cloned());
+    let full = build_set(all);
+    assert_eq!(pc_core::interaction_components(&full).len(), 1);
+    let mut reached = vec![catch_all];
+    reached.extend(near.iter().cloned());
+    let reached = build_set(reached);
+
+    let sequential = BoundOptions {
+        threads: 1,
+        ..BoundOptions::default()
+    };
+    let window = Predicate::atom(Atom::between(0, 0.0, 4.0));
+    for agg in [
+        AggKind::Sum,
+        AggKind::Count,
+        AggKind::Avg,
+        AggKind::Min,
+        AggKind::Max,
+    ] {
+        let q = AggQuery::new(agg, 1, window.clone());
+        let got = BoundEngine::with_options(&full, sequential)
+            .bound(&q)
+            .unwrap();
+        let want = BoundEngine::with_options(&reached, sequential)
+            .bound(&q)
+            .unwrap();
+        assert_eq!(got.range, want.range, "{agg:?}");
+        assert_eq!(got.stats.cells, want.stats.cells, "{agg:?}: cells");
+        assert_eq!(
+            got.stats.sat_checks, want.stats.sat_checks,
+            "{agg:?}: sat checks"
+        );
+        assert_eq!(
+            got.stats.ordered_splits, want.stats.ordered_splits,
+            "{agg:?}: ordered splits"
+        );
+        assert!(want.stats.ordered_splits > 0, "{agg:?}: the search split");
+    }
 }
