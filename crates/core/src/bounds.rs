@@ -14,7 +14,12 @@
 //! so the whole pipeline — closure probe, interaction components, shard
 //! sub-sets, decomposition, frequency rows, allocation — runs on the
 //! reached sub-catalog, and its cost follows what the query touches, not
-//! the catalog size. An unreached constraint can still change one
+//! the catalog size. So does the estimate table behind
+//! [`BoundOptions::ordering`]: an engine that holds none yet estimates
+//! only the reached constraints, while one that holds a table (injected
+//! by a session, or built by an earlier GROUP-BY or call that reached
+//! every constraint) restricts it, so split survival still publishes
+//! into its shared counters. An unreached constraint can still change one
 //! verdict: a frequency floor whose allowed region misses the domain has
 //! nowhere to put its rows, so the call fails [`BoundError::Infeasible`]
 //! exactly as the full-catalog path does.
@@ -509,7 +514,10 @@ pub struct BoundEngine<'a> {
     /// [`crate::Session`] (whose epochs maintain them incrementally per
     /// delta) or by the sharded path (restricted to the shard's members,
     /// sharing the catalog-wide survival counters); a standalone engine
-    /// computes them lazily on first use.
+    /// computes them lazily on first use. A one-shot bound that drops
+    /// constraints leaves an unbuilt table unbuilt and estimates only the
+    /// reached ones, so a standalone engine reused for such bounds keeps
+    /// no survival history from one to the next.
     estimates: OnceLock<Arc<Estimates>>,
 }
 
@@ -535,7 +543,8 @@ impl<'a> BoundEngine<'a> {
     }
 
     /// The engine's estimate table, computing it from the set on first
-    /// use when nothing was injected.
+    /// use when nothing was injected. A reach-scoped one-shot bound never
+    /// builds it: it estimates only the reached constraints (module docs).
     pub(crate) fn estimates(&self) -> &Arc<Estimates> {
         self.estimates
             .get_or_init(|| Arc::new(Estimates::for_set(self.set)))
@@ -608,8 +617,14 @@ impl<'a> BoundEngine<'a> {
             return self.bound_factored(query, &base, warm, budget);
         }
         let sub = crate::shard::sub_set(self.set, &reached);
-        self.sub_engine(&sub, &reached)
-            .bound_factored(query, &base, warm, budget)
+        let engine = match self.estimates.get() {
+            Some(_) => self.sub_engine(&sub, &reached),
+            // No table yet: estimate only the reached constraints. A fresh
+            // table has no survival history, so its volumes (same domain)
+            // order the splits exactly as the restricted table would.
+            None => BoundEngine::with_options(&sub, self.options),
+        };
+        engine.bound_factored(query, &base, warm, budget)
     }
 
     /// The constraints whose predicate meets `base` (ascending), decided
@@ -2236,6 +2251,70 @@ mod tests {
                 > before.iter().map(|&(s, _)| s).sum::<u64>(),
             "untripped run must publish split history: {after:?}"
         );
+    }
+
+    /// Twenty overlapping `utc` buckets of unequal widths and a SUM query
+    /// over `utc ∈ [50, 70)`, which reaches buckets 4, 5 and 6 only.
+    fn reach_fixture() -> (PcSet, AggQuery) {
+        let mut set = PcSet::new(schema());
+        for i in 0..20 {
+            let lo = 10.0 * i as f64;
+            let width = 15.0 - (i % 3) as f64;
+            set.push(PredicateConstraint::new(
+                Predicate::atom(Atom::bucket(0, lo, lo + width)),
+                ValueConstraint::none().with(1, Interval::closed(0.0, 10.0 + i as f64)),
+                FrequencyConstraint::at_most(10 + i),
+            ));
+        }
+        let mut domain = Region::full(&schema());
+        domain.set_interval(0, Interval::half_open(0.0, 215.0));
+        set.set_domain(domain);
+        let q = AggQuery::new(
+            AggKind::Sum,
+            1,
+            Predicate::atom(Atom::bucket(0, 50.0, 70.0)),
+        );
+        (set, q)
+    }
+
+    const REACHED: [usize; 3] = [4, 5, 6];
+
+    #[test]
+    fn fresh_engine_estimates_only_the_reached_constraints() {
+        let (set, q) = reach_fixture();
+        let fresh = BoundEngine::new(&set);
+        let mut base = q.predicate.to_region(set.schema());
+        base.intersect(set.domain());
+        assert_eq!(fresh.reached(&base).unwrap(), REACHED);
+        let r = fresh.bound(&q).unwrap();
+        assert!(
+            fresh.estimates.get().is_none(),
+            "the whole catalog's table stays unbuilt"
+        );
+        let built = BoundEngine::new(&set);
+        built.estimates();
+        let b = built.bound(&q).unwrap();
+        assert_eq!(r.range, b.range);
+        assert!(r.stats.ordered_splits > 0, "the reached constraints split");
+        let work = |r: &BoundReport| (r.stats.cells, r.stats.sat_checks, r.stats.ordered_splits);
+        assert_eq!(work(&r), work(&b));
+    }
+
+    #[test]
+    fn injected_table_learns_only_on_the_reached_constraints() {
+        let (set, q) = reach_fixture();
+        let engine = BoundEngine::new(&set);
+        let table = Arc::new(Estimates::for_set(&set));
+        engine.set_estimates(Arc::clone(&table));
+        engine.bound(&q).unwrap();
+        for (j, entry) in table.entries().iter().enumerate() {
+            let splits = entry.survival.splits();
+            if REACHED.contains(&j) {
+                assert!(splits > 0, "reached constraint {j} learned nothing");
+            } else {
+                assert_eq!(splits, 0, "unreached constraint {j} learned");
+            }
+        }
     }
 
     /// An unclosed closure check skipped under a tripped budget must

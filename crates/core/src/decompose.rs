@@ -77,9 +77,9 @@
 //! branch reuses the stack as it is. Only a fork past the gate copies it,
 //! once, for the include task. The GROUP-BY splice
 //! (`crate::specialize::splice_locals`) keeps its exclusions the same
-//! way. Each SAT probe then allocates its own region copy, exclusion
-//! array and witness, however deep its search runs
-//! ([`pc_predicate::sat`], "Allocation discipline").
+//! way. Each SAT probe then refills its thread's region and exclusion
+//! buffers and allocates only the witness it returns, however deep its
+//! search runs ([`pc_predicate::sat`], "Allocation discipline").
 //!
 //! # Sharding: factoring over the constraint-interaction graph
 //!

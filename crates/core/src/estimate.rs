@@ -38,6 +38,18 @@
 //! counters — survival observed while decomposing a merged shard flows
 //! back into the catalog-wide estimates.
 //!
+//! # One-shot bounds
+//!
+//! A one-shot [`crate::BoundEngine`] that holds no table yet estimates
+//! only the constraints its query region reaches (see `crate::bounds`):
+//! a fresh table has no survival history, so over the same domain it
+//! orders the splits exactly as the whole catalog's table restricted to
+//! them would. An engine that holds a table (a session's, or one built
+//! by an earlier GROUP-BY or call that reached every constraint)
+//! restricts it and publishes into the shared counters. So a standalone
+//! engine reused for several reach-scoped bounds keeps no survival
+//! history from one bound to the next.
+//!
 //! # Why ordering is semantics-free
 //!
 //! A cell of the decomposition is identified by *which* constraints it

@@ -70,7 +70,9 @@
 //!    selectivity estimates on the catalog — normalized box volume and
 //!    a live split-survival counter — maintained incrementally with the
 //!    session's epoch deltas and restricted per shard (and per reached
-//!    sub-catalog) with shared counters. All three searches consume
+//!    sub-catalog) with shared counters. A one-shot engine that holds no
+//!    table yet estimates only the constraints its query reaches. All
+//!    three searches consume
 //!    them: the decomposition decides the most selective constraint
 //!    first (DFS prefix pruning kills subtrees before the uninformative
 //!    splits multiply them), the allocation MILP branches on the most

@@ -9,10 +9,26 @@ use std::sync::Arc;
 /// with a schema; the region shares the schema's attribute types so
 /// emptiness is type-exact without re-threading the schema everywhere, and
 /// a clone allocates only the interval buffer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Region {
     intervals: Vec<Interval>,
     types: Arc<[AttrType]>,
+}
+
+impl Clone for Region {
+    fn clone(&self) -> Self {
+        Region {
+            intervals: self.intervals.clone(),
+            types: Arc::clone(&self.types),
+        }
+    }
+
+    /// Reuses `self`'s interval buffer when it is wide enough, so a
+    /// refill allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.intervals.clone_from(&source.intervals);
+        self.types = Arc::clone(&source.types);
+    }
 }
 
 impl Region {

@@ -19,38 +19,55 @@
 //! partial region and retreats at dead ends. Each level reads the
 //! exclusions its parent left live and keeps those that still overlap
 //! the region (a disjoint exclusion is vacuously satisfied; a covering one
-//! refutes the level). With none left, any point of the region is a
-//! witness. Otherwise it picks the live exclusion with the fewest atoms
-//! (ties to the one the caller listed first) and tries its branch
+//! refutes the level). It scans them newest first: callers list their
+//! newest exclusion last, and under the estimate-guided split order the
+//! newest are also the widest, so a covering one is usually met first.
+//! With none live, any point of the region is a witness. Otherwise it
+//! picks the live exclusion that *cuts* the region on the fewest atoms
+//! (an atom cuts when it narrows the region's interval on its attribute;
+//! ties go to the exclusion the caller listed first) and tries its branch
 //! disjuncts: a witness avoiding the picked `ψ` must violate at least one
 //! of its atoms, so each branch narrows one interval of the region to a
 //! piece of that atom's complement and recurses on the remaining live
-//! exclusions. The first witness ends the search; a level whose every
-//! branch fails is unsatisfiable.
+//! exclusions. An atom that does not cut has no piece of its complement
+//! in the region, so the cutting atoms are what the subproblems come
+//! from: three strips that cover the region on one cutting atom each
+//! refute it in three levels, however many small boxes (three cutting
+//! atoms each) the caller listed before them. The first witness ends the
+//! search; a level whose every branch fails is unsatisfiable.
+//!
+//! A level classifies every exclusion unless one covers, and the pick is
+//! keyed by the caller's order, so the scan order changes neither the
+//! live set, the pick nor the witness, only how soon a covering
+//! exclusion is found.
 //!
 //! # Allocation discipline
 //!
 //! One probe owns one mutable [`Region`] and one exclusion array, whatever
-//! depth it reaches:
+//! depth it reaches. Both are its thread's: a probe takes them from a
+//! thread-local slot, refills them from its arguments, and gives them
+//! back when it ends.
 //!
 //! * a branch narrows one interval of the region in place and restores it
 //!   on return;
-//! * a level owns a segment of the exclusion array. It swaps its live
-//!   exclusions to the front of the segment and its pick to the end of
-//!   those, and its children work on the live part before the pick, so
-//!   the array never grows past the caller's `k` exclusions. Swapping
-//!   only permutes a segment, and the pick's tie-break is the caller's
-//!   order, carried with each exclusion, so no permutation changes which
-//!   node the search visits next;
+//! * the exclusion array holds positions into the caller's list, and a
+//!   level owns a segment of it. It moves its live exclusions to the back
+//!   of the segment, in order, and its pick to the front of those, and
+//!   its children work on the live part after the pick, so the array
+//!   never grows past the caller's `k` exclusions. Swapping only permutes
+//!   a segment, and the pick's tie-break is the caller's position, so no
+//!   permutation changes which node the search visits next;
 //! * a level puts its branch disjuncts in branch order once and keeps
 //!   them in a fixed array on its stack frame, each as a slot (an atom and
 //!   a piece of its complement) that the branch re-derives when it runs;
 //!   [`crate::Interval::complement`] returns its pieces inline.
 //!
-//! A sequential probe therefore allocates three things: its copy of the
-//! base region, its exclusion array, and the witness it returns. Only a
-//! fork (see below) copies the region and the live exclusions again, once
-//! per task.
+//! Once a probe has run on its thread, a sequential probe therefore
+//! allocates only the witness it returns, and a refuted one nothing. A
+//! nested probe on the same thread (a pool thread running a stolen task
+//! while its own probe waits) finds the buffers taken and allocates its
+//! own. Only a fork (see below) copies the region and the live
+//! exclusions again, once per task.
 //!
 //! # Parallel search
 //!
@@ -95,6 +112,7 @@
 
 use crate::{Interval, Predicate, Region};
 use pc_budget::{QueryBudget, WorkGate};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -221,23 +239,45 @@ fn search(
     stop: Option<&AtomicBool>,
     budget: &QueryBudget,
 ) -> Option<Vec<f64>> {
-    Search {
-        region: base.clone(),
-        excluded: negs.iter().copied().enumerate().collect(),
+    // A nested probe on this thread (a stolen task run while the thread's
+    // own probe waits) finds the buffers taken and allocates its own.
+    let (mut region, mut excluded) = BUFFERS.take().unwrap_or_else(|| (base.clone(), Vec::new()));
+    region.clone_from(base);
+    excluded.clear();
+    excluded.extend(0..negs.len());
+    let mut search = Search {
+        negs,
+        region,
+        excluded,
         gate,
         stop,
         budget,
-    }
-    .level(0, negs.len())
+    };
+    let found = search.level(0, negs.len());
+    BUFFERS.set(Some((search.region, search.excluded)));
+    found
+}
+
+thread_local! {
+    /// This thread's probe buffers (module docs, "Allocation
+    /// discipline"): a probe takes them and gives them back when it ends.
+    static BUFFERS: Cell<Option<(Region, Vec<usize>)>> = const { Cell::new(None) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Levels the searches on this thread have entered.
+    static LEVELS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// One probe's backtracking state (module docs, "Allocation
 /// discipline"): the region its branches narrow in place, and its
-/// exclusions, each tagged with its position in the caller's list, which
-/// its levels partition in place.
+/// exclusions as positions into the caller's list `negs`, which its
+/// levels partition in place.
 struct Search<'a> {
+    negs: &'a [&'a Predicate],
     region: Region,
-    excluded: Vec<(usize, &'a Predicate)>,
+    excluded: Vec<usize>,
     gate: &'a WorkGate,
     stop: Option<&'a AtomicBool>,
     budget: &'a QueryBudget,
@@ -249,8 +289,8 @@ enum Overlap {
     Disjoint,
     /// Contains the whole region: no witness can exist.
     Covers,
-    /// Cuts the region: stays live.
-    Partial,
+    /// Cuts the region on this many atoms: stays live.
+    Partial(usize),
 }
 
 impl Search<'_> {
@@ -262,37 +302,39 @@ impl Search<'_> {
     /// Search `region ∧ ¬excluded[from..end]`. The level may permute its
     /// segment, never anything outside it.
     fn level(&mut self, from: usize, end: usize) -> Option<Vec<f64>> {
+        #[cfg(test)]
+        LEVELS.set(LEVELS.get() + 1);
         if self.cancelled() || self.region.is_empty() {
             return None;
         }
-        // Move the live exclusions to the front of the segment.
-        let mut live_end = from;
-        for i in from..end {
-            match overlap(self.excluded[i].1, &self.region) {
+        // Scan newest first, moving the live exclusions to the back of the
+        // segment in order. Pick the one that cuts the region on the
+        // fewest atoms (fewest subproblems), ties to the one the caller
+        // listed first, so the pick never depends on how earlier levels
+        // permuted the segment.
+        let mut live_from = end;
+        let mut pick: Option<(usize, usize, usize)> = None;
+        for i in (from..end).rev() {
+            let at = self.excluded[i];
+            match overlap(self.negs[at], &self.region) {
                 Overlap::Disjoint => {}
                 Overlap::Covers => return None,
-                Overlap::Partial => {
-                    self.excluded.swap(i, live_end);
-                    live_end += 1;
+                Overlap::Partial(cuts) => {
+                    live_from -= 1;
+                    self.excluded.swap(i, live_from);
+                    if pick.is_none_or(|(c, a, _)| (cuts, at) < (c, a)) {
+                        pick = Some((cuts, at, live_from));
+                    }
                 }
             }
         }
-        // Branch on the exclusion with the fewest atoms (fewest
-        // subproblems), ties to the one the caller listed first, so the
-        // pick never depends on how earlier levels permuted the segment.
-        // It moves to the end of the live part; the rest are the
-        // children's segment.
-        let pick_at = (from..live_end).min_by_key(|&i| {
-            let (rank, p) = self.excluded[i];
-            (p.atoms().len(), rank)
-        });
-        let Some(pick_at) = pick_at else {
+        let Some((_, at, pick_at)) = pick else {
             return self.region.pick_witness();
         };
-        let rest_end = live_end - 1;
-        self.excluded.swap(pick_at, rest_end);
-        let pick = self.excluded[rest_end].1;
-        self.branch(pick, from, rest_end)
+        // The pick moves to the front of the live part; the rest are the
+        // children's segment.
+        self.excluded.swap(pick_at, live_from);
+        self.branch(self.negs[at], live_from + 1, end)
     }
 
     /// Try the branch disjuncts of `pick` over the remaining live
@@ -361,6 +403,7 @@ impl Search<'_> {
                         region.set_interval(attr, narrowed);
                     }
                     let found = Search {
+                        negs: self.negs,
                         region,
                         excluded: rest.to_vec(),
                         gate: self.gate,
@@ -386,7 +429,7 @@ impl Search<'_> {
 /// without materializing `region ∩ p`.
 fn overlap(p: &Predicate, region: &Region) -> Overlap {
     let atoms = p.atoms();
-    let mut unchanged = true;
+    let mut cuts = 0;
     for (i, atom) in atoms.iter().enumerate() {
         // Fold earlier atoms on the same attribute into the current
         // interval so conjunctions like `x ∈ [0,3] ∧ x ∈ [5,8]` are
@@ -404,13 +447,13 @@ fn overlap(p: &Predicate, region: &Region) -> Overlap {
             return Overlap::Disjoint;
         }
         if narrowed != cur {
-            unchanged = false;
+            cuts += 1;
         }
     }
-    if unchanged || covers(p, region) {
+    if cuts == 0 || covers(p, region) {
         Overlap::Covers
     } else {
-        Overlap::Partial
+        Overlap::Partial(cuts)
     }
 }
 
@@ -560,6 +603,46 @@ mod tests {
         Predicate::always()
             .and(Atom::between(0, x0, x1))
             .and(Atom::between(1, y0, y1))
+    }
+
+    fn int_box(x: [f64; 2], y: [f64; 2], v: [f64; 2]) -> Predicate {
+        Predicate::always()
+            .and(Atom::between(0, x[0], x[1]))
+            .and(Atom::between(1, y[0], y[1]))
+            .and(Atom::between(2, v[0], v[1]))
+    }
+
+    #[test]
+    fn covering_strips_refute_before_the_small_boxes_listed_first() {
+        // Under the estimate order the caller lists small boxes first and
+        // wide strips last. Every box cuts the base on all three atoms,
+        // every strip on its `y` atom alone, and the three strips cover
+        // the base. Picking by atom count (a tie here, resolved to the
+        // boxes) branches around every box first: 12, 24, 42, 57, 57, 137
+        // and 283 levels with the first 1…7 boxes listed. Picking by
+        // cutting atoms branches on the strips only.
+        let s = Schema::new(vec![
+            ("x", AttrType::Int),
+            ("y", AttrType::Int),
+            ("v", AttrType::Int),
+        ]);
+        let base = int_box([3.0, 8.0], [3.0, 9.0], [0.0, 20.0]).to_region(&s);
+        let boxes = [
+            int_box([3.0, 3.0], [3.0, 4.0], [1.0, 1.0]),
+            int_box([3.0, 3.0], [4.0, 5.0], [18.0, 20.0]),
+            int_box([3.0, 4.0], [3.0, 4.0], [18.0, 18.0]),
+            int_box([3.0, 3.0], [6.0, 6.0], [1.0, 1.0]),
+            int_box([3.0, 3.0], [3.0, 3.0], [1.0, 1.0]),
+            int_box([3.0, 4.0], [6.0, 6.0], [1.0, 2.0]),
+            int_box([3.0, 4.0], [4.0, 7.0], [3.0, 3.0]),
+        ];
+        let strips =
+            [[0.0, 4.0], [4.0, 8.0], [8.0, 12.0]].map(|y| int_box([0.0, 12.0], y, [0.0, 20.0]));
+        let negs: Vec<&Predicate> = boxes.iter().chain(&strips).collect();
+        LEVELS.set(0);
+        assert!(!is_sat(&base, &negs));
+        let levels = LEVELS.get();
+        assert!(levels <= 3, "refuted in {levels} levels");
     }
 
     #[test]

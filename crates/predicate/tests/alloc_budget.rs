@@ -1,11 +1,13 @@
 //! Allocation budget of one satisfiability probe.
 //!
 //! A probe narrows one region in place and keeps every level's live
-//! exclusions in one array sized up front, so the heap allocations it
-//! makes do not depend on how deep it recurses. Both instances below are chains:
-//! `k` strips tile the x axis, and every level of the search excludes one
-//! more strip, so the search runs `k` levels deep. A counting global
-//! allocator measures the probe at 4 and at 16 strips.
+//! exclusions in one array, and both buffers are its thread's, reused
+//! from the previous probe. So once a probe has run on the thread, a
+//! refuted probe allocates nothing and a satisfiable one allocates only
+//! its witness, however deep it recurses. Both instances below are
+//! chains: `k` strips tile the x axis, and every level of the search
+//! excludes one more strip, so the search runs `k` levels deep. A
+//! counting global allocator measures the probe at 4 and at 16 strips.
 
 use pc_predicate::{sat, Atom, AttrType, Predicate, Region, Schema};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,11 +85,13 @@ fn strips(k: usize, gap: f64) -> (Region, Vec<Predicate>) {
     (base, negs)
 }
 
-/// Allocations of one `find_witness` call on the `k`-strip instance, and
-/// whether it found a witness.
+/// Allocations of one `find_witness` call on the `k`-strip instance,
+/// after one warm-up probe of it on this thread, and whether it found a
+/// witness.
 fn probe_allocs(k: usize, gap: f64) -> (u64, bool) {
     let (base, negs) = strips(k, gap);
     let refs: Vec<&Predicate> = negs.iter().collect();
+    sat::find_witness(&base, &refs);
     let (allocs, witness) = allocs_during(|| sat::find_witness(&base, &refs));
     (allocs, witness.is_some())
 }
@@ -101,6 +105,7 @@ fn covered_probe_allocations_do_not_grow_with_depth() {
         deep <= shallow,
         "16 exclusions allocated {deep} times, 4 exclusions {shallow}"
     );
+    assert_eq!((shallow, deep), (0, 0), "a refuted probe allocates nothing");
 }
 
 #[test]
@@ -111,5 +116,10 @@ fn uncovered_probe_allocations_do_not_grow_with_depth() {
     assert!(
         deep <= shallow,
         "16 exclusions allocated {deep} times, 4 exclusions {shallow}"
+    );
+    assert_eq!(
+        (shallow, deep),
+        (1, 1),
+        "a satisfiable probe allocates only its witness"
     );
 }
