@@ -22,7 +22,11 @@
 //! into its shared counters. An unreached constraint can still change one
 //! verdict: a frequency floor whose allowed region misses the domain has
 //! nowhere to put its rows, so the call fails [`BoundError::Infeasible`]
-//! exactly as the full-catalog path does.
+//! exactly as the full-catalog path does. On the reached sub-catalog the
+//! closure probe runs first: when it finds the region open and no reached
+//! constraint keeps a frequency floor in it, the closure rule below fixes
+//! the range, and the call returns before interaction components, shard
+//! sub-sets or any cell are built.
 //!
 //! Soundness details the paper leaves implicit, made explicit here:
 //!
@@ -34,13 +38,18 @@
 //! * **Closure.** If some point of the query region is covered by no
 //!   predicate, missing rows may exist there in unbounded number with
 //!   unbounded values, and the affected side(s) of the range become
-//!   infinite. [`BoundReport::closed`] records this.
+//!   infinite. [`BoundReport::closed`] records this. When no constraint
+//!   forces rows into such an open region either (no frequency floor
+//!   kept under the previous bullet's rule), the probe alone fixes the
+//!   range — `[0, ∞)` for `COUNT`, `(−∞, ∞)` for `SUM`, `AVG`, `MIN` and
+//!   `MAX` — and a one-shot bound answers it with no cell, SAT check or
+//!   solve.
 //! * **Value-infeasible cells.** A cell whose combined value ranges are
 //!   empty can hold no rows; its allocation is pinned to zero (a
 //!   tightening the MILP exploits, and the source of `Infeasible` errors
 //!   when a frequency lower bound has nowhere to go).
 
-use crate::decompose::{decompose_ordered_budgeted, Parallelism};
+use crate::decompose::{decompose_ordered_budgeted, Parallelism, NAIVE_LIMIT};
 use crate::estimate::{Estimates, SplitOrdering};
 use crate::{ActiveSet, BoundError, Cell, DecomposeStats, PcSet, PredicateConstraint, Strategy};
 use pc_budget::{QueryBudget, WorkGate};
@@ -139,7 +148,9 @@ pub struct BoundOptions {
     /// (property-tested); under [`Strategy::EarlyStop`] both are sound
     /// but may admit different unverified cells. Disable to A/B against
     /// the full-catalog flat path, which is also the property-test
-    /// oracle.
+    /// oracle. An open region that no reached constraint forces rows into
+    /// is answered from the closure probe before any of this (module
+    /// docs): such a cell-free answer reports zero cells and zero shards.
     pub shard: bool,
     /// Estimate-guided search ordering (on by default; see
     /// [`crate::estimate`]): the decomposition decides include/exclude
@@ -254,7 +265,8 @@ pub struct BoundReport {
     /// Whether the constraint set covered the entire query region. `false`
     /// means one or both ends were forced to ±∞.
     pub closed: bool,
-    /// Decomposition work counters.
+    /// Decomposition work counters. All zero on a cell-free answer (an
+    /// open region the closure probe answered alone; module docs).
     pub stats: DecomposeStats,
     /// LP/MILP work counters (pivots, carried vs rebuilt tableaux, branch
     /// & bound nodes) — the measured side of the warm-start tiers.
@@ -272,7 +284,7 @@ pub struct BoundReport {
     /// order — the skew profile of the factored decomposition. A one-shot
     /// bound counts the shards of the constraints its region reaches; a
     /// [`crate::Session`] counts every shard of its epoch. Empty on the
-    /// flat paths.
+    /// flat paths and on cell-free answers.
     pub shard_sat_checks: Vec<u64>,
     /// Why the budget tripped, when [`BoundReport::degraded`] is set and
     /// the cause is known: the budget's sticky first-trip record, or
@@ -609,7 +621,8 @@ impl<'a> BoundEngine<'a> {
         let mut base = query.predicate.to_region(self.set.schema());
         base.intersect(self.set.domain());
         if !self.options.shard {
-            let problem = self.build_problem(query, &base, warm, budget)?;
+            let closure = self.closure(&base, budget);
+            let problem = self.build_problem(query, &base, closure, warm, budget)?;
             return self.bound_problem(query.agg, &problem);
         }
         let reached = self.reached(&base)?;
@@ -638,7 +651,7 @@ impl<'a> BoundEngine<'a> {
         for (j, pc) in self.set.constraints().iter().enumerate() {
             if crate::specialize::overlaps_region(pc, base) {
                 reached.push(j);
-            } else if pc.frequency.lo > 0 && self.floor_kept(pc, base) {
+            } else if self.floor_kept(pc, base) {
                 return Err(BoundError::Infeasible);
             }
         }
@@ -658,10 +671,12 @@ impl<'a> BoundEngine<'a> {
         engine
     }
 
-    /// Bound over this engine's whole set: factor over the
+    /// Bound over this engine's whole set: an open region no floor
+    /// forces rows into is answered from the closure probe alone
+    /// ([`BoundEngine::cell_free_answer`]); otherwise factor over the
     /// constraint-interaction graph when it actually factors (≥ 2
-    /// components); single-component and disjoint-hinted sets take the
-    /// flat path.
+    /// components), and single-component and disjoint-hinted sets take
+    /// the flat path.
     fn bound_factored(
         &self,
         query: &AggQuery,
@@ -669,39 +684,99 @@ impl<'a> BoundEngine<'a> {
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<BoundReport, BoundError> {
+        let closure = self.closure(base, budget);
+        if let Some(report) = self.cell_free_answer(query.agg, base, closure.0, budget) {
+            return Ok(report);
+        }
         if !self.set.disjoint_hint() && self.set.len() >= 2 {
             let components = crate::shard::interaction_components(self.set);
             if components.len() > 1 {
-                return self.bound_sharded_oneshot(query, base, &components, warm, budget);
+                return self.bound_sharded_oneshot(query, base, closure, &components, warm, budget);
             }
         }
-        let problem = self.build_problem(query, base, warm, budget)?;
+        let problem = self.build_problem(query, base, closure, warm, budget)?;
         self.bound_problem(query.agg, &problem)
+    }
+
+    /// The closure verdict `(closed, skipped)` over `base`. Closure is a
+    /// global question — one probe over the whole set, never per shard.
+    /// `check_closure: false` assumes closure; a tripped budget skips the
+    /// probe and assumes *open* — the sound direction (affected range
+    /// ends widen to ±∞) — and `skipped` marks the answer degraded.
+    fn closure(&self, base: &Region, budget: &QueryBudget) -> (bool, bool) {
+        if !self.options.check_closure {
+            (true, false)
+        } else if !budget.proceed() {
+            (false, true)
+        } else {
+            (
+                self.set.is_closed_within_with(base, self.par_witness()),
+                false,
+            )
+        }
+    }
+
+    /// The closure rule (module docs) with no cell built: when `base` is
+    /// open and no constraint keeps a frequency floor in it, missing rows
+    /// may number anywhere from none to unboundedly many with unbounded
+    /// values, so COUNT is `[0, ∞)` and every other aggregate `(−∞, ∞)`.
+    /// `None` when the region is closed, when a kept floor forces rows
+    /// (they raise COUNT's lower end, and with nowhere to go fail
+    /// [`BoundError::Infeasible`]), or when [`Strategy::Naive`] past
+    /// [`NAIVE_LIMIT`] still owes its `TooManyConstraints` verdict. A
+    /// probe skipped under a tripped budget counts as open, and the
+    /// answer is then marked degraded.
+    fn cell_free_answer(
+        &self,
+        agg: AggKind,
+        base: &Region,
+        closed: bool,
+        budget: &QueryBudget,
+    ) -> Option<BoundReport> {
+        let naive_overflow =
+            self.options.strategy == Strategy::Naive && self.set.len() > NAIVE_LIMIT;
+        if closed
+            || naive_overflow
+            || self
+                .set
+                .constraints()
+                .iter()
+                .any(|pc| self.floor_kept(pc, base))
+        {
+            return None;
+        }
+        let lo = if agg == AggKind::Count {
+            0.0
+        } else {
+            f64::NEG_INFINITY
+        };
+        Some(BoundReport {
+            range: ResultRange {
+                lo,
+                hi: f64::INFINITY,
+            },
+            closed: false,
+            stats: DecomposeStats::default(),
+            solver: LpWork::default(),
+            degraded: budget.is_tripped(),
+            shard_sat_checks: Vec::new(),
+            trip: None,
+            sched: None,
+        })
     }
 
     /// One-shot sharded bound: decompose each interaction-graph component
     /// independently (parallel pool tasks, shared budget) against the
-    /// query region, then recombine.
+    /// query region, then recombine under the global closure verdict.
     fn bound_sharded_oneshot(
         &self,
         query: &AggQuery,
         base: &Region,
+        (closed, skipped_closure): (bool, bool),
         components: &[Vec<usize>],
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<BoundReport, BoundError> {
-        // Closure is a global question — one probe over the whole set, not
-        // per shard (mirrors `build_problem`'s ladder).
-        let mut skipped_closure = false;
-        let closed = if !self.options.check_closure {
-            true
-        } else if !budget.proceed() {
-            skipped_closure = true;
-            false
-        } else {
-            self.set.is_closed_within_with(base, self.par_witness())
-        };
-
         let threads = self.task_threads(components.len());
         let built = pooled_map_catch(components, threads, &|members: &Vec<usize>| {
             let sub = Arc::new(crate::shard::sub_set(self.set, members));
@@ -1042,27 +1117,17 @@ impl<'a> BoundEngine<'a> {
         result.map_err(BoundError::from)
     }
 
-    /// The flat pipeline's problem: closure probe, decomposition inside
+    /// The flat pipeline's problem under the closure verdict
+    /// `(closed, skipped)` ([`BoundEngine::closure`]): decomposition inside
     /// `base` (= query region ∩ domain), frequency rows.
     fn build_problem(
         &self,
         query: &AggQuery,
         base: &Region,
+        (closed, skipped_closure): (bool, bool),
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<CellProblem, BoundError> {
-        // A tripped budget skips the closure probe and assumes *open* —
-        // the sound direction (affected range ends widen to ±∞).
-        let mut skipped_closure = false;
-        let closed = if !self.options.check_closure {
-            true
-        } else if !budget.proceed() {
-            skipped_closure = true;
-            false
-        } else {
-            self.set.is_closed_within_with(base, self.par_witness())
-        };
-
         let (cells, stats) = self.cells_for_base_budgeted(base, budget)?;
         let problem =
             self.problem_from_cells_budgeted(query.attr, base, cells, stats, closed, warm, budget);
@@ -1193,7 +1258,7 @@ impl<'a> BoundEngine<'a> {
                 .enumerate()
                 .filter_map(|(i, c)| c.is_active(j).then_some(i))
                 .collect();
-            let floor = pc.frequency.lo > 0 && !undecided_somewhere && self.floor_kept(pc, base);
+            let floor = !undecided_somewhere && self.floor_kept(pc, base);
             let kl_eff = if floor { pc.frequency.lo as f64 } else { 0.0 };
             if kl_eff > 0.0 {
                 let capacity: f64 = members.iter().map(|&i| cap[i]).sum();
@@ -1220,10 +1285,13 @@ impl<'a> BoundEngine<'a> {
         })
     }
 
-    /// Whether `pc`'s frequency floor survives pushdown into `base`: its
-    /// whole allowed region within the domain lies inside the base, so
-    /// every row the floor forces must land in a cell of the base.
+    /// Whether `pc` has a frequency floor that survives pushdown into
+    /// `base`: its whole allowed region within the domain lies inside the
+    /// base, so every row the floor forces must land in a cell of the base.
     fn floor_kept(&self, pc: &PredicateConstraint, base: &Region) -> bool {
+        if pc.frequency.lo == 0 {
+            return false;
+        }
         let mut allowed = pc.allowed_region(self.set.schema());
         allowed.intersect(self.set.domain());
         base.contains_region(&allowed)
@@ -1268,6 +1336,22 @@ impl<'a> BoundEngine<'a> {
     /// rows, which bound it. That keeps the tableau at
     /// `O(constraints) × O(cells)` instead of quadratic in cells.
     fn allocate(
+        &self,
+        p: &CellProblem,
+        coef: &[f64],
+        sense: Sense,
+        extra_min_total: bool,
+    ) -> Result<f64, BoundError> {
+        // A minimizing simplex reports `−max(−c·x)`, so an empty optimum
+        // comes back as `−0.0`. Every endpoint an allocation decides
+        // passes here: fold the sign once, so a zero end is `0` on every
+        // path, as the cell-free answer's is.
+        let objective = self.solve_allocation(p, coef, sense, extra_min_total)?;
+        Ok(if objective == 0.0 { 0.0 } else { objective })
+    }
+
+    /// [`BoundEngine::allocate`]'s solve, with the solver's signed zero.
+    fn solve_allocation(
         &self,
         p: &CellProblem,
         coef: &[f64],
@@ -2330,5 +2414,241 @@ mod tests {
         assert!(r.degraded);
         assert!(!r.closed);
         assert_eq!(r.range.hi, f64::INFINITY);
+    }
+
+    // ------------------------------------------------------------------
+    // Open regions answered from the closure probe
+    // ------------------------------------------------------------------
+
+    const AGGS: [AggKind; 5] = [
+        AggKind::Count,
+        AggKind::Sum,
+        AggKind::Avg,
+        AggKind::Min,
+        AggKind::Max,
+    ];
+
+    /// Two tiles on disjoint `utc` ranges of a domain they leave partly
+    /// uncovered, so a query over the whole domain is open and reaches two
+    /// shards. The first tile forces `floor` rows.
+    fn open_tiles(floor: u64) -> PcSet {
+        let mut set = PcSet::new(schema())
+            .with(PredicateConstraint::new(
+                Predicate::atom(Atom::bucket(0, 0.0, 10.0)),
+                ValueConstraint::none().with(1, Interval::closed(1.0, 20.0)),
+                FrequencyConstraint::between(floor, 5),
+            ))
+            .with(PredicateConstraint::new(
+                Predicate::atom(Atom::bucket(0, 20.0, 30.0)),
+                ValueConstraint::none().with(1, Interval::closed(2.0, 40.0)),
+                FrequencyConstraint::at_most(7),
+            ));
+        let mut domain = Region::full(&schema());
+        domain.set_interval(0, Interval::half_open(0.0, 40.0));
+        set.set_domain(domain);
+        set
+    }
+
+    fn flat_engine(set: &PcSet) -> BoundEngine<'_> {
+        BoundEngine::with_options(
+            set,
+            BoundOptions {
+                shard: false,
+                ..BoundOptions::default()
+            },
+        )
+    }
+
+    #[test]
+    fn open_floor_free_region_is_answered_without_cells() {
+        let set = open_tiles(0);
+        assert_eq!(crate::shard::interaction_components(&set).len(), 2);
+        for agg in AGGS {
+            let q = AggQuery::new(agg, 1, Predicate::always());
+            let r = BoundEngine::new(&set).bound(&q).unwrap();
+            let oracle = flat_engine(&set).bound(&q).unwrap();
+            assert_eq!(
+                (r.range, r.closed),
+                (oracle.range, oracle.closed),
+                "{agg:?}"
+            );
+            let lo = if agg == AggKind::Count {
+                0.0
+            } else {
+                f64::NEG_INFINITY
+            };
+            assert_eq!(
+                r.range,
+                ResultRange {
+                    lo,
+                    hi: f64::INFINITY
+                },
+                "{agg:?}"
+            );
+            assert!(!r.closed && !r.degraded, "{agg:?}");
+            assert_eq!(
+                (r.stats.cells, r.stats.sat_checks, r.solver.pivots),
+                (0, 0, 0),
+                "{agg:?}: no cell, SAT check or pivot"
+            );
+            assert_eq!(r.stats.shards, 0, "{agg:?}");
+            assert!(r.shard_sat_checks.is_empty(), "{agg:?}");
+        }
+    }
+
+    #[test]
+    fn a_kept_floor_brings_back_cells_and_shards() {
+        let set = open_tiles(1);
+        for agg in AGGS {
+            let q = AggQuery::new(agg, 1, Predicate::always());
+            let r = BoundEngine::new(&set).bound(&q).unwrap();
+            let oracle = flat_engine(&set).bound(&q).unwrap();
+            assert_eq!(
+                (r.range, r.closed),
+                (oracle.range, oracle.closed),
+                "{agg:?}"
+            );
+            assert_eq!(r.stats.cells, 2, "{agg:?}");
+            assert_eq!(r.stats.shards, 2, "{agg:?}");
+            assert_eq!(r.shard_sat_checks.len(), 2, "{agg:?}");
+        }
+        let count = BoundEngine::new(&set)
+            .bound(&AggQuery::count(Predicate::always()))
+            .unwrap();
+        assert_eq!(
+            count.range,
+            ResultRange {
+                lo: 1.0,
+                hi: f64::INFINITY
+            }
+        );
+    }
+
+    #[test]
+    fn an_unplaceable_kept_floor_is_still_infeasible() {
+        // The first tile's predicate caps `price` at 10 while its value
+        // range starts at 20: its forced row has nowhere to go.
+        let mut set = PcSet::new(schema())
+            .with(PredicateConstraint::new(
+                Predicate::atom(Atom::bucket(0, 0.0, 10.0)).and(Atom::between(1, 0.0, 10.0)),
+                ValueConstraint::none().with(1, Interval::closed(20.0, 30.0)),
+                FrequencyConstraint::between(1, 5),
+            ))
+            .with(PredicateConstraint::new(
+                Predicate::atom(Atom::bucket(0, 20.0, 30.0)),
+                ValueConstraint::none().with(1, Interval::closed(2.0, 40.0)),
+                FrequencyConstraint::at_most(7),
+            ));
+        let mut domain = Region::full(&schema());
+        domain.set_interval(0, Interval::half_open(0.0, 40.0));
+        set.set_domain(domain);
+        for agg in AGGS {
+            let q = AggQuery::new(agg, 1, Predicate::always());
+            for engine in [BoundEngine::new(&set), flat_engine(&set)] {
+                let shard = engine.options().shard;
+                assert_eq!(
+                    engine.bound(&q).map(|r| r.range),
+                    Err(BoundError::Infeasible),
+                    "{agg:?} (shard: {shard})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn naive_past_its_limit_still_refuses_an_open_component() {
+        // 26 overlapping buckets chained along `utc`: one component, and
+        // the domain runs past the last bucket, so every query is open.
+        let mut set = PcSet::new(schema());
+        for i in 0..=NAIVE_LIMIT {
+            let lo = i as f64;
+            set.push(PredicateConstraint::new(
+                Predicate::atom(Atom::bucket(0, lo, lo + 2.0)),
+                ValueConstraint::none().with(1, Interval::closed(0.0, 10.0)),
+                FrequencyConstraint::at_most(3),
+            ));
+        }
+        let mut domain = Region::full(&schema());
+        domain.set_interval(0, Interval::half_open(0.0, 100.0));
+        set.set_domain(domain);
+        assert_eq!(crate::shard::interaction_components(&set).len(), 1);
+        let engine = BoundEngine::with_options(
+            &set,
+            BoundOptions {
+                strategy: Strategy::Naive,
+                ..BoundOptions::default()
+            },
+        );
+        let err = engine
+            .bound(&AggQuery::count(Predicate::always()))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BoundError::Decompose(crate::decompose::DecomposeError::TooManyConstraints { .. })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn cancelled_budget_answers_an_open_region_degraded() {
+        let set = open_tiles(0);
+        let budget = QueryBudget::armed();
+        budget.cancel_token().unwrap().cancel();
+        let r = BoundEngine::new(&set)
+            .bound_budgeted(&sum_query(), &budget)
+            .unwrap();
+        assert_eq!(
+            r.range,
+            ResultRange {
+                lo: f64::NEG_INFINITY,
+                hi: f64::INFINITY
+            }
+        );
+        assert!(r.degraded && !r.closed);
+        assert_eq!(r.trip, Some(pc_budget::TripReason::Cancelled));
+    }
+
+    /// A minimizing allocation MILP whose optimum places no row reports
+    /// its objective as `−0.0`; every endpoint leaves `allocate` as `+0`.
+    #[test]
+    fn zero_endpoints_are_never_negative_zero() {
+        // Overlapping floor-free buckets: the overlap makes the allocation
+        // a MILP rather than the greedy disjoint case.
+        let set = {
+            let mut s = PcSet::new(schema())
+                .with(PredicateConstraint::new(
+                    Predicate::atom(Atom::bucket(0, 0.0, 10.0)),
+                    ValueConstraint::none().with(1, Interval::closed(0.0, 20.0)),
+                    FrequencyConstraint::at_most(5),
+                ))
+                .with(PredicateConstraint::new(
+                    Predicate::atom(Atom::bucket(0, 5.0, 15.0)),
+                    ValueConstraint::none().with(1, Interval::closed(0.0, 40.0)),
+                    FrequencyConstraint::at_most(7),
+                ));
+            let mut domain = Region::full(&schema());
+            domain.set_interval(0, Interval::half_open(0.0, 15.0));
+            s.set_domain(domain);
+            s
+        };
+        let negative_zero = |v: f64| v == 0.0 && v.is_sign_negative();
+        let engine = BoundEngine::new(&set);
+        let keys: Vec<f64> = (0..15).map(f64::from).collect();
+        for agg in [AggKind::Count, AggKind::Sum] {
+            let base = AggQuery::new(agg, 1, Predicate::always());
+            let r = engine.bound(&base).unwrap();
+            assert!(r.closed && r.range.lo == 0.0, "{agg:?}: {:?}", r.range);
+            assert!(!negative_zero(r.range.lo), "{agg:?}: {:?}", r.range);
+            for group in engine.bound_group_by(&base, 0, keys.clone()) {
+                let range = group.report.unwrap().range;
+                assert!(
+                    !negative_zero(range.lo) && !negative_zero(range.hi),
+                    "{agg:?} key {}: {range:?}",
+                    group.key
+                );
+            }
+        }
     }
 }

@@ -207,8 +207,10 @@ pub struct DecomposeStats {
     /// one-shot bound factors only the constraints its query region
     /// reaches, so it counts *reached* shards; a session counts every
     /// shard of its epoch. `0` on the flat (unsharded) paths — including
-    /// a one-shot bound whose reached constraints form one component;
-    /// `1` means the set was sharded but is a single component.
+    /// a one-shot bound whose reached constraints form one component —
+    /// and on a cell-free one-shot answer (an open region the closure
+    /// probe answered alone, see [`crate::bounds`]); `1` means the set
+    /// was sharded but is a single component.
     pub shards: usize,
     /// The largest shard's constraint count — the quantity that actually
     /// drives the exponential worst case once the set is factored (over

@@ -16,7 +16,9 @@
 //!    past the paper's: a one-shot bound drops the constraints the query
 //!    region does not reach before anything runs, so its whole pipeline
 //!    (closure probe, decomposition, frequency rows, allocation) costs
-//!    what the query touches, not the catalog size. The rewrite
+//!    what the query touches, not the catalog size. The closure probe
+//!    runs first, and an open region that no kept frequency floor forces
+//!    rows into is answered from it alone, with no cell. The rewrite
 //!    generalizes into a **carried witness**: each DFS node keeps a point
 //!    of its prefix, which settles one branch of every split for free
 //!    (one SAT probe per split, no re-solve at the leaves). Searches are

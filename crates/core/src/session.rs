@@ -803,11 +803,13 @@ impl Session {
         // else runs the full exact pipeline (their cost still registers
         // on the gauge so timed arrivals see them in the backlog).
         if !self.options.admission || deadline.is_none() {
+            // The wait ends where the run starts, not where it returns.
+            let sched = SchedReport::bypass(budget);
             let mut result = rayon::with_task_deadline(sched_deadline, || {
                 self.bound_serve(epoch, query, warm, budget, self.options.bound)
             });
             if let Ok(report) = &mut result {
-                report.sched = Some(SchedReport::bypass(budget));
+                report.sched = Some(sched);
                 if report.degraded && report.trip.is_none() {
                     report.trip = budget.trip_reason();
                 }
@@ -1883,6 +1885,41 @@ mod tests {
                 (Err(_), Err(_)) => {}
             }
         }
+    }
+
+    /// A query without a deadline bypasses admission: its queue wait is
+    /// the time from arming its budget to the start of its run, however
+    /// long the run itself takes.
+    #[test]
+    fn bypassing_query_reports_its_wait_not_its_run() {
+        // A cold session over a dozen overlapping buckets: the first query
+        // decomposes the whole epoch, far above timer resolution.
+        let mut set = PcSet::new(schema());
+        for i in 0..12 {
+            let lo = 3.0 * f64::from(i);
+            set.push(pc_utc(
+                lo,
+                lo + 7.0,
+                10.0 + f64::from(i),
+                FrequencyConstraint::between(1, 20),
+            ));
+        }
+        let mut domain = Region::full(&schema());
+        domain.set_interval(0, Interval::half_open(0.0, 45.0));
+        set.set_domain(domain);
+        let session = Session::new(set);
+        let q = AggQuery::new(AggKind::Avg, 1, Predicate::always());
+        let budget = QueryBudget::armed();
+        let started = Instant::now();
+        let r = session.bound_budgeted(&q, &budget).unwrap();
+        let elapsed = started.elapsed();
+        let sched = r.sched.expect("the serve path stamps its schedule");
+        assert_eq!(sched.verdict, AdmissionVerdict::Exact);
+        assert!(
+            sched.queue_wait < elapsed / 2,
+            "queue wait {:?} of a {elapsed:?} call",
+            sched.queue_wait
+        );
     }
 
     #[test]

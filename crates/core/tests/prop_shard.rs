@@ -217,9 +217,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// One-shot engine: sharded bounds equal the unsharded oracle for
-    /// every aggregate and query region, and the report carries the shard
-    /// topology whenever the constraints the query reaches genuinely
-    /// factored.
+    /// every aggregate and query region. An answer that built cells
+    /// carries the shard topology whenever the constraints the query
+    /// reaches genuinely factored; an open region answered from the
+    /// closure probe alone reports no cell and no shard.
     #[test]
     fn sharded_bounds_equal_unsharded_oracle(
         pcs in prop::collection::vec(arb_pc(), 1..7),
@@ -234,11 +235,17 @@ proptest! {
                 return Err(TestCaseError::fail(msg));
             }
             let components = pc_core::interaction_components(&reached_set(&set, q)).len();
-            if components > 1 {
-                if let Ok(r) = &s {
+            let Ok(r) = &s else { continue };
+            if r.stats.cells > 0 {
+                if components > 1 {
                     prop_assert_eq!(r.stats.shards, components, "{:?}", q);
                     prop_assert_eq!(r.shard_sat_checks.len(), components, "{:?}", q);
                 }
+            } else {
+                // Only an open region skips its cells.
+                prop_assert!(components == 0 || !r.closed, "{:?}", q);
+                prop_assert_eq!(r.stats.shards, 0, "{:?}", q);
+                prop_assert!(r.shard_sat_checks.is_empty(), "{:?}", q);
             }
         }
     }

@@ -7,7 +7,7 @@
 #![cfg(feature = "fault")]
 
 use pc_core::budget::fault;
-use pc_core::{dsl, PcSet, SessionOptions};
+use pc_core::{dsl, SessionOptions};
 use pc_predicate::{AttrType, Schema};
 use pc_serve::{Connection, ServeConfig, Server};
 use pc_storage::{table_from_csv, Table};

@@ -323,35 +323,51 @@ fn bound_stats_reports_shards() {
     let dir = std::env::temp_dir().join("pc-cli-test-stats");
     std::fs::create_dir_all(&dir).unwrap();
     let (data, _) = write_fixtures(&dir);
-    // two constraints on disjoint utc ranges: two interaction components
-    let constraints = dir.join("tiles.pc");
-    std::fs::write(
-        &constraints,
+    let bound_stats = |name: &str, constraints: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, constraints).unwrap();
+        let out = pc_bin()
+            .args([
+                "bound",
+                "--stats",
+                "--data",
+                &data,
+                "--schema",
+                SCHEMA,
+                "--constraints",
+                path.to_str().unwrap(),
+                "--query",
+                "SELECT COUNT(*)",
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (path, String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+
+    // two floor-free constraints on disjoint utc ranges leave the region
+    // open, which the closure probe answers alone: no cell, no shard
+    let (_, stdout) = bound_stats(
+        "open-tiles.pc",
         "utc BETWEEN 1 AND 2 => price BETWEEN 0 AND 10, (0, 5)\n\
          utc BETWEEN 10 AND 12 => price BETWEEN 0 AND 20, (0, 7)\n",
-    )
-    .unwrap();
-    let out = pc_bin()
-        .args([
-            "bound",
-            "--stats",
-            "--data",
-            &data,
-            "--schema",
-            SCHEMA,
-            "--constraints",
-            constraints.to_str().unwrap(),
-            "--query",
-            "SELECT COUNT(*)",
-        ])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
     );
+    assert!(stdout.contains("result range: [0, inf]"), "{stdout}");
+    assert!(stdout.contains("stats: 0 cells"), "{stdout}");
+    assert!(!stdout.contains("shards:"), "{stdout}");
+
+    // a kept floor forces rows into the first range: both interaction
+    // components decompose, one shard each
+    let (constraints, stdout) = bound_stats(
+        "tiles.pc",
+        "utc BETWEEN 1 AND 2 => price BETWEEN 0 AND 10, (1, 5)\n\
+         utc BETWEEN 10 AND 12 => price BETWEEN 0 AND 20, (0, 7)\n",
+    );
+    assert!(stdout.contains("result range: [1, inf]"), "{stdout}");
     assert!(stdout.contains("stats: "), "{stdout}");
     assert!(
         stdout.contains("ordering: ") && stdout.contains("estimate-guided splits"),
@@ -361,7 +377,7 @@ fn bound_stats_reports_shards() {
         stdout.contains("shards: 2 (largest 1 constraints)"),
         "{stdout}"
     );
-    assert!(stdout.contains("per-shard sat checks: ["), "{stdout}");
+    assert!(stdout.contains("per-shard sat checks: [1, 1]"), "{stdout}");
 
     // batch prints one indented counter line under each query's result
     let queries = dir.join("q.sql");
