@@ -5,8 +5,8 @@
 //!   n = 20; wall-clock tracks the check counts).
 //! * `parallel_decompose` — sequential vs forked DFS on an 18-constraint
 //!   overlapping set at several thread counts.
-//! * `group_by` — a 100-key GROUP-BY: per-key full decomposition baseline
-//!   vs the shared-decomposition path, cold and warm-started.
+//! * `group_by` — a 100-key GROUP-BY (one keyed query per key), cold and
+//!   warm-started, with exact allocations and as LP relaxations.
 //! * `shard_scaling` — 10×/30× replicas of the 14-pc overlapping set on
 //!   disjoint attribute tiles: one `COUNT` bound end to end, sharded
 //!   (per-component decomposition) vs flat (whole-catalog decomposition),
@@ -85,9 +85,8 @@ fn bench_parallel_decompose(c: &mut Criterion) {
 /// A categorical group attribute with `keys` groups, covered by `n_pc`
 /// heavily overlapping 2-D boxes over (group, value) — each spanning
 /// 40–90% of both ranges, like the paper's Rand-PC workload. Every group
-/// slice still sees most constraints with overlapping value ranges, so a
-/// per-key decomposition pays a real (exponential-family) DFS for every
-/// key, which is exactly the workload the shared decomposition removes.
+/// slice still sees most constraints with overlapping value ranges, so
+/// every key's query pays a real (exponential-family) DFS.
 fn group_by_set(keys: usize, n_pc: usize, seed: u64) -> PcSet {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -130,17 +129,9 @@ fn bench_group_by(c: &mut Criterion) {
     let mut group = c.benchmark_group("group_by");
     group.sample_size(10);
 
-    let configs: [(&str, BoundOptions); 3] = [
+    let configs: [(&str, BoundOptions); 2] = [
         (
-            "per_key_baseline",
-            BoundOptions {
-                shared_group_by: false,
-                threads: 1,
-                ..BoundOptions::default()
-            },
-        ),
-        (
-            "shared_cold",
+            "cold",
             BoundOptions {
                 warm_start: false,
                 threads: 1,
@@ -148,7 +139,7 @@ fn bench_group_by(c: &mut Criterion) {
             },
         ),
         (
-            "shared_warm",
+            "warm",
             BoundOptions {
                 threads: 1,
                 ..BoundOptions::default()
@@ -164,7 +155,7 @@ fn bench_group_by(c: &mut Criterion) {
     // LP-relaxation variant: every allocation solved as a (warm-startable)
     // LP — the throughput configuration for wide GROUP-BYs (bounds stay
     // sound, possibly slightly wider).
-    for (name, warm_start) in [("shared_lp_cold", false), ("shared_lp_warm", true)] {
+    for (name, warm_start) in [("lp_cold", false), ("lp_warm", true)] {
         let options = BoundOptions {
             lp_relax_cell_limit: 0,
             warm_start,

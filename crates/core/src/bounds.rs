@@ -17,8 +17,8 @@
 //! the catalog size. So does the estimate table behind
 //! [`BoundOptions::ordering`]: an engine that holds none yet estimates
 //! only the reached constraints, while one that holds a table (injected
-//! by a session, or built by an earlier GROUP-BY or call that reached
-//! every constraint) restricts it, so split survival still publishes
+//! by a session, or built by an earlier call that reached every
+//! constraint) restricts it, so split survival still publishes
 //! into its shared counters. An unreached constraint can still change one
 //! verdict: a frequency floor whose allowed region misses the domain has
 //! nowhere to put its rows, so the call fails [`BoundError::Infeasible`]
@@ -93,33 +93,22 @@ pub struct BoundOptions {
     /// incumbent by less than that, exactly as a sequential search may in
     /// a different order). Cell *witnesses* may be different equally
     /// genuine points when the first-hit-wins parallel witness search
-    /// engages, and work counters in [`DecomposeStats`] may differ
-    /// (`parallel_subtrees`, and GROUP-BY `sat_checks` — two group tasks
-    /// racing on the same uncached specialization both pay the check).
+    /// engages, and `parallel_subtrees` in [`DecomposeStats`] may differ.
     pub threads: usize,
     /// Fork the decomposition at every eligible split from the root
     /// instead of once it has run [`WorkGate::GRAIN`] inline (see
     /// [`Parallelism::eager`]; off by default). Never changes results:
     /// the oracle for "forked == inline" tests.
     pub eager_fork: bool,
-    /// GROUP-BY strategy: decompose once against the base query and
-    /// specialize the surviving cells per group key (with simplex warm
-    /// starts chained between neighboring groups), instead of running a
-    /// full decomposition per key. For the exact strategies (`Dfs`,
-    /// `DfsRewrite`) bounds are identical either way; under the
-    /// approximate [`Strategy::EarlyStop`] both paths stay *sound* but the
-    /// shared path may admit more unverified cells and report wider
-    /// ranges. Disable to A/B the fast path against the naive one.
-    pub shared_group_by: bool,
-    /// Chain simplex warm starts between related LP solves: consecutive
-    /// groups of a GROUP-BY, the probes of one AVG binary search, and —
-    /// through [`MilpOptions::warm_start`] — parent-to-child node
-    /// relaxations inside branch & bound. Disabling this turns all of
-    /// them off, *including* the tableau carry (the carry is the warm
-    /// start's deeper tier; the engine knob is the whole-family switch,
-    /// unlike the solver-level [`MilpOptions`] pair, where the
-    /// contradictory `warm_start: false, tableau_carry: true` is rejected
-    /// with an error).
+    /// Chain simplex warm starts between related LP solves: the queries
+    /// one worker serves in a [`crate::Session`], the probes of one AVG
+    /// binary search, and — through [`MilpOptions::warm_start`] —
+    /// parent-to-child node relaxations inside branch & bound. Disabling
+    /// this turns all of them off, *including* the tableau carry (the
+    /// carry is the warm start's deeper tier; the engine knob is the
+    /// whole-family switch, unlike the solver-level [`MilpOptions`] pair,
+    /// where the contradictory `warm_start: false, tableau_carry: true`
+    /// is rejected with an error).
     pub warm_start: bool,
     /// Carry whole canonical tableaux instead of just bases wherever the
     /// chained LPs allow it (on by default): parent-to-child inside
@@ -176,7 +165,6 @@ impl Default for BoundOptions {
             lp_relax_cell_limit: 150,
             threads: 0,
             eager_fork: false,
-            shared_group_by: true,
             warm_start: true,
             tableau_carry: true,
             shard: true,
@@ -362,8 +350,8 @@ pub(crate) enum CachedWarm {
 }
 
 /// Shared warm-start store for one chain of related bounding calls (a
-/// standalone `bound()`, the groups one pool worker solves in a
-/// GROUP-BY, or the queries one worker serves in a [`crate::Session`]).
+/// standalone `bound()`, or the queries one worker serves in a
+/// [`crate::Session`]).
 /// `Arc<Mutex>`: chains are *effectively* single-threaded — the drivers
 /// hand each worker its own store — but tasks are stealable, so the
 /// store must tolerate whichever thread ends up running them. The mutex
@@ -375,9 +363,9 @@ pub(crate) type WarmCache = Arc<Mutex<HashMap<WarmKey, CachedWarm>>>;
 
 /// One warm-start cache per pool worker (plus one for the calling
 /// thread): tasks solved on the same worker chain their simplex bases
-/// from one LP to the next without cross-thread contention. Shared by
-/// the GROUP-BY drivers (per-group tasks) and [`crate::Session`] (one
-/// long-lived set of chains across all of a session's queries).
+/// from one LP to the next without cross-thread contention. A
+/// [`crate::Session`] keeps one long-lived set of chains across all of
+/// its queries.
 pub(crate) struct WarmCaches {
     slots: Option<Vec<WarmCache>>,
 }
@@ -402,7 +390,7 @@ impl WarmCaches {
 }
 
 /// Run `f` over every item, returning results in input order — the
-/// fan-out driver shared by the GROUP-BY paths and
+/// fan-out driver shared by the GROUP-BY keys and
 /// [`crate::Session::bound_many`]. Items run inline, in order, until the
 /// call has worked [`WorkGate::GRAIN`]; the rest then become stealable
 /// pool tasks, one per item. A batch of small items so never pays a pool
@@ -473,8 +461,8 @@ pub(crate) struct CellProblem {
     branch_weights: Option<Vec<f64>>,
     closed: bool,
     stats: DecomposeStats,
-    /// Warm-start store threaded in by a GROUP-BY chain; `None` for
-    /// standalone bounds.
+    /// The warm-start chain this problem's LP solves draw on; `None`
+    /// when warm starting is off.
     warm: Option<WarmCache>,
     /// LP/MILP work counters accumulated while solving this problem
     /// (interior-mutable: the per-aggregate bounds take `&CellProblem`).
@@ -1042,7 +1030,7 @@ impl<'a> BoundEngine<'a> {
         self.options.threads != 1
     }
 
-    /// Threads to spread a batch of independent tasks (GROUP-BY groups,
+    /// Threads to spread a batch of independent tasks (GROUP-BY keys,
     /// session queries) over.
     pub(crate) fn task_threads(&self, n_items: usize) -> usize {
         self.decompose_policy()
@@ -1079,9 +1067,9 @@ impl<'a> BoundEngine<'a> {
     }
 
     /// Satisfiable cells inside `base`: the disjoint fast path or a
-    /// (possibly parallel) decomposition, shared by
-    /// [`BoundEngine::bound`] and the shared-decomposition GROUP-BY. A
-    /// budget trip leaves the unexplored subtrees as frontier cells
+    /// (possibly parallel) decomposition, shared by the flat pipeline
+    /// and each shard of the sharded one. A budget trip leaves the
+    /// unexplored subtrees as frontier cells
     /// ([`DecomposeStats::frontier_cells`]). The disjoint fast path does
     /// no search and never trips.
     pub(crate) fn cells_for_base_budgeted(
@@ -1140,7 +1128,7 @@ impl<'a> BoundEngine<'a> {
     }
 
     /// Assemble the allocation problem from an explicit cell list (either
-    /// freshly decomposed or specialized from a shared GROUP-BY
+    /// freshly decomposed or specialized from a session's cached
     /// decomposition). `base` is the effective query region the cells live
     /// in — it decides which frequency lower bounds survive pushdown.
     #[cfg(test)]
@@ -1566,7 +1554,7 @@ impl<'a> BoundEngine<'a> {
         extra_min_total: bool,
     ) -> Result<f64, pc_solver::SolverError> {
         // Cache creation is already gated on `options.warm_start` at both
-        // construction sites (`bound`, the group-by chunk driver).
+        // construction sites (`bound_budgeted`, a session's `WarmCaches`).
         let Some(cache) = &p.warm else {
             let (sol, ct) = solve_lp_tableau(lp, None, None)?;
             p.record_lp(ct.stats());

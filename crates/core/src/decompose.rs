@@ -75,11 +75,10 @@
 //! deepest path when the search starts. The exclude probe and the exclude
 //! branch push the split's predicate and pop it on return; the include
 //! branch reuses the stack as it is. Only a fork past the gate copies it,
-//! once, for the include task. The GROUP-BY splice
-//! (`crate::specialize::splice_locals`) keeps its exclusions the same
-//! way. Each SAT probe then refills its thread's region and exclusion
-//! buffers and allocates only the witness it returns, however deep its
-//! search runs ([`pc_predicate::sat`], "Allocation discipline").
+//! once, for the include task. Each SAT probe then refills its thread's
+//! region and exclusion buffers and allocates only the witness it
+//! returns, however deep its search runs ([`pc_predicate::sat`],
+//! "Allocation discipline").
 //!
 //! # Sharding: factoring over the constraint-interaction graph
 //!
@@ -182,9 +181,8 @@ pub struct DecomposeStats {
     /// runs; the only counter that may differ between sequential and
     /// parallel runs of the same decomposition).
     pub parallel_subtrees: u64,
-    /// GROUP-BY level-2 splices answered from the cross-key memo (the
-    /// whole include/exclude DFS of one cell replayed from a structurally
-    /// identical key, zero SAT calls).
+    /// Always 0: no code path counts into it. Kept because the
+    /// benchmark harness (`perfbench`) reads it.
     pub splice_memo_hits: u64,
     /// Cells an incremental epoch derivation touched — split by an added
     /// constraint's box, or merged/widened by a retired one (see
@@ -209,8 +207,8 @@ pub struct DecomposeStats {
     /// shard of its epoch. `0` on the flat (unsharded) paths — including
     /// a one-shot bound whose reached constraints form one component —
     /// and on a cell-free one-shot answer (an open region the closure
-    /// probe answered alone, see [`crate::bounds`]); `1` means the set
-    /// was sharded but is a single component.
+    /// probe answered alone, see [`crate::BoundOptions::shard`]); `1`
+    /// means the set was sharded but is a single component.
     pub shards: usize,
     /// The largest shard's constraint count — the quantity that actually
     /// drives the exponential worst case once the set is factored (over

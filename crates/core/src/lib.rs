@@ -34,11 +34,13 @@
 //! 3. **Join bounds** (§5): the naive Cartesian-product bound and the
 //!    tighter fractional-edge-cover bound derived from Friedgut's
 //!    generalized weighted entropy inequality.
-//! 4. **Incremental GROUP-BY** ([`BoundEngine::bound_group_by`]): a
-//!    two-level scheme — shared constraints decomposed once, each key's
-//!    group-local constraints spliced into its specialized slice, groups
-//!    solved in parallel — instead of a from-scratch decomposition per
-//!    key.
+//! 4. **GROUP-BY as a union of keyed queries** (§2,
+//!    [`BoundEngine::bound_group_by`]): each key's query is the base
+//!    predicate with `group = key` conjoined, bounded by the one-shot
+//!    pipeline above, so a key pays only for the constraints its slice
+//!    reaches. Keys run as stealable pool tasks; a [`Session`] serves
+//!    them from one pinned epoch's cell cache under one admission
+//!    decision for the call.
 //! 5. **Sharded decomposition** ([`shard`]): the cell set is factored
 //!    over the connected components of the **constraint-interaction
 //!    graph** (union-find over pairwise attribute-box overlap). Each
@@ -135,14 +137,10 @@
 //!     of every in-flight query, which finish early with sound degraded
 //!     answers. See the `pc-serve` crate docs for the wire reference.
 //!
-//! Parallelism and the group-by fast paths are knobs on [`BoundOptions`]
-//! (`threads`, `eager_fork`, `shared_group_by`, `warm_start`); under the
-//! exact strategies every configuration returns
-//! identical bounds — the knobs trade machine resources for latency, not
-//! accuracy. The one caveat is the deliberately approximate
-//! [`Strategy::EarlyStop`], where the shared group-by path may admit more
-//! unverified cells than per-key and report wider (still sound) ranges —
-//! see [`BoundOptions::shared_group_by`].
+//! Parallelism and warm starts are knobs on [`BoundOptions`] (`threads`,
+//! `eager_fork`, `warm_start`); under the exact strategies every
+//! configuration returns identical bounds — the knobs trade machine
+//! resources for latency, not accuracy.
 //!
 //! Constraints are *testable*: [`PcSet::validate`] checks a set against
 //! historical data, returning every violation, which is the paper's

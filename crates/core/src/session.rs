@@ -43,8 +43,7 @@
 //!   the other shards just shift their member indices.
 //!
 //! Within the owning shard, PC decomposition is monotone in the
-//! constraint list (the same argument behind the two-level GROUP-BY
-//! splice), so its cells are **delta-derived**:
+//! constraint list, so its cells are **delta-derived**:
 //!
 //! * **add** — only the cells the new constraint's box cuts are split
 //!   (one include/exclude level, cached witnesses settling one branch
@@ -119,12 +118,15 @@
 use crate::bounds::{pooled_map_catch, ShardSlice, WarmCache, WarmCaches};
 use crate::decompose::DecomposeStats;
 use crate::estimate::Estimates;
+use crate::groupby::bound_keys;
 use crate::shard::ShardedCellSet;
 use crate::specialize::CellSet;
 use crate::{
     BoundEngine, BoundError, BoundOptions, BoundReport, GroupBound, PcSet, PredicateConstraint,
 };
-use pc_budget::pressure::{AdmissionVerdict, PressureGauge, SchedReport, SchedTicket};
+use pc_budget::pressure::{
+    AdmissionPermit, AdmissionVerdict, PressureGauge, SchedReport, SchedTicket,
+};
 use pc_budget::{CancelToken, QueryBudget, TripReason};
 use pc_storage::AggQuery;
 use std::collections::HashMap;
@@ -133,6 +135,16 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
+
+/// The scheduling report of a call admitted through `permit`.
+fn permit_report(permit: &AdmissionPermit<'_>, budget: &QueryBudget) -> SchedReport {
+    SchedReport {
+        queue_wait: budget.armed_for().unwrap_or_default(),
+        verdict: permit.verdict(),
+        backlog: permit.backlog_at_admission(),
+        estimated_cost: permit.estimated_cost(),
+    }
+}
 
 /// Stable handle of one catalog constraint, assigned by the session at
 /// admission and never reused. Renders as `c<N>` (`pc batch` retire
@@ -803,36 +815,44 @@ impl Session {
         // else runs the full exact pipeline (their cost still registers
         // on the gauge so timed arrivals see them in the backlog).
         if !self.options.admission || deadline.is_none() {
-            // The wait ends where the run starts, not where it returns.
-            let sched = SchedReport::bypass(budget);
-            let mut result = rayon::with_task_deadline(sched_deadline, || {
-                self.bound_serve(epoch, query, warm, budget, self.options.bound)
-            });
-            if let Ok(report) = &mut result {
-                report.sched = Some(sched);
-                if report.degraded && report.trip.is_none() {
-                    report.trip = budget.trip_reason();
-                }
-            }
-            return result;
+            return self.run_bypass(epoch, query, warm, budget, sched_deadline);
         }
 
         let permit = self
             .pressure
             .admit(self.cost_factor(epoch, query), deadline);
-        let verdict = permit.verdict();
-        let sched = SchedReport {
-            queue_wait: budget.armed_for().unwrap_or_default(),
-            verdict,
-            backlog: permit.backlog_at_admission(),
-            estimated_cost: permit.estimated_cost(),
-        };
-        let result = self.run_rung(epoch, query, warm, budget, verdict, sched, sched_deadline);
+        let sched = permit_report(&permit, budget);
+        let result = self.run_rung(epoch, query, warm, budget, sched, sched_deadline);
         match &result {
             Ok(_) => permit.complete(),
             // Errors (including panics mapped by the batch layer) drop
             // the permit: the backlog un-charges without calibrating.
             Err(_) => drop(permit),
+        }
+        result
+    }
+
+    /// The exact pipeline of a query that bypasses admission (no
+    /// deadline, or admission off), stamped with
+    /// [`SchedReport::bypass`].
+    fn run_bypass(
+        &self,
+        epoch: &Epoch,
+        query: &AggQuery,
+        warm: Option<WarmCache>,
+        budget: &QueryBudget,
+        sched_deadline: Option<Instant>,
+    ) -> Result<BoundReport, BoundError> {
+        // The wait ends where the run starts, not where it returns.
+        let sched = SchedReport::bypass(budget);
+        let mut result = rayon::with_task_deadline(sched_deadline, || {
+            self.bound_serve(epoch, query, warm, budget, self.options.bound)
+        });
+        if let Ok(report) = &mut result {
+            report.sched = Some(sched);
+            if report.degraded && report.trip.is_none() {
+                report.trip = budget.trip_reason();
+            }
         }
         result
     }
@@ -919,7 +939,7 @@ impl Session {
             verdict
         };
         let sched = SchedReport { verdict, ..sched };
-        let result = self.run_rung(&epoch, query, warm, budget, verdict, sched, sched_deadline);
+        let result = self.run_rung(&epoch, query, warm, budget, sched, sched_deadline);
         // A demoted run took the shed path, not the rung the ticket was
         // charged for — its (near-zero) elapsed time says nothing about
         // that rung's service cost and must not calibrate the gauge. The
@@ -942,18 +962,17 @@ impl Session {
     /// turning it off *assumes* closure (a tightening), while a tripped
     /// budget skips the probe as "open" (a widening) — only the latter
     /// is sound. Both rungs only ever *widen* the range (property-tested
-    /// in `prop_sched.rs`).
-    #[allow(clippy::too_many_arguments)]
+    /// in `prop_sched.rs`). The rung is `sched.verdict`.
     fn run_rung(
         &self,
         epoch: &Epoch,
         query: &AggQuery,
         warm: Option<WarmCache>,
         budget: &QueryBudget,
-        verdict: AdmissionVerdict,
         sched: SchedReport,
         sched_deadline: Option<Instant>,
     ) -> Result<BoundReport, BoundError> {
+        let verdict = sched.verdict;
         let mut opts = self.options.bound;
         let shed_budget;
         let mut shed_key = None;
@@ -1221,13 +1240,11 @@ impl Session {
         (epoch.number, results)
     }
 
-    /// Bound a GROUP-BY against the epoch current at the call. The
-    /// two-level shared decomposition amortizes level 1 across the keys
-    /// of one call (see [`BoundEngine::bound_group_by`]); the session
-    /// goes further and derives the level-1 shared cells **from the
-    /// epoch's domain-wide cell cache** — the key-local constraints
-    /// retire in one zero-SAT pass — so repeated GROUP-BY calls against
-    /// one epoch never re-run the level-1 decomposition at all.
+    /// Bound a GROUP-BY against the epoch current at the call: every key
+    /// is one keyed query (the base predicate with `group_attr = key`
+    /// conjoined, see [`BoundEngine::bound_group_by`]) served exactly as
+    /// a [`Session::bound_many`] query is, so each key specializes the
+    /// epoch's cell cache to its slice. Results come back in key order.
     pub fn bound_group_by(
         &self,
         base: &AggQuery,
@@ -1238,9 +1255,12 @@ impl Session {
     }
 
     /// [`Session::bound_group_by`] under one [`QueryBudget`] shared by
-    /// the shared decomposition and every group's splice and solve — see
-    /// [`BoundEngine::bound_group_by_budgeted`] for the per-group
-    /// degradation ladder.
+    /// every key. With a deadline armed and admission on, the whole call
+    /// is admitted once, at the cost of all its keys, and every key runs
+    /// the rung of that one verdict; each key's report carries the
+    /// call's [`SchedReport`]. A tripped or shed key still answers, sound
+    /// but wider, with [`BoundReport::degraded`] and its trip reason set.
+    /// A key whose task panics comes back as [`BoundError::Panicked`].
     pub fn bound_group_by_budgeted(
         &self,
         base: &AggQuery,
@@ -1263,61 +1283,41 @@ impl Session {
         budget: &QueryBudget,
     ) -> (u64, Vec<GroupBound>) {
         let epoch = self.pin();
-        let deadline = budget.deadline();
-        // Admission judges the whole call as one unit (the keys share the
-        // level-1 decomposition, so per-key admission would double-count
-        // the shared work); a Shed verdict answers every key from a
-        // pre-tripped budget, Degraded drops branch & bound for the call
-        // (closure stays budget-governed — see `bound_on` on why forcing
-        // `check_closure` off would be unsound). Per-key tasks inherit
-        // the deadline tag.
         let keys: Vec<f64> = keys.into_iter().collect();
-        let mut opts = self.options.bound;
-        let shed_budget;
-        let mut run_budget = budget;
-        let permit = if self.options.admission && deadline.is_some() {
-            let factor = self.cost_factor(&epoch, base) * (keys.len().max(1) as f64);
-            let permit = self.pressure.admit(factor, deadline);
-            match permit.verdict() {
-                AdmissionVerdict::Exact => {}
-                AdmissionVerdict::Degraded => {
-                    opts.lp_relax_cell_limit = 0;
-                }
-                AdmissionVerdict::Shed => {
-                    opts.lp_relax_cell_limit = 0;
-                    shed_budget = QueryBudget::pre_tripped(TripReason::Deadline);
-                    run_budget = &shed_budget;
-                }
-            }
-            Some(permit)
-        } else {
-            None
-        };
-        let engine = BoundEngine::with_options(&epoch.set, opts);
-        engine.set_estimates(Arc::clone(&epoch.estimates));
-        // Serve level 1 from the epoch cache when it is (or can be) built
-        // clean; a degraded build stays unpublished and this call falls
-        // back to the engine's own level-1 decomposition.
-        let cached = if self.options.cache_cells && self.options.bound.shared_group_by {
-            self.cells_of_budgeted(&epoch, run_budget)
-                .ok()
-                .filter(|_| !run_budget.is_tripped())
-                .map(|sharded| sharded.flatten(&epoch.set))
-        } else {
-            None
-        };
-        let tag = if self.options.deadline_sched {
+        if self.options.cache_cells && !keys.is_empty() {
+            // Prime the cell cache once, as `bound_many_stamped` does.
+            let _ = self.cells_of_budgeted(&epoch, budget);
+        }
+        let deadline = budget.deadline();
+        let sched_deadline = if self.options.deadline_sched {
             deadline
         } else {
             None
         };
-        let bounds = rayon::with_task_deadline(tag, || {
-            engine.bound_group_by_cached(base, group_attr, keys, cached.as_deref(), run_budget)
+        // One admission decision for the whole call, charged at the cost
+        // of every key's query.
+        let permit = (self.options.admission && deadline.is_some()).then(|| {
+            let factor = self.cost_factor(&epoch, base) * (keys.len().max(1) as f64);
+            self.pressure.admit(factor, deadline)
+        });
+        let sched = permit.as_ref().map(|p| permit_report(p, budget));
+        let threads =
+            BoundEngine::with_options(&epoch.set, self.options.bound).task_threads(keys.len());
+        let groups = rayon::with_task_deadline(sched_deadline, || {
+            bound_keys(base, group_attr, &keys, threads, &|query| {
+                let warm = self.warm.for_current_worker();
+                match sched {
+                    Some(sched) => {
+                        self.run_rung(&epoch, query, warm, budget, sched, sched_deadline)
+                    }
+                    None => self.run_bypass(&epoch, query, warm, budget, sched_deadline),
+                }
+            })
         });
         if let Some(permit) = permit {
             permit.complete();
         }
-        (epoch.number, bounds)
+        (epoch.number, groups)
     }
 }
 

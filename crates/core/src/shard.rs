@@ -19,9 +19,10 @@
 //! pairwise box-overlap test (the same edge test as
 //! [`PcSet::verify_disjoint`]). The component structure is *maintained
 //! incrementally* across epochs rather than recomputed: an added
-//! constraint unions the components its box touches ([`ShardedCellSet::derive_add`]),
-//! a retired one re-runs the union-find only inside its own shard
-//! ([`ShardedCellSet::derive_retire`]) — every other shard carries by
+//! constraint unions the components its box touches
+//! (`ShardedCellSet::derive_add`), a retired one re-runs the union-find
+//! only inside its own shard (`ShardedCellSet::derive_retire`) — every
+//! other shard carries by
 //! `Arc`.
 //!
 //! # Compositional answering

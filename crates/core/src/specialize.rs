@@ -32,30 +32,19 @@
 //! sub-region, so specialized bounds can be wider (never narrower) —
 //! both remain sound, as early stopping only ever widens.
 //!
-//! Three consumers build on the same machinery:
-//!
-//! * [`crate::Session`] specializes one domain-wide [`CellSet`] to each
-//!   query's region (tentpole of the serve path) — and, for the
-//!   versioned catalog, **delta-derives** each mutation's epoch from the
-//!   previous one (`derive_add` splits only the cells the new
-//!   constraint's box cuts; `derive_retire` merges/re-widens with zero
-//!   SAT checks — the same monotonicity argument as the splice below);
-//! * the two-level GROUP-BY ([`crate::BoundEngine::bound_group_by`])
-//!   specializes a *shared-constraint* decomposition to each group's
-//!   slice through [`SliceSpecializer`] — slices of the form
-//!   `group = key` admit a memo (two keys cut by the same exclusion
-//!   subset have isomorphic cross-sections) — and then **splices** each
-//!   key's group-local constraints into its slice with [`splice_locals`],
-//!   a mini include/exclude DFS over the handful of constraints pinned to
-//!   that key.
+//! [`crate::Session`] builds on this machinery: it specializes one
+//! domain-wide [`CellSet`] to each query's region (a GROUP-BY key is one
+//! such query, its region the key's slice), and, for the versioned
+//! catalog, **delta-derives** each mutation's epoch from the previous one
+//! (`derive_add` splits only the cells the new constraint's box cuts;
+//! `derive_retire` merges/re-widens with zero SAT checks).
 
 use crate::decompose::DecomposeStats;
 use crate::{ActiveSet, Cell, PcSet, PredicateConstraint};
 use pc_budget::QueryBudget;
 use pc_predicate::sat::SatOutcome;
-use pc_predicate::{sat, Interval, Predicate, Region};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use pc_predicate::{sat, Predicate, Region};
+use std::sync::Arc;
 
 /// True if `pc`'s predicate box overlaps `region` in every atom's
 /// dimension — the necessary condition for the exclusion to capture any
@@ -256,9 +245,8 @@ impl CellSet {
     /// Derive the cell set of `new_set` — this set's constraints plus one
     /// more appended at index `new_set.len() - 1` — from the cached
     /// decomposition, re-splitting **only the cells the new constraint's
-    /// box cuts**. PC decomposition is monotone in the constraint list
-    /// (the same argument behind the GROUP-BY two-level splice): deciding
-    /// the appended constraint last, every existing cell either misses
+    /// box cuts**. PC decomposition is monotone in the constraint list:
+    /// deciding the appended constraint last, every existing cell either misses
     /// its box entirely (the exclude branch is the cell itself, shared
     /// untouched, witness included) or splits into an include branch
     /// (region tightened by the new box, constraint added to the
@@ -549,696 +537,13 @@ impl CellSet {
         stats.cells = cells.len();
         CellSet::new(new_set, self.base.clone(), cells, stats, uncovered)
     }
-
-    /// [`CellSet::derive_retire`] generalized to retiring every
-    /// constraint *not* in `kept` at once, still with **zero SAT checks**.
-    /// `kept` is the sorted (ascending, this set's indices) list of
-    /// surviving constraints and `new_set` the sub-set holding exactly
-    /// those, in order — the cells come back in `new_set`'s (sub-)indices.
-    ///
-    /// The cell-merge argument is the single-retire one applied to the
-    /// whole batch: a cell whose activity already lies inside `kept`
-    /// survives verbatim; a cell holding retired constraints folds into
-    /// the surviving cell of its reduced signature when one exists, and
-    /// otherwise the *first* such cell survives with its region re-widened
-    /// to the base tightened by the remaining active boxes (later cells of
-    /// the same reduced signature fold into it). This is how the GROUP-BY
-    /// level-1 cells derive from a session epoch's domain-wide cache: the
-    /// key-local constraints retire in one pass instead of the shared
-    /// subset re-decomposing per call.
-    pub(crate) fn derive_retire_subset(
-        &self,
-        new_set: &PcSet,
-        kept: &[usize],
-        uncovered: Option<Vec<f64>>,
-    ) -> CellSet {
-        let pos: HashMap<usize, usize> = kept.iter().enumerate().map(|(s, &g)| (g, s)).collect();
-        let remap = |active: &ActiveSet| -> ActiveSet {
-            active.iter().filter_map(|i| pos.get(&i).copied()).collect()
-        };
-        // reduced signatures that survive verbatim (no retired member)
-        let survivors: std::collections::HashSet<ActiveSet> = self
-            .cells
-            .iter()
-            .filter(|c| c.active.iter().all(|i| pos.contains_key(&i)))
-            .map(|c| remap(&c.active))
-            .collect();
-        let mut emitted = std::collections::HashSet::new();
-        let mut stats = DecomposeStats::default();
-        let mut cells = Vec::with_capacity(self.cells.len());
-        for cell in &self.cells {
-            let untouched = cell.active.iter().all(|i| pos.contains_key(&i));
-            let active = remap(&cell.active);
-            if untouched {
-                cells.push(Cell {
-                    region: Arc::clone(&cell.region),
-                    active,
-                    witness: cell.witness.clone(),
-                    undecided: remap(&cell.undecided),
-                });
-                continue;
-            }
-            stats.incremental_splits += 1;
-            if active.is_empty() || survivors.contains(&active) || !emitted.insert(active.clone()) {
-                // all-excluded is not a cell; otherwise the surviving
-                // sibling (or the first merged cell) already covers it
-                continue;
-            }
-            let mut region = self.base.clone();
-            for i in active.iter() {
-                for atom in new_set.constraints()[i].predicate.atoms() {
-                    region.intersect_atom(atom);
-                }
-            }
-            cells.push(Cell {
-                region: Arc::new(region),
-                active,
-                witness: cell.witness.clone(),
-                undecided: remap(&cell.undecided),
-            });
-        }
-        stats.cells = cells.len();
-        CellSet::new(new_set, self.base.clone(), cells, stats, uncovered)
-    }
-}
-
-/// Memo of slice cross-section verdicts: (cell index, group-active
-/// exclusion mask) → witness template (`None` = that cross-section is
-/// unsatisfiable). A verdict computed for one key transfers to every key
-/// cut by the same exclusion subset, with the witness's group coordinate
-/// remapped. The virtual ∅-cell of the two-level GROUP-BY memoizes under
-/// cell index `usize::MAX`.
-type SliceMemo = HashMap<(usize, u64), Option<Vec<f64>>>;
-
-/// Cell index the virtual empty-shared cell memoizes under.
-pub(crate) const VIRTUAL_CELL: usize = usize::MAX;
-
-/// Structural signature of one key's local-constraint list: per local,
-/// the sorted non-group atoms as `(attr, lo bits, lo_open, hi bits,
-/// hi_open)`. Atoms on the group attribute are dropped — inside a
-/// `group = key` point slice every atom of a constraint pinned to that
-/// key is a no-op on the group coordinate — so two keys whose local caps
-/// are "the same boxes modulo the group coordinate" (the common shape of
-/// generated per-key assumptions) get equal signatures. `Arc`-shared:
-/// the signature is computed once per key and cloned into memo keys.
-pub(crate) type LocalsSig = Arc<Vec<Vec<(usize, u64, bool, u64, bool)>>>;
-
-/// One leaf of a completed local-constraint splice in
-/// structure-transferable form: which locals the leaf includes, plus its
-/// witness template (`None` = unverified early-stop leaf). On replay the
-/// include set reconstructs the leaf's region and activity against the
-/// new key's own locals, and the witness's group coordinate is remapped.
-struct SpliceLeaf {
-    include_mask: u64,
-    witness: Option<Vec<f64>>,
-}
-
-/// Memo of whole splice outcomes: (cell index, group-active exclusion
-/// mask, locals signature) → the leaf list `splice_locals` emitted. A hit
-/// replays the entire include/exclude DFS of that cell for a
-/// structurally identical key with zero SAT calls (the ROADMAP's
-/// cross-key splice memoization).
-type SpliceMemo = HashMap<(usize, u64, LocalsSig), Arc<Vec<SpliceLeaf>>>;
-
-/// Per-GROUP-BY specializer for `group = key` slices: the cached
-/// decomposition's cells plus the per-cell relevant exclusions *with
-/// their group-attribute intervals*, so each slice only re-checks against
-/// exclusions actually active at its key, and verdicts are memoized
-/// across keys on the group-active exclusion mask.
-pub(crate) struct SliceSpecializer<'a> {
-    cells: &'a [Cell],
-    group_attr: usize,
-    /// Whether the parallel witness search may engage in re-checks.
-    parallel: bool,
-    /// Per cell: relevant exclusions as (group-attr interval, predicate).
-    relevant_of: Vec<Vec<(Interval, &'a Predicate)>>,
-    /// Whether the cell's relevant exclusions fit the 64-bit memo mask.
-    memoable: Vec<bool>,
-    /// Every shared constraint as (group-attr interval, predicate) — the
-    /// exclusion list of the virtual ∅-cell.
-    all_shared: Vec<(Interval, &'a Predicate)>,
-    memo: Mutex<SliceMemo>,
-    /// Cross-key splice-outcome memo (see [`SpliceMemo`]).
-    splice_memo: Mutex<SpliceMemo>,
-}
-
-impl<'a> SliceSpecializer<'a> {
-    /// Build the per-cell relevant-exclusion tables for `cells`, a
-    /// decomposition of the `shared_ids` subset of `set`'s constraints
-    /// (active sets already remapped to global indices).
-    pub(crate) fn new(
-        set: &'a PcSet,
-        shared_ids: &[usize],
-        cells: &'a [Cell],
-        group_attr: usize,
-        parallel: bool,
-    ) -> Self {
-        let constraints = set.constraints();
-        // Each predicate's group-attribute interval depends only on the
-        // predicate: fold once per constraint, not once per (cell ×
-        // constraint).
-        let all_shared: Vec<(Interval, &Predicate)> = shared_ids
-            .iter()
-            .map(|&j| {
-                let pred = &constraints[j].predicate;
-                (pred.interval_for(group_attr), pred)
-            })
-            .collect();
-        let mut relevant_of = Vec::with_capacity(cells.len());
-        let mut memoable = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let relevant: Vec<(Interval, &Predicate)> = shared_ids
-                .iter()
-                .zip(&all_shared)
-                .filter(|(&j, _)| !cell.active.contains(j))
-                .filter(|(&j, _)| overlaps_region(&constraints[j], &cell.region))
-                .map(|(_, entry)| *entry)
-                .collect();
-            memoable.push(relevant.len() <= 64);
-            relevant_of.push(relevant);
-        }
-        SliceSpecializer {
-            cells,
-            group_attr,
-            parallel,
-            relevant_of,
-            memoable,
-            all_shared,
-            memo: Mutex::new(HashMap::new()),
-            splice_memo: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Compute one key's locals signature (shared by every cell of that
-    /// key's slice), or `None` when the list exceeds the 64-bit replay
-    /// mask. See [`LocalsSig`] for why group-attribute atoms are dropped.
-    pub(crate) fn locals_signature(
-        locals: &[(usize, &PredicateConstraint)],
-        group_attr: usize,
-    ) -> Option<LocalsSig> {
-        if locals.len() > 64 {
-            return None;
-        }
-        let sig = locals
-            .iter()
-            .map(|(_, pc)| {
-                let mut atoms: Vec<(usize, u64, bool, u64, bool)> = pc
-                    .predicate
-                    .atoms()
-                    .iter()
-                    .filter(|a| a.attr != group_attr)
-                    .map(|a| {
-                        (
-                            a.attr,
-                            a.interval.lo.to_bits(),
-                            a.interval.lo_open,
-                            a.interval.hi.to_bits(),
-                            a.interval.hi_open,
-                        )
-                    })
-                    .collect();
-                atoms.sort_unstable();
-                atoms
-            })
-            .collect();
-        Some(Arc::new(sig))
-    }
-
-    /// The group-active exclusion mask of cell `src` (or the virtual
-    /// ∅-cell) at `key`, when its relevant exclusions fit the 64-bit
-    /// memo mask.
-    fn mask_for(&self, src: usize, key: f64) -> Option<u64> {
-        let (relevant, memoable) = if src == VIRTUAL_CELL {
-            (&self.all_shared, self.all_shared.len() <= 64)
-        } else {
-            (&self.relevant_of[src], self.memoable[src])
-        };
-        memoable.then(|| {
-            let mut mask = 0u64;
-            for (bit, (g_iv, _)) in relevant.iter().enumerate() {
-                if g_iv.contains(key) {
-                    mask |= 1 << bit;
-                }
-            }
-            mask
-        })
-    }
-
-    /// Replay a memoized splice of cell `src` (or [`VIRTUAL_CELL`]) for
-    /// `key`, pushing the reconstructed leaves into `out`. Returns `true`
-    /// on a memo hit — the caller then skips `splice_locals` entirely
-    /// (zero SAT calls; `stats.splice_memo_hits` counts it). Soundness of
-    /// the transfer: two keys with the same source cell, the same
-    /// group-active exclusion mask, and structurally identical locals
-    /// have isomorphic slices (only the group coordinate differs), the
-    /// DFS leaf set is witness-order-independent (a leaf is emitted iff
-    /// its conjunction is satisfiable, and the SAT search is exact), and
-    /// a leaf witness transfers because every predicate it must satisfy
-    /// or violate does so in a non-group dimension — identical across the
-    /// two keys — while its remapped group coordinate satisfies the point
-    /// slice and every key-pinned atom by construction.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_splice(
-        &self,
-        src: usize,
-        key: f64,
-        sig: Option<&LocalsSig>,
-        base_region: &Arc<Region>,
-        base_active: &ActiveSet,
-        locals: &[(usize, &PredicateConstraint)],
-        out: &mut Vec<Cell>,
-        stats: &mut DecomposeStats,
-    ) -> bool {
-        let (Some(sig), Some(mask)) = (sig, self.mask_for(src, key)) else {
-            return false;
-        };
-        let memo_key = (src, mask, Arc::clone(sig));
-        let leaves = match self.splice_memo.lock().unwrap().get(&memo_key) {
-            Some(leaves) => Arc::clone(leaves),
-            None => return false,
-        };
-        // Frontier (budget-degraded) source cells keep their undecided
-        // set on every replayed leaf — the transfer argument is identical
-        // (undecidedness is a property of the shared prefix, not the key).
-        let src_undecided = if src == VIRTUAL_CELL {
-            ActiveSet::new()
-        } else {
-            self.cells[src].undecided.clone()
-        };
-        for leaf in leaves.iter() {
-            let mut region = Arc::clone(base_region);
-            let mut active = base_active.clone();
-            for (p, (gid, pc)) in locals.iter().enumerate() {
-                if leaf.include_mask & (1 << p) != 0 {
-                    if let Some(tightened) = region.tightened_by(pc.predicate.atoms()) {
-                        region = Arc::new(tightened);
-                    }
-                    active.insert(*gid);
-                }
-            }
-            // Isomorphism keeps replayed regions non-empty; the guard is
-            // pure insurance (dropping a leaf only widens nothing — an
-            // empty region holds no rows).
-            debug_assert!(!region.is_empty(), "replayed splice leaf went empty");
-            if region.is_empty() {
-                continue;
-            }
-            let witness = leaf.witness.as_ref().map(|w| {
-                let mut w = w.clone();
-                w[self.group_attr] = key;
-                w
-            });
-            out.push(Cell {
-                region,
-                active,
-                witness,
-                undecided: src_undecided.clone(),
-            });
-        }
-        stats.splice_memo_hits += 1;
-        true
-    }
-
-    /// Record a completed splice of cell `src` at `key` (the `produced`
-    /// slice of the output vector) so structurally identical keys can
-    /// replay it.
-    pub(crate) fn record_splice(
-        &self,
-        src: usize,
-        key: f64,
-        sig: Option<&LocalsSig>,
-        locals: &[(usize, &PredicateConstraint)],
-        produced: &[Cell],
-    ) {
-        let (Some(sig), Some(mask)) = (sig, self.mask_for(src, key)) else {
-            return;
-        };
-        let leaves: Vec<SpliceLeaf> = produced
-            .iter()
-            .map(|cell| {
-                let mut include_mask = 0u64;
-                for (p, (gid, _)) in locals.iter().enumerate() {
-                    if cell.active.contains(*gid) {
-                        include_mask |= 1 << p;
-                    }
-                }
-                SpliceLeaf {
-                    include_mask,
-                    witness: cell.witness.clone(),
-                }
-            })
-            .collect();
-        // Two group tasks racing on the same uncached key both pay the
-        // splice (last insert wins, leaf sets are equal) — concurrency
-        // can only add work, never lose a leaf.
-        self.splice_memo
-            .lock()
-            .unwrap()
-            .insert((src, mask, Arc::clone(sig)), Arc::new(leaves));
-    }
-
-    /// Specialize every cached cell to the `group = key` slice of
-    /// `base_region`, returning `(source cell index, specialized cell)`
-    /// pairs — the index lets the caller fetch the matching exclusion
-    /// list for local-constraint splicing.
-    pub(crate) fn specialize_slice(
-        &self,
-        key: f64,
-        base_region: &Region,
-        stats: &mut DecomposeStats,
-    ) -> Vec<(usize, Cell)> {
-        let key_iv = Interval::point(key);
-        let ty = base_region.attr_type(self.group_attr);
-        let mut out = Vec::with_capacity(self.cells.len());
-        for (i, cell) in self.cells.iter().enumerate() {
-            let cur = cell.region.interval(self.group_attr);
-            let narrowed = cur.intersect(&key_iv);
-            if narrowed.is_empty(ty) {
-                // the cell's box misses this group entirely
-                continue;
-            }
-            let region = if narrowed == *cur {
-                Arc::clone(&cell.region)
-            } else {
-                let mut r = (*cell.region).clone();
-                r.set_interval(self.group_attr, narrowed);
-                Arc::new(r)
-            };
-            let witness = match &cell.witness {
-                // the shared witness already lives in this group's slice
-                Some(w) if region.contains_row(w) => Some(w.clone()),
-                // box overlaps but the witness is elsewhere: re-verify,
-                // memoized on the group-active exclusion mask
-                Some(_) => {
-                    match self.memoized_witness(i, &self.relevant_of[i], key, &region, stats) {
-                        Some(w) => Some(w),
-                        None => continue,
-                    }
-                }
-                // early-stop cell: stays admitted unverified
-                None => None,
-            };
-            out.push((
-                i,
-                Cell {
-                    region,
-                    active: cell.active.clone(),
-                    witness,
-                    undecided: cell.undecided.clone(),
-                },
-            ));
-        }
-        out
-    }
-
-    /// The exclusions that can capture points of cell `src`'s slice at
-    /// `key`: relevant exclusions whose group interval contains the key.
-    pub(crate) fn group_active_negs(&self, src: usize, key: f64) -> Vec<&'a Predicate> {
-        self.relevant_of[src]
-            .iter()
-            .filter(|(g_iv, _)| g_iv.contains(key))
-            .map(|(_, p)| *p)
-            .collect()
-    }
-
-    /// The exclusion list of the virtual ∅-cell at `key`: every shared
-    /// constraint group-active there (a constraint inactive on the group
-    /// attribute at `key` excludes nothing from the slice).
-    pub(crate) fn virtual_negs(&self, key: f64) -> Vec<&'a Predicate> {
-        self.all_shared
-            .iter()
-            .filter(|(g_iv, _)| g_iv.contains(key))
-            .map(|(_, p)| *p)
-            .collect()
-    }
-
-    /// Witness for the virtual ∅-cell (`slice ∧ ¬every group-active
-    /// shared constraint`) — the activity patterns with *no* shared
-    /// constraint, which the shared decomposition never emits but a
-    /// key-local constraint can populate. Memoized across keys exactly
-    /// like cell cross-sections.
-    pub(crate) fn virtual_witness(
-        &self,
-        key: f64,
-        slice: &Region,
-        stats: &mut DecomposeStats,
-    ) -> Option<Vec<f64>> {
-        let memoable = self.all_shared.len() <= 64;
-        self.check_memoized(VIRTUAL_CELL, &self.all_shared, memoable, key, slice, stats)
-    }
-
-    /// Decide satisfiability of cell `src`'s conjunction inside the slice
-    /// at `key`. Memoized on (cell, group-active exclusion mask): a
-    /// cached verdict transfers to any other key with the same mask, with
-    /// the witness's group coordinate remapped — two slices cut by the
-    /// same exclusion subset have isomorphic cross-sections (only the
-    /// group coordinate differs). The memo is shared by every group task;
-    /// two workers racing on the same uncached mask both pay the check
-    /// (last insert wins, verdicts are equal), so concurrency can only
-    /// add `sat_checks`, never miss one.
-    fn memoized_witness(
-        &self,
-        src: usize,
-        relevant: &[(Interval, &Predicate)],
-        key: f64,
-        region: &Region,
-        stats: &mut DecomposeStats,
-    ) -> Option<Vec<f64>> {
-        self.check_memoized(src, relevant, self.memoable[src], key, region, stats)
-    }
-
-    fn check_memoized(
-        &self,
-        src: usize,
-        relevant: &[(Interval, &Predicate)],
-        memoable: bool,
-        key: f64,
-        region: &Region,
-        stats: &mut DecomposeStats,
-    ) -> Option<Vec<f64>> {
-        let negs: Vec<&Predicate> = relevant
-            .iter()
-            .filter(|(g_iv, _)| g_iv.contains(key))
-            .map(|(_, p)| *p)
-            .collect();
-        if !memoable {
-            // too many relevant exclusions for the 64-bit mask: still use
-            // the (sound) group-active filter, just without memoization
-            stats.sat_checks += 1;
-            return sat::find_witness_with(region, &negs, self.parallel);
-        }
-        let mut mask = 0u64;
-        for (bit, (g_iv, _)) in relevant.iter().enumerate() {
-            if g_iv.contains(key) {
-                mask |= 1 << bit;
-            }
-        }
-        let cached = self.memo.lock().unwrap().get(&(src, mask)).cloned();
-        if let Some(template) = cached {
-            return template.map(|mut w| {
-                w[self.group_attr] = key;
-                w
-            });
-        }
-        stats.sat_checks += 1;
-        let witness = sat::find_witness_with(region, &negs, self.parallel);
-        self.memo
-            .lock()
-            .unwrap()
-            .insert((src, mask), witness.clone());
-        witness
-    }
-}
-
-/// Splice a key's group-local constraints into one specialized cell: a
-/// mini include/exclude DFS over `locals` (global index, constraint),
-/// starting from the cell's box, activity set, and — in exact mode — a
-/// proven witness of `region ∧ ¬shared_negs`.
-///
-/// Each level decides one local constraint. The carried witness settles
-/// one branch for free: if it satisfies the constraint it proves the
-/// include branch, otherwise the exclude branch; the *other* branch pays
-/// at most one exact SAT check (the include branch none at all when its
-/// tightened box is empty). Sub-cells reaching the leaf with a non-empty
-/// activity set are emitted with their prefix witness.
-///
-/// `verified = false` (the cell was admitted unverified by
-/// [`crate::Strategy::EarlyStop`]) degrades to geometric pruning only:
-/// every box-non-empty combination is admitted witness-less, matching the
-/// early-stop contract (possible false positives, bounds only widen).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn splice_locals<'a>(
-    region: Arc<Region>,
-    active: &ActiveSet,
-    undecided: &ActiveSet,
-    witness: Option<Vec<f64>>,
-    shared_negs: Vec<&'a Predicate>,
-    locals: &[(usize, &'a PredicateConstraint)],
-    parallel: bool,
-    out: &mut Vec<Cell>,
-    stats: &mut DecomposeStats,
-) {
-    let verified = witness.is_some();
-    // One exclusion stack for the whole splice: each level pushes at most
-    // its own local.
-    let mut excluded = shared_negs;
-    excluded.reserve(locals.len());
-    splice_dfs(
-        locals,
-        0,
-        region,
-        active.clone(),
-        undecided,
-        &mut excluded,
-        witness,
-        verified,
-        parallel,
-        out,
-        stats,
-    );
-}
-
-/// One level of [`splice_locals`]. `excluded` holds exactly the prefix's
-/// exclusions on entry and on exit: the exclude probe and the exclude
-/// branch push the level's local and pop it again.
-#[allow(clippy::too_many_arguments)]
-fn splice_dfs<'a>(
-    locals: &[(usize, &'a PredicateConstraint)],
-    idx: usize,
-    region: Arc<Region>,
-    active: ActiveSet,
-    undecided: &ActiveSet,
-    excluded: &mut Vec<&'a Predicate>,
-    witness: Option<Vec<f64>>,
-    verified: bool,
-    parallel: bool,
-    out: &mut Vec<Cell>,
-    stats: &mut DecomposeStats,
-) {
-    if idx == locals.len() {
-        // The ∅-shared virtual cell with every local excluded is not a
-        // cell (no active constraint): the closure check owns that
-        // region. A frontier source cell (undecided non-empty) IS
-        // emitted even with an empty activity — its rows may satisfy
-        // undecided shared constraints.
-        if !active.is_empty() || !undecided.is_empty() {
-            out.push(Cell {
-                region,
-                active,
-                witness,
-                undecided: undecided.clone(),
-            });
-        }
-        return;
-    }
-    let (gid, pc) = locals[idx];
-    let inc_region = match region.tightened_by(pc.predicate.atoms()) {
-        Some(tightened) => Arc::new(tightened),
-        None => Arc::clone(&region),
-    };
-
-    if !verified {
-        // Unverified prefix (early-stop admission): geometric pruning
-        // only, both surviving branches stay unverified.
-        stats.assumed_sat += 2;
-        if !inc_region.is_empty() {
-            let mut inc_active = active.clone();
-            inc_active.insert(gid);
-            splice_dfs(
-                locals,
-                idx + 1,
-                inc_region,
-                inc_active,
-                undecided,
-                excluded,
-                None,
-                false,
-                parallel,
-                out,
-                stats,
-            );
-        }
-        excluded.push(&pc.predicate);
-        splice_dfs(
-            locals,
-            idx + 1,
-            region,
-            active,
-            undecided,
-            excluded,
-            None,
-            false,
-            parallel,
-            out,
-            stats,
-        );
-        excluded.pop();
-        return;
-    }
-
-    let w = witness.as_ref().expect("verified prefix carries a witness");
-    // The prefix witness lies in `region ∧ ¬excluded`; whichever branch
-    // it falls on is proven for free (w in the include box ⟺ w satisfies
-    // the predicate, since w is already in `region`).
-    let inc_witness = if inc_region.is_empty() {
-        None
-    } else if inc_region.contains_row(w) {
-        Some(w.clone())
-    } else {
-        stats.sat_checks += 1;
-        sat::find_witness_with(&inc_region, excluded, parallel)
-    };
-    let exc_witness = if !pc.predicate.eval(w) {
-        Some(w.clone())
-    } else {
-        excluded.push(&pc.predicate);
-        stats.sat_checks += 1;
-        let found = sat::find_witness_with(&region, excluded, parallel);
-        excluded.pop();
-        found
-    };
-
-    if let Some(iw) = inc_witness {
-        let mut inc_active = active.clone();
-        inc_active.insert(gid);
-        splice_dfs(
-            locals,
-            idx + 1,
-            inc_region,
-            inc_active,
-            undecided,
-            excluded,
-            Some(iw),
-            true,
-            parallel,
-            out,
-            stats,
-        );
-    }
-    if let Some(ew) = exc_witness {
-        excluded.push(&pc.predicate);
-        splice_dfs(
-            locals,
-            idx + 1,
-            region,
-            active,
-            undecided,
-            excluded,
-            Some(ew),
-            true,
-            parallel,
-            out,
-            stats,
-        );
-        excluded.pop();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{decompose, BoundEngine, FrequencyConstraint, Strategy, ValueConstraint};
-    use pc_predicate::{Atom, AttrType, Schema};
+    use pc_predicate::{Atom, AttrType, Interval, Schema};
     use pc_storage::{AggKind, AggQuery};
 
     fn schema() -> Schema {
@@ -1326,68 +631,6 @@ mod tests {
         target.set_interval(0, Interval::half_open(100.0, 120.0));
         let mut stats = cs.stats();
         assert!(cs.specialize(&set, &target, &mut stats, false).is_empty());
-    }
-
-    #[test]
-    fn splice_matches_full_decomposition() {
-        // shared constraint on x plus one key-local (point) constraint:
-        // splicing the local into the shared cells must reproduce the
-        // cells of decomposing both constraints together in the slice.
-        let s = Schema::new(vec![("g", AttrType::Cat), ("v", AttrType::Float)]);
-        let shared = PredicateConstraint::new(
-            Predicate::atom(Atom::between(0, 0.0, 3.0)),
-            ValueConstraint::none().with(1, Interval::closed(0.0, 50.0)),
-            FrequencyConstraint::at_most(10),
-        );
-        let local = PredicateConstraint::new(
-            Predicate::atom(Atom::eq(0, 1.0)),
-            ValueConstraint::none().with(1, Interval::closed(0.0, 80.0)),
-            FrequencyConstraint::at_most(5),
-        );
-        let mut both = PcSet::new(s.clone())
-            .with(shared.clone())
-            .with(local.clone());
-        let mut domain = Region::full(&s);
-        domain.set_interval(0, Interval::closed(0.0, 3.0));
-        both.set_domain(domain.clone());
-
-        // slice g = 1
-        let mut slice = domain.clone();
-        slice.set_interval(0, Interval::point(1.0));
-        let (want, _) = decompose(&both, &slice, Strategy::DfsRewrite).unwrap();
-
-        // two-level by hand: decompose the shared constraint alone …
-        let mut shared_only = PcSet::new(s).with(shared);
-        shared_only.set_domain(domain);
-        let (cells, _) = decompose(&shared_only, &slice, Strategy::DfsRewrite).unwrap();
-        // … then splice the local (global index 1) into each shared cell
-        let mut got = Vec::new();
-        let mut stats = DecomposeStats::default();
-        for cell in cells {
-            splice_locals(
-                cell.region,
-                &cell.active,
-                &cell.undecided,
-                cell.witness,
-                Vec::new(),
-                &[(1, &local)],
-                false,
-                &mut got,
-                &mut stats,
-            );
-        }
-        let mut a: Vec<Vec<usize>> = want.iter().map(|c| c.active.to_vec()).collect();
-        let mut b: Vec<Vec<usize>> = got.iter().map(|c| c.active.to_vec()).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        for cell in &got {
-            let w = cell
-                .witness
-                .as_ref()
-                .expect("spliced cells carry witnesses");
-            assert!(cell.region.contains_row(w));
-        }
     }
 
     /// Sorted (signature, region) pairs for structural comparison.

@@ -189,17 +189,15 @@ fn pooled_group_by_matches_sequential_and_per_key() {
             &set,
             BoundOptions {
                 threads: 1,
-                shared_group_by: false,
                 ..BoundOptions::default()
             },
         )
         .bound_group_by(&base, 0, keys.clone());
-        for (threads, shared) in [(0usize, true), (4, true), (4, false)] {
+        for threads in [0usize, 4] {
             let got = BoundEngine::with_options(
                 &set,
                 BoundOptions {
                     threads,
-                    shared_group_by: shared,
                     ..BoundOptions::default()
                 },
             )
@@ -212,8 +210,7 @@ fn pooled_group_by_matches_sequential_and_per_key() {
                         assert!(
                             close(a.range.lo, b.range.lo, 1e-5)
                                 && close(a.range.hi, b.range.hi, 1e-5),
-                            "{agg:?} key {} (threads={threads}, shared={shared}): \
-                             [{}, {}] vs [{}, {}]",
+                            "{agg:?} key {} (threads={threads}): [{}, {}] vs [{}, {}]",
                             o.key,
                             a.range.lo,
                             a.range.hi,

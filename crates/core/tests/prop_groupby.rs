@@ -1,9 +1,9 @@
-//! Property-based tests for the shared-decomposition GROUP-BY path: for
-//! arbitrary overlapping constraint sets, every group's bound from the
-//! shared path (one decomposition + per-key specialization + warm-started
-//! parallel solves) must equal the bound a from-scratch per-key
-//! `BoundEngine::bound` computes — same ranges, same closure verdicts,
-//! same per-group errors.
+//! Property-based tests for GROUP-BY: for arbitrary overlapping
+//! constraint sets, every group's bound (keyed queries fanned out over
+//! the pool, each reach-scoped) must equal the bound the reference
+//! engine — flat, declaration-order, sequential — computes for that
+//! key's query on its own: same ranges, same closure verdicts, same
+//! per-group errors.
 
 use pc_core::{
     BoundEngine, BoundOptions, FrequencyConstraint, GroupBound, PcSet, PredicateConstraint,
@@ -59,6 +59,30 @@ fn build_set(pcs: Vec<PredicateConstraint>) -> PcSet {
     set
 }
 
+/// The reference answer of every key: its keyed query (`query` with
+/// `g = key` conjoined) bounded on its own by the flat, declaration-order,
+/// sequential engine.
+fn reference(set: &PcSet, query: &AggQuery, keys: &[f64]) -> Vec<GroupBound> {
+    let engine = BoundEngine::with_options(
+        set,
+        BoundOptions {
+            shard: false,
+            threads: 1,
+            ordering: false,
+            ..BoundOptions::default()
+        },
+    );
+    keys.iter()
+        .map(|&key| {
+            let predicate = query.predicate.clone().and(Atom::eq(0, key));
+            GroupBound {
+                key,
+                report: engine.bound(&AggQuery::new(query.agg, query.attr, predicate)),
+            }
+        })
+        .collect()
+}
+
 fn reports_equal(a: &GroupBound, b: &GroupBound) -> Result<(), String> {
     if a.key != b.key {
         return Err(format!("key mismatch: {} vs {}", a.key, b.key));
@@ -95,7 +119,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn shared_group_by_equals_per_key(
+    fn group_by_equals_keyed_reference(
         pcs in prop::collection::vec(arb_pc(), 1..6),
         agg_pick in 0usize..5,
         qa in 0..=GMAX, qb in 0..=GMAX,
@@ -112,15 +136,11 @@ proptest! {
         );
         let keys: Vec<f64> = (0..=GMAX).map(|k| k as f64).collect();
 
-        let shared = BoundEngine::new(&set).bound_group_by(&query, 0, keys.clone());
-        let baseline = BoundEngine::with_options(&set, BoundOptions {
-            shared_group_by: false,
-            ..BoundOptions::default()
-        })
-        .bound_group_by(&query, 0, keys.clone());
+        let groups = BoundEngine::new(&set).bound_group_by(&query, 0, keys.clone());
+        let want = reference(&set, &query, &keys);
 
-        prop_assert_eq!(shared.len(), baseline.len());
-        for (s, b) in shared.iter().zip(&baseline) {
+        prop_assert_eq!(groups.len(), want.len());
+        for (s, b) in groups.iter().zip(&want) {
             if let Err(msg) = reports_equal(s, b) {
                 return Err(TestCaseError::fail(msg));
             }
@@ -186,9 +206,7 @@ proptest! {
 
 prop_compose! {
     /// A *key-local* constraint: the group attribute pinned to one key
-    /// (a per-group floor/cap — the shape the retired `mostly_key_local`
-    /// heuristic used to punt to the per-key path, now handled by the
-    /// two-level splice).
+    /// (a per-group floor/cap).
     fn arb_local_pc()(
         g in 0..=GMAX,
         c in 0..=VMAX, d in 0..=VMAX,
@@ -214,15 +232,12 @@ prop_compose! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Two-level GROUP-BY == per-key GROUP-BY on key-local-heavy sets:
-    /// mostly (or entirely) key-pinned constraints, optionally mixed with
-    /// a few cross-cutting ones. These are the sets where the old
-    /// `mostly_key_local` heuristic forced the per-key fallback; the
-    /// two-level scheme must bound them identically through the shared
-    /// path — shared constraints decomposed once, each key's locals
-    /// spliced into its slice.
+    /// GROUP-BY == the keyed reference on key-local-heavy sets: mostly
+    /// (or entirely) key-pinned constraints, optionally mixed with a few
+    /// cross-cutting ones, so most keys' slices reach only their own
+    /// constraints plus the cross-cutting ones.
     #[test]
-    fn two_level_equals_per_key_on_key_local_heavy_sets(
+    fn group_by_equals_keyed_reference_on_key_local_heavy_sets(
         locals in prop::collection::vec(arb_local_pc(), 2..7),
         shared in prop::collection::vec(arb_pc(), 0..3),
         agg_pick in 0usize..5,
@@ -232,15 +247,11 @@ proptest! {
         let query = AggQuery::new(agg, 1, Predicate::always());
         let keys: Vec<f64> = (0..=GMAX).map(|k| k as f64).collect();
 
-        let two_level = BoundEngine::new(&set).bound_group_by(&query, 0, keys.clone());
-        let per_key = BoundEngine::with_options(&set, BoundOptions {
-            shared_group_by: false,
-            ..BoundOptions::default()
-        })
-        .bound_group_by(&query, 0, keys);
+        let groups = BoundEngine::new(&set).bound_group_by(&query, 0, keys.clone());
+        let want = reference(&set, &query, &keys);
 
-        prop_assert_eq!(two_level.len(), per_key.len());
-        for (t, p) in two_level.iter().zip(&per_key) {
+        prop_assert_eq!(groups.len(), want.len());
+        for (t, p) in groups.iter().zip(&want) {
             if let Err(msg) = reports_equal(t, p) {
                 return Err(TestCaseError::fail(msg));
             }

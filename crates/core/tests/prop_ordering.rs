@@ -229,8 +229,8 @@ proptest! {
         }
     }
 
-    /// GROUP-BY fan-outs: shared two-level and per-key alike answer the
-    /// same with and without ordering.
+    /// GROUP-BY fan-outs (one keyed query per key) answer the same with
+    /// and without ordering.
     #[test]
     fn group_by_matches_declaration_order(
         pcs in prop::collection::vec(arb_pc(), 1..6),
@@ -287,9 +287,9 @@ proptest! {
         }
     }
 
-    /// Session GROUP-BY serves its level-1 cells from the epoch cache
-    /// (zero-SAT key-local retirement) — answers must equal the engine's
-    /// own two-level path on the same catalog, with and without ordering.
+    /// Session GROUP-BY serves every keyed query from the epoch cache
+    /// (each key specializes the cached cells to its slice) — answers
+    /// must equal the engine's one-shot GROUP-BY on the same catalog.
     #[test]
     fn session_group_by_serves_from_epoch_cache(
         pcs in prop::collection::vec(arb_pc(), 1..6),

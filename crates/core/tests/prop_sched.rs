@@ -17,8 +17,8 @@
 //!    early-stop argument.
 
 use pc_core::{
-    BoundOptions, FrequencyConstraint, PcSet, PredicateConstraint, QueryBudget, Session,
-    SessionOptions, ValueConstraint,
+    AdmissionVerdict, BoundOptions, FrequencyConstraint, PcSet, PredicateConstraint, QueryBudget,
+    Session, SessionOptions, TripReason, ValueConstraint,
 };
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
 use pc_storage::{AggKind, AggQuery};
@@ -247,4 +247,83 @@ proptest! {
             );
         }
     }
+}
+
+/// A session GROUP-BY is admitted once for the whole call, and every key
+/// runs that verdict's rung through the serve path: each key of a
+/// deadline-armed call reports the call's `SchedReport`, and a key the
+/// gauge degrades or sheds says so (`degraded`, tripped by the deadline)
+/// while still answering from the primed epoch cache — finite, and
+/// containing the unlimited answer.
+#[test]
+fn group_by_keys_carry_the_calls_admission_outcome() {
+    let pc = |g_lo, g_hi, v_lo, v_hi, k_lo, k_hi| RawPc {
+        g_lo,
+        g_hi,
+        v_lo,
+        v_hi,
+        k_lo,
+        k_hi,
+    };
+    let set = build_set(&[
+        pc(0, 2, 1, 7, 1, 6),
+        pc(1, 3, 0, 5, 0, 9),
+        pc(2, 4, 2, 4, 0, 5),
+    ]);
+    let session = session_with(&set, true, true);
+    session.cell_set().expect("the epoch cache builds");
+    let base = AggQuery::new(AggKind::Sum, 1, Predicate::always());
+    let keys: Vec<f64> = (0..=GMAX).map(|k| k as f64).collect();
+    let unlimited = session.bound_group_by(&base, 0, keys.clone());
+
+    // Calibrate the gauge with generously deadlined calls.
+    for _ in 0..3 {
+        let warm = QueryBudget::armed().with_timeout(Duration::from_secs(3600));
+        for group in session.bound_group_by_budgeted(&base, 0, keys.clone(), &warm) {
+            let report = group.report.expect("a 1 h deadline answers every key");
+            assert!(
+                report.sched.is_some(),
+                "key {}: a deadline-armed key carries the call's SchedReport",
+                group.key
+            );
+        }
+    }
+
+    // Expired deadlines: the calibrated gauge degrades, then sheds.
+    let mut not_exact = 0;
+    for round in 0..3 {
+        let expired = QueryBudget::armed().with_timeout(Duration::ZERO);
+        let groups = session.bound_group_by_budgeted(&base, 0, keys.clone(), &expired);
+        for (want, got) in unlimited.iter().zip(&groups) {
+            let key = got.key;
+            let want = want.report.as_ref().expect("every key has an exact range");
+            let got = got.report.as_ref().expect("a degraded key still answers");
+            let sched = got
+                .sched
+                .expect("a deadline-armed key carries a SchedReport");
+            if sched.verdict == AdmissionVerdict::Exact {
+                continue;
+            }
+            not_exact += 1;
+            let ctx = format!("round {round} key {key} ({:?})", sched.verdict);
+            assert!(got.degraded, "{ctx}: not flagged degraded");
+            assert_eq!(got.trip, Some(TripReason::Deadline), "{ctx}");
+            assert!(
+                got.range.lo.is_finite() && got.range.hi.is_finite(),
+                "{ctx}: {:?} must stay finite",
+                got.range
+            );
+            assert!(
+                got.range.lo <= want.range.lo + 1e-9 && got.range.hi >= want.range.hi - 1e-9,
+                "{ctx}: {:?} must contain the unlimited {:?}",
+                got.range,
+                want.range
+            );
+        }
+    }
+    assert!(
+        not_exact > 0,
+        "a calibrated gauge at zero slack must degrade or shed ({:?})",
+        session.pressure().stats()
+    );
 }

@@ -250,8 +250,8 @@ proptest! {
         }
     }
 
-    /// GROUP-BY: the sharded route (per-key over factored catalogs)
-    /// answers every key exactly as the unsharded two-level scheme.
+    /// GROUP-BY: every key's reach-scoped, sharded bound answers exactly
+    /// as the flat, full-catalog bound of the same keyed query.
     #[test]
     fn sharded_group_by_equals_unsharded(
         pcs in prop::collection::vec(arb_pc(), 1..6),

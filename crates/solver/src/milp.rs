@@ -18,7 +18,7 @@
 //!    the slack/artificial basis. The property-tested oracle.
 //! 2. **Basis restore** ([`MilpOptions::warm_start`]) — the parent's
 //!    optimal simplex *basis* is threaded into
-//!    [`solve_lp_tableau`](crate::solve_lp_tableau): the child still
+//!    [`solve_lp_tableau`]: the child still
 //!    rebuilds its tableau from scratch, then crashes the parent basis
 //!    in (O(m) pivots) and dual-restores feasibility, skipping phase 1.
 //!    Basis incompatibility silently degrades to a cold solve.

@@ -58,14 +58,14 @@
 //!   missing-data range (SUM/COUNT only).
 //! * `--group-by COL` — bound the query once per distinct value of `COL`
 //!   (dictionary codes for categorical columns, observed values
-//!   otherwise), via the engine's two-level shared-decomposition group-by.
+//!   otherwise). Each group's line is the answer of the query with
+//!   `COL = <key>` conjoined to its WHERE clause, exactly what `bound`
+//!   prints for that keyed query; the groups run in parallel.
 //! * `--threads N` — worker threads for parallel decomposition, parallel
 //!   GROUP-BY groups / batch queries, the parallel witness search, and
 //!   the allocation MILP's branch & bound (`0` = auto-detect, `1` =
 //!   sequential; bounds are identical at any setting up to the branch &
 //!   bound pruning tolerance, ~1e-6).
-//! * `--per-key-groupby` — disable the shared-decomposition group-by
-//!   (A/B baseline: one full decomposition per group).
 //! * `--stats` — print the work counters alongside each result. For
 //!   `bound` (single query): after the range, the cells, SAT checks, and
 //!   branch & bound nodes, the estimate-guided ordering counters
@@ -150,7 +150,6 @@ struct Args {
     combine: bool,
     group_by: Option<String>,
     threads: usize,
-    per_key_groupby: bool,
     no_session_cache: bool,
     no_warm_start: bool,
     no_tableau_carry: bool,
@@ -180,7 +179,6 @@ fn parse_args() -> Result<Args, String> {
         combine: false,
         group_by: None,
         threads: 0,
-        per_key_groupby: false,
         no_session_cache: false,
         no_warm_start: false,
         no_tableau_carry: false,
@@ -216,7 +214,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| format!("--threads: `{v}` is not a number"))?;
             }
-            "--per-key-groupby" => args.per_key_groupby = true,
             "--stats" => args.stats = true,
             "--timeout-ms" => args.caps.timeout_ms = Some(parse_cap("--timeout-ms", argv.next())?),
             "--sat-cap" => args.caps.sat_cap = Some(parse_cap("--sat-cap", argv.next())?),
@@ -259,7 +256,6 @@ fn session_options(args: &Args) -> SessionOptions {
     SessionOptions {
         bound: BoundOptions {
             threads: args.threads,
-            shared_group_by: !args.per_key_groupby,
             warm_start: !args.no_warm_start,
             tableau_carry: !args.no_tableau_carry,
             ..BoundOptions::default()
@@ -440,9 +436,6 @@ fn main() -> ExitCode {
             }
             if args.query.is_some() {
                 return fail("`batch` takes --queries (a file of queries), not --query");
-            }
-            if args.per_key_groupby {
-                return fail("--per-key-groupby is not supported by `batch` (no GROUP BY queries here); its A/B knobs are --no-session-cache / --no-warm-start");
             }
             let set = match load_constraints(&args, &table) {
                 Ok(s) => s,

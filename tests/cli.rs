@@ -62,6 +62,68 @@ fn bound_command_end_to_end() {
 }
 
 #[test]
+fn bound_group_by_matches_keyed_bounds() {
+    let dir = std::env::temp_dir().join("pc-cli-test-groupby");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (data, constraints) = write_fixtures(&dir);
+    let bound = |query: &str, extra: &[&str]| -> (String, String) {
+        let out = pc_bin()
+            .args([
+                "bound",
+                "--data",
+                &data,
+                "--schema",
+                SCHEMA,
+                "--constraints",
+                &constraints,
+                "--query",
+                query,
+            ])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{query}: {stderr}");
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+    };
+    let (sums, _) = bound("SELECT SUM(price)", &["--group-by", "branch"]);
+    assert!(sums.contains("Chicago: [0, 749.95]"), "{sums}");
+    assert!(sums.contains("New York: [0, 14999]"), "{sums}");
+    // every group's line is what `bound` prints for the keyed query
+    for agg in [
+        "COUNT(*)",
+        "SUM(price)",
+        "AVG(price)",
+        "MIN(price)",
+        "MAX(price)",
+    ] {
+        let (grouped, _) = bound(&format!("SELECT {agg}"), &["--group-by", "branch"]);
+        for key in ["Chicago", "New York"] {
+            let got = grouped
+                .lines()
+                .find(|l| l.starts_with(&format!("{key}: ")))
+                .unwrap_or_else(|| panic!("{agg}: no line for {key} in {grouped}"));
+            let (keyed, warnings) = bound(&format!("SELECT {agg} WHERE branch = '{key}'"), &[]);
+            let want = if keyed.starts_with("EMPTY") {
+                format!("{key}: empty (no missing row can reach this group)")
+            } else {
+                let range = keyed
+                    .lines()
+                    .find_map(|l| l.strip_prefix("result range: "))
+                    .unwrap_or_else(|| panic!("{agg} {key}: no range in {keyed}"));
+                let open = if warnings.contains("does not cover") {
+                    "  (not closed)"
+                } else {
+                    ""
+                };
+                format!("{key}: {range}{open}")
+            };
+            assert_eq!(got, want, "{agg} GROUP BY branch");
+        }
+    }
+}
+
+#[test]
 fn bound_with_combine() {
     let dir = std::env::temp_dir().join("pc-cli-test-combine");
     std::fs::create_dir_all(&dir).unwrap();
@@ -520,6 +582,19 @@ fn unsupported_flag_combinations_are_rejected() {
         let out = cmd.args(&extra).output().unwrap();
         assert!(!out.status.success(), "batch must reject {extra:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
+    }
+    // the removed per-key A/B switch is an unknown flag everywhere
+    for cmd in ["bound", "batch"] {
+        let out = base(cmd)
+            .args(["--group-by", "branch", "--per-key-groupby"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{cmd} must reject --per-key-groupby");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag `--per-key-groupby`"),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     // and bound must not silently ignore --queries
     let out = base("bound")
