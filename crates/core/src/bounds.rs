@@ -8,25 +8,37 @@
 //! with the MILP of §4.2 — or the greedy per-variable optimum when the set
 //! is disjoint (the "Faster Algorithm in Special Cases").
 //!
+//! Every answer that builds cells runs through one body,
+//! `BoundEngine::bound_slices`. A query hands it *slices* — the cells each
+//! connected component of the constraint-interaction graph keeps inside
+//! the region ([`crate::shard`]) — and one closure verdict. No frequency
+//! row spans two components, so `COUNT` and `SUM` add the slices' own
+//! bounds; `MIN`, `MAX` and `AVG` bound the one slice's own problem, or
+//! one joint problem over every slice's cells. A one-shot bound
+//! decomposes its slices; a [`crate::Session`] specializes one slice per
+//! shard of its epoch. With [`BoundOptions::shard`] off, the whole
+//! catalog is one slice, decomposed in full: the reference path.
+//!
 //! With [`BoundOptions::shard`] on, a one-shot bound first keeps only the
 //! constraints whose predicate meets `query ∩ domain` (the ones the query
 //! *reaches*). A constraint it does not reach has no cell in the region,
-//! so the whole pipeline — closure probe, interaction components, shard
-//! sub-sets, decomposition, frequency rows, allocation — runs on the
-//! reached sub-catalog, and its cost follows what the query touches, not
-//! the catalog size. So does the estimate table behind
+//! so the whole pipeline — closure probe, interaction components,
+//! decomposition, frequency rows, allocation — runs on the reached
+//! sub-catalog, and its cost follows what the query touches, not the
+//! catalog size. So does the estimate table behind
 //! [`BoundOptions::ordering`]: an engine that holds none yet estimates
 //! only the reached constraints, while one that holds a table (injected
 //! by a session, or built by an earlier call that reached every
-//! constraint) restricts it, so split survival still publishes
-//! into its shared counters. An unreached constraint can still change one
-//! verdict: a frequency floor whose allowed region misses the domain has
-//! nowhere to put its rows, so the call fails [`BoundError::Infeasible`]
-//! exactly as the full-catalog path does. On the reached sub-catalog the
-//! closure probe runs first: when it finds the region open and no reached
-//! constraint keeps a frequency floor in it, the closure rule below fixes
-//! the range, and the call returns before interaction components, shard
-//! sub-sets or any cell are built.
+//! constraint) restricts it, so split survival still publishes into its
+//! shared counters. Reached constraints that form one component are one
+//! slice of that sub-catalog, with no further copy. An unreached
+//! constraint can still change one verdict: a frequency floor whose
+//! allowed region misses the domain has nowhere to put its rows, so the
+//! call fails [`BoundError::Infeasible`] exactly as the full-catalog path
+//! does. On the reached sub-catalog the closure probe runs first: when it
+//! finds the region open and no reached constraint keeps a frequency
+//! floor in it, the closure rule below fixes the range, and the call
+//! returns before interaction components or any cell are built.
 //!
 //! Soundness details the paper leaves implicit, made explicit here:
 //!
@@ -51,6 +63,7 @@
 
 use crate::decompose::{decompose_ordered_budgeted, Parallelism, NAIVE_LIMIT};
 use crate::estimate::{Estimates, SplitOrdering};
+use crate::shard::ShardedCellSet;
 use crate::{ActiveSet, BoundError, Cell, DecomposeStats, PcSet, PredicateConstraint, Strategy};
 use pc_budget::{QueryBudget, WorkGate};
 use pc_predicate::Region;
@@ -128,18 +141,22 @@ pub struct BoundOptions {
     /// `query ∩ domain` (each is a component with no cells in the region;
     /// see the module docs), and the connected components of the reached
     /// constraints' pairwise attribute-box overlap graph decompose
-    /// independently as parallel shards whose bounds recombine exactly
-    /// (see [`crate::shard`]). Reached sets that are one component take
-    /// the flat path; disjoint-hinted sets keep their own fast path. So
+    /// independently, one slice each, as parallel shards whose bounds
+    /// recombine exactly (see [`crate::shard`]). Reached sets that are
+    /// one component, and disjoint-hinted sets (their own fast path), are
+    /// one slice of the reached constraints: the same work as the
+    /// reference path on that sub-catalog. So
     /// [`Strategy::Naive`]'s [`crate::decompose::NAIVE_LIMIT`] and
     /// [`Strategy::EarlyStop`]'s depth count reached constraints. Under
-    /// the exact strategies the sharded and flat answers are identical
-    /// (property-tested); under [`Strategy::EarlyStop`] both are sound
-    /// but may admit different unverified cells. Disable to A/B against
-    /// the full-catalog flat path, which is also the property-test
-    /// oracle. An open region that no reached constraint forces rows into
-    /// is answered from the closure probe before any of this (module
-    /// docs): such a cell-free answer reports zero cells and zero shards.
+    /// the exact strategies the sharded and reference answers are
+    /// identical (property-tested); under [`Strategy::EarlyStop`] both
+    /// are sound but may admit different unverified cells. Disable to
+    /// A/B against the reference path — one slice of the whole catalog,
+    /// with no reach scoping and no factoring — which is also the
+    /// property-test oracle. An open region that no reached constraint
+    /// forces rows into is answered from the closure probe before any of
+    /// this (module docs): such a cell-free answer reports zero cells and
+    /// zero shards.
     pub shard: bool,
     /// Estimate-guided search ordering (on by default; see
     /// [`crate::estimate`]): the decomposition decides include/exclude
@@ -227,6 +244,15 @@ pub struct LpWork {
 }
 
 impl LpWork {
+    /// Fold another call's counters into these, field by field.
+    fn absorb(&mut self, other: LpWork) {
+        self.pivots += other.pivots;
+        self.carried += other.carried;
+        self.rebuilt += other.rebuilt;
+        self.nodes += other.nodes;
+        self.incumbent_first += other.incumbent_first;
+    }
+
     fn absorb_search(&mut self, nodes: usize, s: SearchStats) {
         self.pivots += s.pivots();
         self.carried += s.carried_nodes;
@@ -253,8 +279,12 @@ pub struct BoundReport {
     /// Whether the constraint set covered the entire query region. `false`
     /// means one or both ends were forced to ±∞.
     pub closed: bool,
-    /// Decomposition work counters. All zero on a cell-free answer (an
-    /// open region the closure probe answered alone; module docs).
+    /// Decomposition work counters, summed over the answer's slices. An
+    /// answer of several slices reports their shard topology
+    /// ([`DecomposeStats::shards`]); a one-shot answer of one slice
+    /// reports none, and a [`crate::Session`] answer reports its epoch's.
+    /// All zero on a cell-free answer (an open region the closure probe
+    /// answered alone; module docs).
     pub stats: DecomposeStats,
     /// LP/MILP work counters (pivots, carried vs rebuilt tableaux, branch
     /// & bound nodes) — the measured side of the warm-start tiers.
@@ -267,12 +297,12 @@ pub struct BoundReport {
     /// exact answer — only possibly looser than an unbudgeted run's.
     /// Always `false` for unlimited-budget calls.
     pub degraded: bool,
-    /// Per-shard SAT-check counts when the call routed through the
-    /// sharded path ([`BoundOptions::shard`], [`crate::shard`]), in shard
-    /// order — the skew profile of the factored decomposition. A one-shot
-    /// bound counts the shards of the constraints its region reaches; a
-    /// [`crate::Session`] counts every shard of its epoch. Empty on the
-    /// flat paths and on cell-free answers.
+    /// Per-slice SAT-check counts when the answer had two or more slices
+    /// ([`BoundOptions::shard`], [`crate::shard`]), in shard order — the
+    /// skew profile of the factored decomposition. A one-shot bound
+    /// counts the shards of the constraints its region reaches; a
+    /// [`crate::Session`] counts every shard of its epoch. Empty on an
+    /// answer of one slice and on cell-free answers.
     pub shard_sat_checks: Vec<u64>,
     /// Why the budget tripped, when [`BoundReport::degraded`] is set and
     /// the cause is known: the budget's sticky first-trip record, or
@@ -477,18 +507,31 @@ pub(crate) struct CellProblem {
     degraded: StdCell<bool>,
 }
 
-/// One shard's contribution to a sharded bounding call (see
-/// [`BoundEngine::bound_sharded`]): the shard's constraints as their own
-/// set (local indices), the member table back into the global set, the
-/// cells relevant to this query, and the work newly charged producing
-/// them. `cache` is `Some` exactly when the query region contains the
-/// whole shard, making the shard's domain-wide summaries exact for it.
-pub(crate) struct ShardSlice {
-    pub(crate) sub: Arc<PcSet>,
-    pub(crate) members: Vec<usize>,
+/// One slice of a bounding call (see [`BoundEngine::bound_slices`]): the
+/// cells the query keeps of one interaction component, and the work newly
+/// charged producing them.
+pub(crate) struct ShardSlice<'s> {
+    /// The component's constraints as their own set (local indices) with
+    /// each one's index in the engine's set, or `None` when the slice is
+    /// the engine's whole set and its cells carry the engine's indices.
+    pub(crate) part: Option<(&'s PcSet, &'s [usize])>,
     pub(crate) cells: Vec<Cell>,
     pub(crate) stats: DecomposeStats,
-    pub(crate) cache: Option<Arc<crate::shard::Shard>>,
+    /// The session shard behind the slice, exactly when the query region
+    /// contains every member box, making its domain-wide summaries exact.
+    pub(crate) cache: Option<&'s crate::shard::Shard>,
+}
+
+impl ShardSlice<'_> {
+    /// The slice of the engine's whole set holding `cells`.
+    fn whole(cells: Vec<Cell>, stats: DecomposeStats) -> Self {
+        ShardSlice {
+            part: None,
+            cells,
+            stats,
+            cache: None,
+        }
+    }
 }
 
 impl CellProblem {
@@ -512,7 +555,7 @@ pub struct BoundEngine<'a> {
     /// Per-constraint selectivity estimates driving the search ordering
     /// ([`BoundOptions::ordering`]). Injected by the owning
     /// [`crate::Session`] (whose epochs maintain them incrementally per
-    /// delta) or by the sharded path (restricted to the shard's members,
+    /// delta) or by a component's slice (restricted to its members,
     /// sharing the catalog-wide survival counters); a standalone engine
     /// computes them lazily on first use. A one-shot bound that drops
     /// constraints leaves an unbuilt table unbuilt and estimates only the
@@ -609,9 +652,7 @@ impl<'a> BoundEngine<'a> {
         let mut base = query.predicate.to_region(self.set.schema());
         base.intersect(self.set.domain());
         if !self.options.shard {
-            let closure = self.closure(&base, budget);
-            let problem = self.build_problem(query, &base, closure, warm, budget)?;
-            return self.bound_problem(query.agg, &problem);
+            return self.bound_factored(query, &base, warm, budget);
         }
         let reached = self.reached(&base)?;
         if reached.len() == self.set.len() {
@@ -631,7 +672,7 @@ impl<'a> BoundEngine<'a> {
     /// The constraints whose predicate meets `base` (ascending), decided
     /// by [`crate::specialize::overlaps_region`], which allocates nothing.
     /// Fails [`BoundError::Infeasible`] when a constraint it drops carries
-    /// a frequency floor the flat path's rows would keep: the dropped
+    /// a frequency floor the reference path's rows would keep: the dropped
     /// constraint has no cell in `base`, so the rows it forces have
     /// nowhere to go.
     fn reached(&self, base: &Region) -> Result<Vec<usize>, BoundError> {
@@ -659,12 +700,12 @@ impl<'a> BoundEngine<'a> {
         engine
     }
 
-    /// Bound over this engine's whole set: an open region no floor
-    /// forces rows into is answered from the closure probe alone
-    /// ([`BoundEngine::cell_free_answer`]); otherwise factor over the
-    /// constraint-interaction graph when it actually factors (≥ 2
-    /// components), and single-component and disjoint-hinted sets take
-    /// the flat path.
+    /// Bound over this engine's whole set. With [`BoundOptions::shard`]
+    /// on, an open region no floor forces rows into is answered from the
+    /// closure probe alone ([`BoundEngine::cell_free_answer`]), and a set
+    /// whose interaction graph has two or more components decomposes one
+    /// slice per component. Otherwise — one component, a disjoint-hinted
+    /// set, or `shard: false` — the set is one slice of its own cells.
     fn bound_factored(
         &self,
         query: &AggQuery,
@@ -672,36 +713,69 @@ impl<'a> BoundEngine<'a> {
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<BoundReport, BoundError> {
-        let closure = self.closure(base, budget);
-        if let Some(report) = self.cell_free_answer(query.agg, base, closure.0, budget) {
-            return Ok(report);
-        }
-        if !self.set.disjoint_hint() && self.set.len() >= 2 {
-            let components = crate::shard::interaction_components(self.set);
-            if components.len() > 1 {
-                return self.bound_sharded_oneshot(query, base, closure, &components, warm, budget);
+        let closed = self.closure(base, None, budget);
+        let mut components = Vec::new();
+        if self.options.shard {
+            if let Some(report) = self.cell_free_answer(query.agg, base, closed, budget) {
+                return Ok(report);
+            }
+            if !self.set.disjoint_hint() && self.set.len() >= 2 {
+                components = crate::shard::interaction_components(self.set);
             }
         }
-        let problem = self.build_problem(query, base, closure, warm, budget)?;
-        self.bound_problem(query.agg, &problem)
+        let no_stats = DecomposeStats::default();
+        if components.len() < 2 {
+            let (cells, stats) = self.cells_for_base_budgeted(base, budget)?;
+            let slices = vec![ShardSlice::whole(cells, stats)];
+            return self.bound_slices(query, base, closed, slices, no_stats, warm, budget);
+        }
+        let estimates = self.options.ordering.then(|| &**self.estimates());
+        let mut parts = crate::shard::decompose_components(
+            self.set,
+            &self.options,
+            base,
+            &components,
+            estimates,
+            budget,
+        )?;
+        let slices = parts
+            .iter_mut()
+            .map(|c| ShardSlice {
+                part: Some((&c.sub, &c.members)),
+                cells: std::mem::take(&mut c.cells),
+                stats: c.stats,
+                cache: None,
+            })
+            .collect();
+        self.bound_slices(query, base, closed, slices, no_stats, warm, budget)
     }
 
-    /// The closure verdict `(closed, skipped)` over `base`. Closure is a
-    /// global question — one probe over the whole set, never per shard.
-    /// `check_closure: false` assumes closure; a tripped budget skips the
-    /// probe and assumes *open* — the sound direction (affected range
-    /// ends widen to ±∞) — and `skipped` marks the answer degraded.
-    fn closure(&self, base: &Region, budget: &QueryBudget) -> (bool, bool) {
+    /// The closure verdict over `base`. Closure is a global question — one
+    /// verdict for the whole set, never per slice. `check_closure: false`
+    /// assumes closure. A session passes its epoch's cells, whose hoisted
+    /// verdict answers first: a sub-region of a closed base is closed,
+    /// and the base's cached counterexample inside `base` proves it open,
+    /// with no SAT call. Otherwise one probe decides; a tripped budget
+    /// skips it and assumes *open* — the sound direction (affected range
+    /// ends widen to ±∞) — and its sticky trip marks the answer degraded.
+    pub(crate) fn closure(
+        &self,
+        base: &Region,
+        epoch: Option<&ShardedCellSet>,
+        budget: &QueryBudget,
+    ) -> bool {
         if !self.options.check_closure {
-            (true, false)
-        } else if !budget.proceed() {
-            (false, true)
-        } else {
-            (
-                self.set.is_closed_within_with(base, self.par_witness()),
-                false,
-            )
+            return true;
         }
+        if let Some(cells) = epoch {
+            if cells.closed() {
+                return true;
+            }
+            if cells.uncovered().is_some_and(|w| base.contains_row(w)) {
+                return false;
+            }
+        }
+        budget.proceed() && self.set.is_closed_within_with(base, self.par_witness())
     }
 
     /// The closure rule (module docs) with no cell built: when `base` is
@@ -753,272 +827,137 @@ impl<'a> BoundEngine<'a> {
         })
     }
 
-    /// One-shot sharded bound: decompose each interaction-graph component
-    /// independently (parallel pool tasks, shared budget) against the
-    /// query region, then recombine under the global closure verdict.
-    fn bound_sharded_oneshot(
-        &self,
-        query: &AggQuery,
-        base: &Region,
-        (closed, skipped_closure): (bool, bool),
-        components: &[Vec<usize>],
-        warm: Option<WarmCache>,
-        budget: &QueryBudget,
-    ) -> Result<BoundReport, BoundError> {
-        let threads = self.task_threads(components.len());
-        let built = pooled_map_catch(components, threads, &|members: &Vec<usize>| {
-            let sub = Arc::new(crate::shard::sub_set(self.set, members));
-            let (cells, stats) = self
-                .sub_engine(&sub, members)
-                .cells_for_base_budgeted(base, budget)?;
-            Ok::<ShardSlice, BoundError>(ShardSlice {
-                sub,
-                members: members.clone(),
-                cells,
-                stats,
-                cache: None,
-            })
-        });
-        let mut slices = Vec::with_capacity(built.len());
-        for result in built {
-            slices.push(result.ok_or(BoundError::Panicked)??);
-        }
-        self.bound_sharded(
-            query,
-            base,
-            closed,
-            skipped_closure,
-            slices,
-            DecomposeStats::default(),
-            warm,
-            budget,
-        )
-    }
-
-    /// Recombine per-shard cells into the query's bound. `COUNT`/`SUM`
-    /// solve one block of the block-diagonal allocation MILP per shard
-    /// and add the intervals (with per-shard domain-wide caching);
-    /// `MIN`/`MAX`/`AVG` concatenate the shard cells — by the factoring
-    /// theorem exactly the flat cell set — and reuse the flat per-cell
-    /// summaries (the AVG probe's `Σxᵢ ≥ 1` row couples every shard, so
-    /// its binary search runs joint). `base_stats` carries the
-    /// container's counters when the cells came from a session cache.
+    /// The one bounding body: bound `query` over `slices` — the cells
+    /// each interaction component keeps inside `base` — under the global
+    /// closure verdict `closed`. No frequency row spans two components,
+    /// so the allocation MILP is block-diagonal: `COUNT` and `SUM` add
+    /// the slices' own bounds. `MIN`, `MAX` and `AVG` bound the one
+    /// slice's own problem, or, over several slices, one joint problem
+    /// over their cells in this engine's indices — by the factoring
+    /// theorem exactly the flat cell set (the AVG probe's `Σxᵢ ≥ 1` row
+    /// couples every slice). An empty slice list (an empty catalog) is
+    /// one empty slice of the engine's set. `base_stats` carries the
+    /// container's counters when the cells came from a session's epoch.
+    /// Several slices report their shard topology and per-slice SAT
+    /// checks; one slice keeps `base_stats`' topology.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn bound_sharded(
+    pub(crate) fn bound_slices(
         &self,
         query: &AggQuery,
         base: &Region,
         closed: bool,
-        skipped_closure: bool,
-        slices: Vec<ShardSlice>,
+        mut slices: Vec<ShardSlice<'_>>,
         base_stats: DecomposeStats,
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<BoundReport, BoundError> {
+        if slices.is_empty() {
+            slices.push(ShardSlice::whole(Vec::new(), DecomposeStats::default()));
+        }
         let mut stats = base_stats;
-        let shard_sat_checks: Vec<u64> = slices.iter().map(|s| s.stats.sat_checks).collect();
         for slice in &slices {
             stats.absorb(&slice.stats);
         }
         stats.cells = slices.iter().map(|s| s.cells.len()).sum();
-        stats.shards = slices.len();
-        stats.max_shard_constraints = slices.iter().map(|s| s.sub.len()).max().unwrap_or(0);
-
-        match query.agg {
-            AggKind::Count | AggKind::Sum => self.combine_additive(
-                query,
-                base,
-                closed,
-                skipped_closure,
-                slices,
-                stats,
-                shard_sat_checks,
-                warm,
-                budget,
-            ),
-            AggKind::Min | AggKind::Max | AggKind::Avg => {
-                let mut cells = Vec::with_capacity(stats.cells);
-                for slice in &slices {
-                    for cell in &slice.cells {
-                        cells.push(Cell {
-                            region: Arc::clone(&cell.region),
-                            active: cell.active.iter().map(|i| slice.members[i]).collect(),
-                            witness: cell.witness.clone(),
-                            undecided: cell.undecided.iter().map(|i| slice.members[i]).collect(),
-                        });
+        let mut shard_sat_checks = Vec::new();
+        if slices.len() > 1 {
+            stats.shards = slices.len();
+            stats.max_shard_constraints = slices
+                .iter()
+                .filter_map(|s| s.part.map(|(sub, _)| sub.len()))
+                .max()
+                .unwrap_or(0);
+            shard_sat_checks = slices.iter().map(|s| s.stats.sat_checks).collect();
+        }
+        let attr = query.attr;
+        // A slice's problem, built by an engine over the slice's own
+        // constraints (this engine's estimates restricted to its members),
+        // or by this engine for a slice of its whole set.
+        let problem = |slice: ShardSlice<'_>, stats, warm| {
+            let sub_engine;
+            let engine = match slice.part {
+                None => self,
+                Some((sub, members)) => {
+                    sub_engine = self.sub_engine(sub, members);
+                    &sub_engine
+                }
+            };
+            engine.problem_from_cells_budgeted(attr, base, slice.cells, stats, closed, warm, budget)
+        };
+        let mut report = match query.agg {
+            AggKind::Count | AggKind::Sum => {
+                // Each slice's problem is built under the global closure
+                // verdict, so an unplaceable floor still fails
+                // `Infeasible`. A slice whose shard the region contains
+                // serves the shard's query-independent domain-wide
+                // interval, or stores it after a clean, closed, untripped
+                // answer.
+                let tag = u8::from(query.agg == AggKind::Sum);
+                let mut range = ResultRange { lo: 0.0, hi: 0.0 };
+                let mut solver = LpWork::default();
+                let mut degraded = stats.frontier_cells > 0 || budget.is_tripped();
+                for slice in slices {
+                    let shard = slice.cache;
+                    let (lo, hi) = match shard.and_then(|s| s.cached_summary(tag, attr)) {
+                        Some(summary) => summary,
+                        None => {
+                            let slice_stats = slice.stats;
+                            let p = problem(slice, slice_stats, warm.clone())?;
+                            let r = self.bound_problem(query.agg, &p)?;
+                            if let Some(shard) = shard {
+                                if closed && !r.degraded && !budget.is_tripped() {
+                                    shard.store_summary(tag, attr, r.range.lo, r.range.hi);
+                                }
+                            }
+                            degraded |= r.degraded;
+                            solver.absorb(r.solver);
+                            (r.range.lo, r.range.hi)
+                        }
+                    };
+                    range.lo += lo;
+                    range.hi += hi;
+                }
+                if !closed {
+                    // A summary holds a closed region's ends; an open one
+                    // forces them infinite, as each slice's own bound does.
+                    range.hi = f64::INFINITY;
+                    if query.agg == AggKind::Sum {
+                        range.lo = f64::NEG_INFINITY;
                     }
                 }
-                let p = self.problem_from_cells_budgeted(
-                    query.attr, base, cells, stats, closed, warm, budget,
-                )?;
-                if skipped_closure {
-                    p.degraded.set(true);
+                BoundReport {
+                    range,
+                    closed,
+                    stats,
+                    solver,
+                    degraded,
+                    shard_sat_checks: Vec::new(),
+                    trip: None,
+                    sched: None,
                 }
-                let mut report = self.bound_problem(query.agg, &p)?;
-                report.shard_sat_checks = shard_sat_checks;
-                Ok(report)
             }
-        }
-    }
-
-    /// The `COUNT`/`SUM` side of [`BoundEngine::bound_sharded`]: no
-    /// frequency row spans two shards, so the allocation MILP is
-    /// block-diagonal and the global optimum is the sum of per-shard
-    /// optima. A shard whose slice carries its cache handle (query region
-    /// ⊇ every member box) serves or refills the query-independent
-    /// domain-wide interval.
-    #[allow(clippy::too_many_arguments)]
-    fn combine_additive(
-        &self,
-        query: &AggQuery,
-        base: &Region,
-        closed: bool,
-        skipped_closure: bool,
-        slices: Vec<ShardSlice>,
-        stats: DecomposeStats,
-        shard_sat_checks: Vec<u64>,
-        warm: Option<WarmCache>,
-        budget: &QueryBudget,
-    ) -> Result<BoundReport, BoundError> {
-        let base_degraded = skipped_closure || stats.frontier_cells > 0 || budget.is_tripped();
-        let tag = if query.agg == AggKind::Count {
-            0u8
-        } else {
-            1u8
+            AggKind::Min | AggKind::Max | AggKind::Avg if slices.len() == 1 => {
+                let p = problem(slices.pop().expect("one slice"), stats, warm)?;
+                self.bound_problem(query.agg, &p)?
+            }
+            AggKind::Min | AggKind::Max | AggKind::Avg => {
+                let mut cells = Vec::with_capacity(stats.cells);
+                for slice in slices {
+                    let index = |i: usize| slice.part.map_or(i, |(_, members)| members[i]);
+                    cells.extend(slice.cells.into_iter().map(|cell| Cell {
+                        region: cell.region,
+                        active: cell.active.iter().map(index).collect(),
+                        witness: cell.witness,
+                        undecided: cell.undecided.iter().map(index).collect(),
+                    }));
+                }
+                let p = self
+                    .problem_from_cells_budgeted(attr, base, cells, stats, closed, warm, budget)?;
+                self.bound_problem(query.agg, &p)?
+            }
         };
-        if query.agg == AggKind::Sum && !closed {
-            // The range is (−∞, ∞) whatever the allocation, but the
-            // verdict must match the flat path's: a frequency floor with
-            // nowhere to go makes the catalog infeasible. Only floors
-            // raise `Infeasible`, so build (not solve) just the problems
-            // of slices that carry one; floor-free catalogs stay free.
-            for slice in slices {
-                if slice.sub.constraints().iter().any(|pc| pc.frequency.lo > 0) {
-                    self.sub_engine(&slice.sub, &slice.members)
-                        .problem_from_cells_budgeted(
-                            query.attr,
-                            base,
-                            slice.cells,
-                            slice.stats,
-                            true,
-                            None,
-                            budget,
-                        )?;
-                }
-            }
-            return Ok(BoundReport {
-                range: ResultRange {
-                    lo: f64::NEG_INFINITY,
-                    hi: f64::INFINITY,
-                },
-                closed,
-                stats,
-                solver: LpWork::default(),
-                degraded: base_degraded,
-                shard_sat_checks,
-                trip: None,
-                sched: None,
-            });
-        }
-
-        let mut lo = 0.0;
-        let mut hi = 0.0;
-        let mut work = LpWork::default();
-        let mut degraded = base_degraded;
-        for slice in slices {
-            if let Some(shard) = &slice.cache {
-                if let Some((slo, shi)) = shard.cached_summary(tag, query.attr) {
-                    lo += slo;
-                    hi += shi;
-                    continue;
-                }
-            }
-            // Members may be skew-reordered; the slice's sub-set uses the
-            // same order, so the restricted estimates line up.
-            let sub_engine = self.sub_engine(&slice.sub, &slice.members);
-            // Per-shard problems are built closure-free (`closed: true`);
-            // the global closure verdict is applied once at the combine.
-            let p = sub_engine.problem_from_cells_budgeted(
-                query.attr,
-                base,
-                slice.cells,
-                slice.stats,
-                true,
-                warm.clone(),
-                budget,
-            )?;
-            let (slo, shi) = if p.cells.is_empty() {
-                (0.0, 0.0)
-            } else if query.agg == AggKind::Count {
-                let ones = vec![1.0; p.cells.len()];
-                let slo = sub_engine.allocate(&p, &ones, Sense::Minimize, false)?;
-                let shi = if closed {
-                    sub_engine.allocate(&p, &ones, Sense::Maximize, false)?
-                } else {
-                    0.0 // Unused: the combined upper end is forced to ∞.
-                };
-                (slo, shi)
-            } else {
-                let hi_unbounded =
-                    p.u.iter()
-                        .zip(&p.cap)
-                        .any(|(&ui, &cap)| ui == f64::INFINITY && cap > 0.0);
-                let lo_unbounded =
-                    p.l.iter()
-                        .zip(&p.cap)
-                        .any(|(&li, &cap)| li == f64::NEG_INFINITY && cap > 0.0);
-                let shi = if hi_unbounded {
-                    f64::INFINITY
-                } else {
-                    let coef: Vec<f64> =
-                        p.u.iter()
-                            .zip(&p.cap)
-                            .map(|(&ui, &cap)| if cap > 0.0 { ui } else { 0.0 })
-                            .collect();
-                    sub_engine.allocate(&p, &coef, Sense::Maximize, false)?
-                };
-                let slo = if lo_unbounded {
-                    f64::NEG_INFINITY
-                } else {
-                    let coef: Vec<f64> =
-                        p.l.iter()
-                            .zip(&p.cap)
-                            .map(|(&li, &cap)| if cap > 0.0 { li } else { 0.0 })
-                            .collect();
-                    sub_engine.allocate(&p, &coef, Sense::Minimize, false)?
-                };
-                (slo, shi)
-            };
-            let p_degraded = p.degraded.get();
-            degraded |= p_degraded;
-            work = {
-                let mut w = work;
-                let pw = p.work.get();
-                w.pivots += pw.pivots;
-                w.carried += pw.carried;
-                w.rebuilt += pw.rebuilt;
-                w.nodes += pw.nodes;
-                w
-            };
-            if let Some(shard) = &slice.cache {
-                if closed && !p_degraded && !budget.is_tripped() {
-                    shard.store_summary(tag, query.attr, slo, shi);
-                }
-            }
-            lo += slo;
-            hi += shi;
-        }
-        let hi = if closed { hi } else { f64::INFINITY };
-        Ok(BoundReport {
-            range: ResultRange { lo, hi },
-            closed,
-            stats,
-            solver: work,
-            degraded,
-            shard_sat_checks,
-            trip: None,
-            sched: None,
-        })
+        report.shard_sat_checks = shard_sat_checks;
+        Ok(report)
     }
 
     /// Whether wide satisfiability checks (closure, specialization
@@ -1067,8 +1006,8 @@ impl<'a> BoundEngine<'a> {
     }
 
     /// Satisfiable cells inside `base`: the disjoint fast path or a
-    /// (possibly parallel) decomposition, shared by the flat pipeline
-    /// and each shard of the sharded one. A budget trip leaves the
+    /// (possibly parallel) decomposition of this engine's whole set — one
+    /// slice, or one component's shard. A budget trip leaves the
     /// unexplored subtrees as frontier cells
     /// ([`DecomposeStats::frontier_cells`]). The disjoint fast path does
     /// no search and never trips.
@@ -1105,56 +1044,13 @@ impl<'a> BoundEngine<'a> {
         result.map_err(BoundError::from)
     }
 
-    /// The flat pipeline's problem under the closure verdict
-    /// `(closed, skipped)` ([`BoundEngine::closure`]): decomposition inside
-    /// `base` (= query region ∩ domain), frequency rows.
-    fn build_problem(
-        &self,
-        query: &AggQuery,
-        base: &Region,
-        (closed, skipped_closure): (bool, bool),
-        warm: Option<WarmCache>,
-        budget: &QueryBudget,
-    ) -> Result<CellProblem, BoundError> {
-        let (cells, stats) = self.cells_for_base_budgeted(base, budget)?;
-        let problem =
-            self.problem_from_cells_budgeted(query.attr, base, cells, stats, closed, warm, budget);
-        if skipped_closure {
-            if let Ok(p) = &problem {
-                p.degraded.set(true);
-            }
-        }
-        problem
-    }
-
     /// Assemble the allocation problem from an explicit cell list (either
     /// freshly decomposed or specialized from a session's cached
     /// decomposition). `base` is the effective query region the cells live
     /// in — it decides which frequency lower bounds survive pushdown.
-    #[cfg(test)]
-    pub(crate) fn problem_from_cells(
-        &self,
-        attr: usize,
-        base: &Region,
-        cells: Vec<Cell>,
-        stats: DecomposeStats,
-        closed: bool,
-        warm: Option<WarmCache>,
-    ) -> Result<CellProblem, BoundError> {
-        self.problem_from_cells_budgeted(
-            attr,
-            base,
-            cells,
-            stats,
-            closed,
-            warm,
-            &QueryBudget::unlimited(),
-        )
-    }
-
-    /// `problem_from_cells` carrying the query's budget. Frontier cells
-    /// (budget-tripped decompositions) get conservative treatment — see
-    /// the inline comments for the soundness argument of each rule.
+    /// Frontier cells (budget-tripped decompositions) get conservative
+    /// treatment — see the inline comments for the soundness argument of
+    /// each rule.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn problem_from_cells_budgeted(
         &self,

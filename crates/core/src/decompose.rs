@@ -204,16 +204,17 @@ pub struct DecomposeStats {
     /// set was factored over ([`crate::shard::ShardedCellSet`]). A
     /// one-shot bound factors only the constraints its query region
     /// reaches, so it counts *reached* shards; a session counts every
-    /// shard of its epoch. `0` on the flat (unsharded) paths — including
-    /// a one-shot bound whose reached constraints form one component —
-    /// and on a cell-free one-shot answer (an open region the closure
-    /// probe answered alone, see [`crate::BoundOptions::shard`]); `1`
-    /// means the set was sharded but is a single component.
+    /// shard of its epoch. `0` on a one-shot answer of one slice — the
+    /// reference path, a disjoint-hinted set, or reached constraints that
+    /// form one component — and on a cell-free one-shot answer (an open
+    /// region the closure probe answered alone, see
+    /// [`crate::BoundOptions::shard`]); `1` means a session epoch of a
+    /// single component.
     pub shards: usize,
     /// The largest shard's constraint count — the quantity that actually
     /// drives the exponential worst case once the set is factored (over
     /// reached shards for a one-shot bound, as for
-    /// [`DecomposeStats::shards`]). `0` on the flat paths.
+    /// [`DecomposeStats::shards`]). `0` wherever `shards` is `0`.
     pub max_shard_constraints: usize,
 }
 

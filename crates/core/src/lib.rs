@@ -18,7 +18,10 @@
 //!    (closure probe, decomposition, frequency rows, allocation) costs
 //!    what the query touches, not the catalog size. The closure probe
 //!    runs first, and an open region that no kept frequency floor forces
-//!    rows into is answered from it alone, with no cell. The rewrite
+//!    rows into is answered from it alone, with no cell. Past that point
+//!    a one-shot bound and a [`Session`] query share one pipeline: one
+//!    closure ladder and one bounding body over per-component slices
+//!    (item 5). The rewrite
 //!    generalizes into a **carried witness**: each DFS node keeps a point
 //!    of its prefix, which settles one branch of every split for free
 //!    (one SAT probe per split, no re-solve at the leaves). Searches are
@@ -46,14 +49,18 @@
 //!    graph** (union-find over pairwise attribute-box overlap). Each
 //!    component ("shard") decomposes independently as a parallel pool
 //!    task, so the exponential decomposition cost is paid per shard,
-//!    not for the whole catalog; `COUNT`/`SUM` bounds combine as sums
-//!    of per-shard block-diagonal allocations. A one-shot bound factors
-//!    only the constraints its query region reaches; a session keeps
-//!    every shard of its epoch, a query region only specializes the
-//!    shards it geometrically touches, and a shard fully inside the
-//!    region answers from its cached domain-wide interval. Heavy
-//!    session shards re-order their constraints along quantile
-//!    boundaries before decomposing (skew-aware re-splitting).
+//!    not for the whole catalog. Every answer that builds cells, one-shot
+//!    or served, runs through one bounding body over one slice per
+//!    component: `COUNT`/`SUM` bounds are sums of per-slice
+//!    block-diagonal allocations, and `MIN`/`MAX`/`AVG` bound one joint
+//!    problem (one slice: its own). A one-shot bound factors only the
+//!    constraints its query region reaches, and reached constraints of
+//!    one component are one slice of its own set; a session keeps every
+//!    shard of its epoch, a query region only specializes the shards it
+//!    geometrically touches, and a shard fully inside the region answers
+//!    `COUNT`/`SUM` from its cached domain-wide interval. Heavy session
+//!    shards re-order their constraints along quantile boundaries before
+//!    decomposing (skew-aware re-splitting).
 //! 6. A **versioned session layer** ([`Session`]) for serving query
 //!    traffic under constraint churn: the session owns a catalog of
 //!    stable [`ConstraintId`]s, each mutation

@@ -70,14 +70,19 @@
 //!
 //! # Serving machinery (per epoch)
 //!
-//! * each query **specializes** the pinned epoch's cells to its region —
-//!   interval intersections to drop and share cells, plus an exact SAT
-//!   re-check for only the cells the region genuinely cuts (see
-//!   [`crate::specialize`]);
-//! * the epoch-level **closure verdict is hoisted**: a sub-region of a
-//!   closed region is closed; for a non-closed epoch the cached
-//!   *counterexample point* proves any query containing it non-closed
-//!   without a SAT call;
+//! * each query **specializes** the pinned epoch's cells to its region,
+//!   one slice per shard, whatever the shard count — interval
+//!   intersections to drop and share cells, plus an exact SAT re-check
+//!   for only the cells the region genuinely cuts (see
+//!   [`crate::specialize`]) — and bounds the slices with the one-shot
+//!   engine's own bounding body (each shard's own problem; see
+//!   [`crate::shard`]). A shard the region misses is skipped, and a
+//!   shard inside the region serves `COUNT`/`SUM` from its cached
+//!   domain-wide summary;
+//! * the epoch-level **closure verdict is hoisted** into the engine's
+//!   one closure ladder: a sub-region of a closed region is closed; for
+//!   a non-closed epoch the cached *counterexample point* proves any
+//!   query containing it non-closed without a SAT call;
 //! * simplex **warm starts chain across queries and across epochs**: the
 //!   session keeps per-worker [`WarmCaches`] alive for its whole
 //!   lifetime. With [`crate::BoundOptions::tableau_carry`] (the default)
@@ -445,8 +450,6 @@ impl Session {
             &epoch.set,
             &self.options.bound,
             base.clone(),
-            None,
-            false,
             self.options.bound.ordering.then_some(&*epoch.estimates),
             budget,
         )?;
@@ -1071,105 +1074,54 @@ impl Session {
         let mut target = query.predicate.to_region(set.schema());
         target.intersect(set.domain());
 
-        if sharded.shards().len() <= 1 {
-            // One interaction component (or sharding off): serve from the
-            // flat cell set exactly as an unsharded session would.
-            let cell_set = sharded.flatten(set);
-            let mut stats = cell_set.stats();
-            let cells = cell_set.specialize_budgeted(
-                set,
-                &target,
-                &mut stats,
-                engine.par_witness(),
-                budget,
-            );
-            stats.cells = cells.len();
-
-            let closed = self.closed_within(&sharded, set, &target, &engine, budget);
-            let problem = engine.problem_from_cells_budgeted(
-                query.attr, &target, cells, stats, closed, warm, budget,
-            )?;
-            return engine.bound_problem(query.agg, &problem);
-        }
-
-        // Compositional serve: only shards whose boxes the query region
-        // touches pay specialization; an untouched shard contributes an
-        // empty slice (no satisfiable cell of it meets the region), and a
-        // shard wholly *inside* the region shares its domain-wide cells
-        // verbatim — offering its cached per-aggregate summary too.
+        // One slice per epoch shard: only shards whose boxes the query
+        // region touches pay specialization; an untouched shard
+        // contributes an empty slice (no satisfiable cell of it meets the
+        // region), and a shard wholly *inside* the region shares its
+        // domain-wide cells verbatim — offering its cached per-aggregate
+        // summary too.
         let mut slices = Vec::with_capacity(sharded.shards().len());
         for shard in sharded.shards() {
-            if !shard.touches(&target) {
-                slices.push(ShardSlice {
-                    sub: Arc::clone(shard.set()),
-                    members: shard.members().to_vec(),
-                    cells: Vec::new(),
-                    stats: DecomposeStats::default(),
-                    cache: None,
-                });
-                continue;
-            }
-            let contained = shard.contained_in(&target);
-            let mut slice_stats = DecomposeStats::default();
-            let cells = if contained {
+            // A shard holding the whole catalog in catalog order is the
+            // epoch's own set: its cells already carry the engine's
+            // indices, so the engine bounds it with no sub-engine.
+            let members = shard.members();
+            let whole = members.iter().copied().eq(0..set.len());
+            let part = (!whole).then(|| (&**shard.set(), members));
+            let mut stats = DecomposeStats::default();
+            let (cells, cache) = if !shard.touches(&target) {
+                (Vec::new(), None)
+            } else if shard.contained_in(&target) {
                 // every member box ⊆ target ⇒ every cell region ⊆ target:
                 // specialization is the identity, share without the scan
-                shard.cells().cells().to_vec()
+                (shard.cells().cells().to_vec(), Some(&**shard))
             } else {
-                shard.cells().specialize_budgeted(
+                let cells = shard.cells().specialize_budgeted(
                     shard.set(),
                     &target,
-                    &mut slice_stats,
+                    &mut stats,
                     engine.par_witness(),
                     budget,
-                )
+                );
+                (cells, None)
             };
             slices.push(ShardSlice {
-                sub: Arc::clone(shard.set()),
-                members: shard.members().to_vec(),
+                part,
                 cells,
-                stats: slice_stats,
-                cache: contained.then(|| Arc::clone(shard)),
+                stats,
+                cache,
             });
         }
-        let closed = self.closed_within(&sharded, set, &target, &engine, budget);
-        engine.bound_sharded(
+        let closed = engine.closure(&target, Some(&sharded), budget);
+        engine.bound_slices(
             query,
             &target,
             closed,
-            false,
             slices,
             sharded.stats(),
             warm,
             budget,
         )
-    }
-
-    /// The hoisted per-query closure verdict — identical ladder for the
-    /// flat and sharded serve paths (closure is a global question).
-    fn closed_within(
-        &self,
-        sharded: &ShardedCellSet,
-        set: &PcSet,
-        target: &pc_predicate::Region,
-        engine: &BoundEngine<'_>,
-        budget: &QueryBudget,
-    ) -> bool {
-        if !engine.options().check_closure || sharded.closed() {
-            // hoisted: a sub-region of a closed base is closed
-            true
-        } else if sharded.uncovered().is_some_and(|w| target.contains_row(w)) {
-            // the cached counterexample lies inside the query: provably
-            // not closed, no SAT call
-            false
-        } else if !budget.proceed() {
-            // out of budget: the skipped check answers "open" — sound
-            false
-        } else {
-            // non-closed epoch, but the query region may dodge the
-            // uncovered part — one exact check decides
-            set.is_closed_within_with(target, engine.par_witness())
-        }
     }
 
     /// Bound a batch of queries, each as its own stealable pool task;

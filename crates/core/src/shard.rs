@@ -30,22 +30,26 @@
 //! [`ShardedCellSet`] stores one [`CellSet`] per shard (local constraint
 //! indices, mapped back through [`Shard::members`]). Because the flat
 //! cells are the disjoint union of the shard cells and no frequency row
-//! couples two shards, the allocation MILP is block-diagonal: `COUNT` and
-//! `SUM` bounds are the *sums* of per-shard bounds, `MIN`/`MAX`/`AVG`
-//! combine through the per-shard cell summaries (see
-//! `BoundEngine::bound_sharded` in `bounds.rs`). A query region only
-//! specializes the shards it geometrically touches; a shard fully inside
-//! the query region contributes its cached domain-wide `COUNT`/`SUM`
-//! interval verbatim ([`Shard`] caches it), and a shard disjoint from the
-//! region contributes nothing but its frequency rows.
+//! couples two shards, the allocation MILP is block-diagonal. One
+//! bounding body (`BoundEngine::bound_slices` in `bounds.rs`) answers
+//! every query from one *slice* per shard: `COUNT` and `SUM` bounds are
+//! the *sums* of per-slice bounds, and `MIN`/`MAX`/`AVG` bound one joint
+//! problem over the slices' cells (one slice: its own problem). A session
+//! query only specializes the shards it geometrically touches; a shard
+//! fully inside the query region contributes its cached domain-wide
+//! `COUNT`/`SUM` interval verbatim ([`Shard`] caches it), whatever the
+//! shard count, and a shard disjoint from the region contributes nothing
+//! but its frequency rows.
 //!
 //! A one-shot bound (no epoch to keep) applies the same theorem before it
 //! builds anything: it keeps only the constraints whose predicate meets
 //! the query region and factors *those* — every unreached constraint is a
 //! component with no cells in the region, whose only possible effect, an
-//! unplaceable frequency floor, is checked up front. So its shards are
-//! the components of the reached constraints, and every one of them is
-//! decomposed.
+//! unplaceable frequency floor, is checked up front. So its slices are
+//! the components of the reached constraints, decomposed by the same
+//! per-component fan-out that builds an epoch's shards; reached
+//! constraints that form one component are one slice of the engine's own
+//! set, with no sub-set copied.
 //!
 //! # Skew-aware re-splitting
 //!
@@ -371,54 +375,40 @@ impl ShardedCellSet {
     /// Decompose `set` over `base`, one pool task per interaction-graph
     /// component, each budget-checked. With sharding disabled
     /// ([`BoundOptions::shard`] false) or a disjoint-hinted set the whole
-    /// catalog becomes a single shard — exactly the flat behavior.
+    /// catalog becomes a single shard — exactly the flat behavior. The
+    /// caller probes closure once the shards are built and installs the
+    /// verdict ([`ShardedCellSet::set_closure`]).
     pub(crate) fn build(
         set: &PcSet,
         options: &BoundOptions,
         base: Region,
-        uncovered: Option<Vec<f64>>,
-        closure_skipped: bool,
         estimates: Option<&Estimates>,
         budget: &QueryBudget,
     ) -> Result<ShardedCellSet, BoundError> {
         let boxes = constraint_boxes(set);
-        let components: Vec<Vec<usize>> = if !options.shard || set.disjoint_hint() || set.len() < 2
-        {
-            if set.is_empty() {
-                Vec::new()
+        let mut components: Vec<Vec<usize>> =
+            if !options.shard || set.disjoint_hint() || set.len() < 2 {
+                if set.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![(0..set.len()).collect()]
+                }
             } else {
-                vec![(0..set.len()).collect()]
-            }
-        } else {
-            components_of(&boxes)
-        };
-        let threads = BoundEngine::with_options(set, *options).task_threads(components.len());
-        let built = pooled_map_catch(&components, threads, &|members: &Vec<usize>| {
-            build_shard(
-                set,
-                options,
-                &base,
-                members.clone(),
-                &boxes,
-                estimates,
-                budget,
-            )
-        });
-        let mut shards = Vec::with_capacity(components.len());
-        for result in built {
-            shards.push(result.ok_or(BoundError::Panicked)??);
+                components_of(&boxes)
+            };
+        for members in &mut components {
+            skew_reorder(members, &boxes);
         }
+        let shards: Vec<Arc<Shard>> =
+            decompose_components(set, options, &base, &components, estimates, budget)?
+                .into_iter()
+                .map(|c| c.into_shard(&base, &boxes))
+                .collect();
         let mut stats = DecomposeStats::default();
         for shard in &shards {
             stats.absorb(&shard.cells.stats());
         }
-        Ok(ShardedCellSet::assemble(
-            base,
-            shards,
-            stats,
-            uncovered,
-            closure_skipped,
-        ))
+        Ok(ShardedCellSet::assemble(base, shards, stats, None, false))
     }
 
     /// Stamp the container-level counters (total cells, shard topology)
@@ -638,15 +628,11 @@ impl ShardedCellSet {
                 }
                 members.sort_unstable();
                 members.push(n);
-                let merged = build_shard(
-                    new_set,
-                    options,
-                    &self.base,
-                    members,
-                    &constraint_boxes(new_set),
-                    estimates,
-                    budget,
-                )?;
+                let boxes = constraint_boxes(new_set);
+                skew_reorder(&mut members, &boxes);
+                let merged =
+                    decompose_component(new_set, options, &self.base, members, estimates, budget)?
+                        .into_shard(&self.base, &boxes);
                 stats = merged.cells.stats();
                 for (s, shard) in self.shards.iter().enumerate() {
                     if !overlapping.contains(&s) {
@@ -789,36 +775,83 @@ fn remap_up(local: &ActiveSet, members: &[usize]) -> ActiveSet {
     local.iter().map(|i| members[i]).collect()
 }
 
-/// Decompose one component into a [`Shard`] (skew re-ordering heavy ones
-/// first). `all_boxes` is indexed by *global* constraint index. When the
-/// caller holds catalog-wide [`Estimates`], the shard engine works from
-/// their restriction to the (re-ordered) member list, so split-survival
-/// history flows through the shared counters instead of restarting cold.
-fn build_shard(
+/// One interaction component decomposed over a base region as its own
+/// constraint set: what a one-shot bound slices and a session shard holds.
+pub(crate) struct Component {
+    /// Global constraint indices of the members, in local-index order.
+    pub(crate) members: Vec<usize>,
+    /// The members as their own constraint set (same schema and domain).
+    pub(crate) sub: PcSet,
+    /// The component's cells over the base, local indices.
+    pub(crate) cells: Vec<Cell>,
+    pub(crate) stats: DecomposeStats,
+}
+
+impl Component {
+    /// The session shard of this component. `all_boxes` is indexed by
+    /// *global* constraint index.
+    fn into_shard(self, base: &Region, all_boxes: &[Region]) -> Arc<Shard> {
+        let boxes = self.members.iter().map(|&m| all_boxes[m].clone()).collect();
+        let sub = Arc::new(self.sub);
+        let cells = Arc::new(CellSet::new(
+            &sub,
+            base.clone(),
+            self.cells,
+            self.stats,
+            None,
+        ));
+        Arc::new(Shard {
+            members: self.members,
+            boxes,
+            sub,
+            cells,
+            summary: Mutex::new(HashMap::new()),
+        })
+    }
+}
+
+/// Decompose `members` of `set` over `base` as their own set. When the
+/// caller holds [`Estimates`] for `set`, the component's engine works from
+/// their restriction to the member list, so split-survival history flows
+/// through the shared counters instead of restarting cold.
+fn decompose_component(
     set: &PcSet,
     options: &BoundOptions,
     base: &Region,
-    mut members: Vec<usize>,
-    all_boxes: &[Region],
+    members: Vec<usize>,
     estimates: Option<&Estimates>,
     budget: &QueryBudget,
-) -> Result<Arc<Shard>, BoundError> {
-    skew_reorder(&mut members, all_boxes);
-    let sub = Arc::new(sub_set(set, &members));
-    let boxes: Vec<Region> = members.iter().map(|&m| all_boxes[m].clone()).collect();
+) -> Result<Component, BoundError> {
+    let sub = sub_set(set, &members);
     let engine = BoundEngine::with_options(&sub, *options);
     if let Some(est) = estimates {
         engine.set_estimates(Arc::new(est.restrict(&members)));
     }
     let (cells, stats) = engine.cells_for_base_budgeted(base, budget)?;
-    let mut stats = stats;
-    stats.cells = cells.len();
-    let cells = Arc::new(CellSet::new(&sub, base.clone(), cells, stats, None));
-    Ok(Arc::new(Shard {
+    Ok(Component {
         members,
-        boxes,
         sub,
         cells,
-        summary: Mutex::new(HashMap::new()),
-    }))
+        stats,
+    })
+}
+
+/// Decompose each of `components` (member lists of `set`) over `base`,
+/// one budget-checked pool task per component, in input order. A task
+/// that panics fails the call with [`BoundError::Panicked`].
+pub(crate) fn decompose_components(
+    set: &PcSet,
+    options: &BoundOptions,
+    base: &Region,
+    components: &[Vec<usize>],
+    estimates: Option<&Estimates>,
+    budget: &QueryBudget,
+) -> Result<Vec<Component>, BoundError> {
+    let threads = BoundEngine::with_options(set, *options).task_threads(components.len());
+    pooled_map_catch(components, threads, &|members: &Vec<usize>| {
+        decompose_component(set, options, base, members.clone(), estimates, budget)
+    })
+    .into_iter()
+    .map(|built| built.ok_or(BoundError::Panicked)?)
+    .collect()
 }

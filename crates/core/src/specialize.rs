@@ -775,7 +775,15 @@ mod tests {
             stats.cells = cells.len();
             let closed = cs.closed() || set.is_closed_within(&target);
             let problem = engine
-                .problem_from_cells(query.attr, &target, cells, stats, closed, None)
+                .problem_from_cells_budgeted(
+                    query.attr,
+                    &target,
+                    cells,
+                    stats,
+                    closed,
+                    None,
+                    &QueryBudget::unlimited(),
+                )
                 .unwrap();
             let specialized = engine.bound_problem(query.agg, &problem).unwrap();
             assert_eq!(fresh.range, specialized.range, "query [{lo}, {hi})");

@@ -574,3 +574,258 @@ fn bound_work_follows_the_reached_constraints() {
         assert!(want.stats.ordered_splits > 0, "{agg:?}: the search split");
     }
 }
+
+/// The catch-all cap over the whole domain: it closes every region and
+/// joins every constraint into one interaction component.
+fn catch_all() -> PredicateConstraint {
+    PredicateConstraint::new(
+        Predicate::always(),
+        ValueConstraint::none().with(1, Interval::closed(0.0, VMAX as f64)),
+        FrequencyConstraint::at_most(40),
+    )
+}
+
+prop_compose! {
+    /// A box anywhere in the domain, so a whole-domain query reaches it.
+    fn arb_box_pc()(
+        a in 0..=XMAX, b in 0..=XMAX,
+        c in 0..=VMAX, d in 0..=VMAX,
+        ku in 1u64..8,
+        forced: bool,
+    ) -> PredicateConstraint {
+        let (vlo, vhi) = (c.min(d) as f64, c.max(d) as f64 + 1.0);
+        pc_on(a.min(b) as f64, a.max(b) as f64 + 1.0, vlo, vhi, forced, ku)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A closed catalog of one interaction component, queried over a
+    /// region that reaches every constraint, is one slice of the
+    /// engine's own set: the sharded engine does exactly the flat
+    /// reference's work — the same ranges bit for bit, the same closure
+    /// flag, cells, SAT checks, ordered splits, pivots and B&B nodes.
+    #[test]
+    fn one_component_bound_does_the_flat_paths_work(
+        pcs in prop::collection::vec(arb_box_pc(), 1..8),
+    ) {
+        let mut all = vec![catch_all()];
+        all.extend(pcs);
+        let set = build_set(all);
+        prop_assert_eq!(pc_core::interaction_components(&set).len(), 1);
+        let sequential = BoundOptions {
+            threads: 1,
+            ..BoundOptions::default()
+        };
+        let reference = BoundOptions {
+            shard: false,
+            ..sequential
+        };
+        let work = |r: &pc_core::BoundReport| {
+            (
+                r.stats.cells,
+                r.stats.sat_checks,
+                r.stats.ordered_splits,
+                r.solver.pivots,
+                r.solver.nodes,
+            )
+        };
+        for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg, AggKind::Min, AggKind::Max] {
+            let q = AggQuery::new(agg, 1, Predicate::always());
+            let sharded = BoundEngine::with_options(&set, sequential).bound(&q);
+            let flat = BoundEngine::with_options(&set, reference).bound(&q);
+            match (&flat, &sharded) {
+                (Ok(f), Ok(s)) => {
+                    prop_assert!(f.closed, "{:?}", agg);
+                    let bits = |r: &pc_core::BoundReport| (r.range.lo.to_bits(), r.range.hi.to_bits());
+                    prop_assert_eq!(bits(s), bits(f), "{:?}: {:?} vs {:?}", agg, s.range, f.range);
+                    prop_assert_eq!(s.closed, f.closed, "{:?}", agg);
+                    prop_assert_eq!(work(s), work(f), "{:?}", agg);
+                }
+                (Err(f), Err(s)) => prop_assert_eq!(f, s, "{:?}", agg),
+                (f, s) => {
+                    return Err(TestCaseError::fail(format!("{agg:?}: flat {f:?} vs sharded {s:?}")));
+                }
+            }
+        }
+    }
+}
+
+/// Two x-tiles of a (x, y, v) schema, `[0, 10)` and `[10, 20)`: each is
+/// closed by a tile-wide cover (`v` in `[0, 50]`, at most
+/// `TILE_COVER_KU` rows) and holds nine overlapping (x, y) boxes with
+/// frequency floors, so each tile is one interaction component whose
+/// allocation is a real branch & bound search. Box rows are
+/// `(x0, x1, y0, y1, v_lo, v_hi, kl, ku)`, half-open on x and y.
+type TileBox = (f64, f64, f64, f64, f64, f64, u64, u64);
+const TILE_COVER_KU: [u64; 2] = [24, 25];
+const TILE_BOXES: [[TileBox; 9]; 2] = [
+    [
+        (6.0, 10.0, 5.0, 10.0, 21.0, 34.0, 1, 2),
+        (7.0, 10.0, 2.0, 7.0, 5.0, 23.0, 0, 2),
+        (0.0, 4.0, 5.0, 9.0, 3.0, 18.0, 0, 4),
+        (5.0, 10.0, 3.0, 6.0, 0.0, 23.0, 3, 6),
+        (0.0, 4.0, 1.0, 3.0, 3.0, 39.0, 1, 8),
+        (4.0, 7.0, 3.0, 8.0, 12.0, 32.0, 3, 5),
+        (4.0, 6.0, 0.0, 3.0, 11.0, 23.0, 0, 2),
+        (3.0, 7.0, 1.0, 6.0, 18.0, 23.0, 0, 7),
+        (6.0, 8.0, 3.0, 7.0, 28.0, 59.0, 0, 5),
+    ],
+    [
+        (10.0, 15.0, 3.0, 5.0, 18.0, 29.0, 1, 5),
+        (17.0, 19.0, 7.0, 10.0, 6.0, 34.0, 2, 7),
+        (10.0, 12.0, 3.0, 8.0, 6.0, 27.0, 2, 8),
+        (12.0, 15.0, 5.0, 7.0, 11.0, 47.0, 3, 10),
+        (11.0, 15.0, 1.0, 5.0, 1.0, 17.0, 2, 4),
+        (16.0, 20.0, 6.0, 9.0, 9.0, 40.0, 2, 9),
+        (10.0, 14.0, 2.0, 5.0, 13.0, 20.0, 2, 6),
+        (12.0, 17.0, 7.0, 9.0, 27.0, 39.0, 1, 4),
+        (14.0, 19.0, 6.0, 10.0, 11.0, 47.0, 3, 6),
+    ],
+];
+
+/// The constraints of `tiles` over the two-tile domain.
+fn two_tile_set(tiles: &[usize]) -> PcSet {
+    let schema = Schema::new(vec![
+        ("x", AttrType::Int),
+        ("y", AttrType::Int),
+        ("v", AttrType::Float),
+    ]);
+    let mut domain = Region::full(&schema);
+    domain.set_interval(0, Interval::half_open(0.0, 20.0));
+    domain.set_interval(1, Interval::half_open(0.0, 10.0));
+    let mut set = PcSet::new(schema);
+    for &t in tiles {
+        let x0 = 10.0 * t as f64;
+        set.push(PredicateConstraint::new(
+            Predicate::atom(Atom::bucket(0, x0, x0 + 10.0)),
+            ValueConstraint::none().with(2, Interval::closed(0.0, 50.0)),
+            FrequencyConstraint::at_most(TILE_COVER_KU[t]),
+        ));
+        for &(x0, x1, y0, y1, vlo, vhi, kl, ku) in &TILE_BOXES[t] {
+            set.push(PredicateConstraint::new(
+                Predicate::atom(Atom::bucket(0, x0, x1)).and(Atom::bucket(1, y0, y1)),
+                ValueConstraint::none().with(2, Interval::closed(vlo, vhi)),
+                FrequencyConstraint::between(kl, ku),
+            ));
+        }
+    }
+    set.set_domain(domain);
+    set
+}
+
+/// A sharded COUNT or SUM adds its components' bounds, so its solver
+/// report is the field-wise sum of the reports of each component bounded
+/// alone on its own tile — the incumbent-first installs included.
+#[test]
+fn sharded_count_and_sum_report_the_components_solver_work() {
+    let sequential = BoundOptions {
+        threads: 1,
+        ..BoundOptions::default()
+    };
+    let both = two_tile_set(&[0, 1]);
+    assert_eq!(pc_core::interaction_components(&both).len(), 2);
+    for agg in [AggKind::Count, AggKind::Sum] {
+        let got = BoundEngine::with_options(&both, sequential)
+            .bound(&AggQuery::new(agg, 2, Predicate::always()))
+            .unwrap();
+        assert_eq!(got.stats.shards, 2, "{agg:?}");
+        let mut want = pc_core::LpWork::default();
+        for t in 0..2 {
+            let x0 = 10.0 * t as f64;
+            let own_tile = AggQuery::new(agg, 2, Predicate::atom(Atom::bucket(0, x0, x0 + 10.0)));
+            let alone = BoundEngine::with_options(&two_tile_set(&[t]), sequential)
+                .bound(&own_tile)
+                .unwrap()
+                .solver;
+            want.pivots += alone.pivots;
+            want.carried += alone.carried;
+            want.rebuilt += alone.rebuilt;
+            want.nodes += alone.nodes;
+            want.incumbent_first += alone.incumbent_first;
+        }
+        assert!(
+            want.incumbent_first > 0,
+            "{agg:?}: a component's search installs an incumbent from its near child"
+        );
+        assert_eq!(got.solver, want, "{agg:?}");
+    }
+}
+
+/// A single-shard epoch answers a COUNT or SUM whose region contains
+/// every member box from the shard's cached summary: the repeated answer
+/// equals the first and the one-shot engine's, and runs no LP solve.
+#[test]
+fn single_shard_epoch_serves_a_contained_count_and_sum_from_its_summary() {
+    // Two overlapping forced boxes under the catch-all: one component,
+    // and the overlap cell makes the allocation a real MILP rather than
+    // the greedy disjoint case.
+    let set = build_set(vec![
+        catch_all(),
+        pc_on(0.0, 6.0, 0.0, 10.0, true, 4),
+        pc_on(3.0, 9.0, 2.0, 12.0, true, 5),
+    ]);
+    let session = Session::new(set.clone());
+    assert_eq!(session.sharded_cell_set().unwrap().shards().len(), 1);
+    for agg in [AggKind::Count, AggKind::Sum] {
+        let q = AggQuery::new(agg, 1, Predicate::always());
+        let first = session.bound(&q).unwrap();
+        assert!(
+            first.solver.carried + first.solver.rebuilt > 0,
+            "{agg:?}: the first answer solves its allocation"
+        );
+        let second = session.bound(&q).unwrap();
+        assert_eq!(second.range, first.range, "{agg:?}");
+        assert_eq!(
+            second.solver.carried + second.solver.rebuilt,
+            0,
+            "{agg:?}: the second answer comes from the summary"
+        );
+        let oneshot = BoundEngine::new(&set).bound(&q);
+        results_equal(&q, &oneshot, &Ok(second)).unwrap();
+    }
+}
+
+/// A summary a shard stored under a closed verdict never answers an open
+/// region. Retiring the second tile's constraints leaves one shard, whose
+/// summaries carry into an epoch where nothing covers the second tile:
+/// COUNT and SUM over the whole domain must come back open, as the flat
+/// reference session says.
+#[test]
+fn a_carried_summary_never_answers_an_open_region() {
+    let vtop = VMAX as f64 + 1.0;
+    let set = build_set(vec![
+        pc_on(0.0, 3.0, 0.0, vtop, false, 9),
+        pc_on(1.0, 2.0, 2.0, 12.0, true, 4),
+        pc_on(4.0, XMAX as f64, 0.0, vtop, false, 7),
+        pc_on(5.0, 8.0, 3.0, 9.0, true, 3),
+    ]);
+    let session = Session::new(set);
+    let queries =
+        [AggKind::Count, AggKind::Sum].map(|agg| AggQuery::new(agg, 1, Predicate::always()));
+    for q in &queries {
+        let r = session.bound(q).unwrap();
+        assert!(r.closed && r.range.is_bounded(), "{q:?}: {:?}", r.range);
+    }
+    let ids = session.constraint_ids();
+    session.retire_constraint(ids[2]).unwrap();
+    session.retire_constraint(ids[3]).unwrap();
+    assert_eq!(session.sharded_cell_set().unwrap().shards().len(), 1);
+    let oracle = Session::with_options(
+        (*session.pc_set()).clone(),
+        SessionOptions {
+            bound: flat_options(),
+            ..SessionOptions::default()
+        },
+    );
+    for q in &queries {
+        let r = session.bound(q).unwrap();
+        assert!(
+            !r.closed && r.range.hi == f64::INFINITY,
+            "{q:?}: {:?}",
+            r.range
+        );
+        results_equal(q, &oracle.bound(q), &Ok(r)).unwrap();
+    }
+}
