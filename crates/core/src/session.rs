@@ -138,7 +138,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// The scheduling report of a call admitted through `permit`.
@@ -1290,12 +1290,16 @@ impl std::fmt::Display for TenantExists {
 impl std::error::Error for TenantExists {}
 
 /// In-flight bookkeeping behind [`SessionRegistry`]'s drain protocol:
-/// how many queries are running, and the cancel token of each (keyed by
-/// a registry-issued serial so drops are exact under concurrency).
+/// how many queries are running, the cancel token of each (keyed by a
+/// registry-issued serial so drops are exact under concurrency), and how
+/// many [`SessionRegistry::drained_within`] calls wait for the count to
+/// reach 0 — the last guard to drop notifies only when one does, so the
+/// per-query path pays no wake-up syscall outside a drain.
 #[derive(Default)]
 struct Inflight {
     count: usize,
     tokens: HashMap<u64, CancelToken>,
+    waiters: usize,
 }
 
 /// A multi-tenant catalog directory plus the serving tier's **drain
@@ -1423,23 +1427,22 @@ impl SessionRegistry {
     pub fn drained_within(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut inflight = self.inflight.lock().unwrap();
+        inflight.waiters += 1;
         while inflight.count > 0 {
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
+                break;
             };
-            let (guard, wait) = self.idle.wait_timeout(inflight, left).unwrap();
-            inflight = guard;
-            if wait.timed_out() && inflight.count > 0 {
-                return false;
-            }
+            inflight = self.idle.wait_timeout(inflight, left).unwrap().0;
         }
-        true
+        inflight.waiters -= 1;
+        inflight.count == 0
     }
 }
 
 /// Liveness token for one in-flight query (see
-/// [`SessionRegistry::begin_query`]); drop it when the query's response
-/// is written.
+/// [`SessionRegistry::begin_query`]). Drop it when the query's work is
+/// done: `pc serve` drops it once the response is built, before the
+/// response is written, so a drain never waits on a peer's reads.
 pub struct QueryGuard<'a> {
     registry: &'a SessionRegistry,
     key: u64,
@@ -1447,10 +1450,16 @@ pub struct QueryGuard<'a> {
 
 impl Drop for QueryGuard<'_> {
     fn drop(&mut self) {
-        let mut inflight = self.registry.inflight.lock().unwrap();
+        // A `Drop` must not panic. A poisoned lock still guards a valid
+        // `Inflight`: every update under it leaves the fields consistent.
+        let mut inflight = self
+            .registry
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         inflight.count -= 1;
         inflight.tokens.remove(&self.key);
-        if inflight.count == 0 {
+        if inflight.count == 0 && inflight.waiters > 0 {
             self.registry.idle.notify_all();
         }
     }
@@ -1872,6 +1881,52 @@ mod tests {
             "queue wait {:?} of a {elapsed:?} call",
             sched.queue_wait
         );
+    }
+
+    #[test]
+    fn drain_wait_wakes_when_the_last_guard_drops() {
+        let registry = SessionRegistry::new();
+        let guard = registry.begin_query(&QueryBudget::armed()).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _ = tx.send(registry.drained_within(Duration::from_secs(10)));
+            });
+            // Drop the guard only once the waiter is inside the wait: it
+            // registers under the lock and gives the lock up only there.
+            while registry.inflight.lock().unwrap().waiters == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(registry.inflight(), 1);
+            drop(guard);
+            // Woken by the drop, not by its 10 s timeout.
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(true));
+        });
+        assert_eq!(registry.inflight.lock().unwrap().waiters, 0);
+    }
+
+    #[test]
+    fn drain_wait_times_out_while_a_query_runs() {
+        let registry = SessionRegistry::new();
+        let guard = registry.begin_query(&QueryBudget::armed()).unwrap();
+        assert!(!registry.drained_within(Duration::from_millis(50)));
+        assert_eq!(registry.inflight.lock().unwrap().waiters, 0);
+        drop(guard);
+        assert!(registry.drained_within(Duration::ZERO));
+    }
+
+    #[test]
+    fn drain_rejects_new_queries_and_cancels_running_ones() {
+        let registry = SessionRegistry::new();
+        let budget = QueryBudget::armed();
+        let _guard = registry.begin_query(&budget).unwrap();
+        assert!(budget.proceed());
+        registry.begin_drain();
+        assert!(registry.is_draining());
+        assert!(registry.begin_query(&QueryBudget::armed()).is_none());
+        assert!(!budget.proceed(), "a running query's next check must trip");
+        assert_eq!(budget.trip_reason(), Some(TripReason::Cancelled));
+        assert_eq!(registry.inflight(), 1);
     }
 
     #[test]

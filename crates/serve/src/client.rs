@@ -66,10 +66,14 @@ impl Connection {
     /// Send one request line, read its response (header + declared
     /// rows). An empty `line` sends an empty request — the server
     /// answers `ERR … empty request`, keeping the pairing.
+    ///
+    /// The line and its `\n` go out whole, in one write, so the server
+    /// reads the request in one piece rather than waking on a partial
+    /// line (the socket runs with `TCP_NODELAY`, so every write is its
+    /// own segment). Other clients should frame their requests the same
+    /// way.
     pub fn send(&mut self, line: &str) -> io::Result<Response> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.writer.write_all([line, "\n"].concat().as_bytes())?;
         self.read_response()
     }
 

@@ -22,6 +22,16 @@
 //! `ERR line <N>: <reason>` — `N` is the 1-based request count on this
 //! connection — and the connection stays up.
 //!
+//! Both ends run with `TCP_NODELAY`, so every write is its own segment.
+//! The server writes each response — header and rows together — with
+//! one write, so a reader gets it in one piece rather than waking on a
+//! partial line. A client should write each request line whole, `\n`
+//! included, as [`client::Connection::send`] does. When a connection
+//! ends (`quit`, drain, slow-loris close or a read error), the server
+//! shuts down its write side after its last response, so the peer reads
+//! that response and then a clean EOF (a FIN), even if the peer's own
+//! bytes were still unread and the kernel resets the socket after it.
+//!
 //! ## Admin verbs
 //!
 //! ```text

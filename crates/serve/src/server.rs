@@ -8,7 +8,7 @@ use pc_budget::QueryBudget;
 use pc_core::{dsl, BoundError, PcSet, Session, SessionOptions, SessionRegistry};
 use pc_storage::{parse_query, Table};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -152,7 +152,13 @@ impl Server {
                     conns.push(thread::spawn(move || {
                         // Connection-level io errors tear down that
                         // connection only.
-                        let _ = serve_connection(stream, &shared);
+                        let _ = serve_connection(&stream, &shared);
+                        // Send FIN before the socket closes: closing with
+                        // the peer's bytes still unread makes the kernel
+                        // reset the connection, which can drop the last
+                        // response. With the FIN already out, the peer
+                        // reads every response and then a clean EOF.
+                        let _ = stream.shutdown(Shutdown::Write);
                     }));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -183,12 +189,14 @@ impl Server {
 }
 
 /// Per-connection state: the read loop with its damage bounds, then one
-/// response per received line.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+/// response per received line, each written whole with one `write_all`
+/// (with `TCP_NODELAY` on, a separate `\n` write would be a second
+/// segment, and the peer would wake on a partial line).
+fn serve_connection(stream: &TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(shared.config.poll_interval))?;
     stream.set_nodelay(true).ok();
-    let mut reader = &stream;
-    let mut writer = &stream;
+    let mut reader = stream;
+    let mut writer = stream;
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     let mut lineno: u64 = 0;
@@ -239,10 +247,9 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             let line = String::from_utf8_lossy(&buf).into_owned();
             buf.clear();
             lineno += 1;
-            let (response, action) = respond(shared, &mut tenant, lineno, &line);
+            let (mut response, action) = respond(shared, &mut tenant, lineno, &line);
+            response.push('\n');
             writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
             match action {
                 Action::Continue => {}
                 Action::Close => return Ok(()),
@@ -259,12 +266,10 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             if buf.len() > shared.config.max_line_bytes {
                 lineno += 1;
                 let response = format!(
-                    "ERR line {lineno}: request exceeds {} bytes",
+                    "ERR line {lineno}: request exceeds {} bytes\n",
                     shared.config.max_line_bytes
                 );
                 writer.write_all(response.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
                 buf.clear();
                 discarding = true;
             }

@@ -1,7 +1,9 @@
 //! Socket-level integration tests for `pc serve`: the snapshot-isolation
-//! guarantee under concurrent mutation, the slow-loris damage bound, and
-//! the per-connection protocol bounds — all through real TCP connections
-//! against a running [`Server`].
+//! guarantee under concurrent mutation, the slow-loris damage bound, the
+//! per-connection protocol bounds, one write per wire message at both
+//! ends, and the FIN close — all through real TCP connections against a
+//! running [`Server`] (or, for the client's framing, a stand-in
+//! listener).
 
 use pc_core::{dsl, PcSet, QueryBudget, Session, SessionOptions};
 use pc_predicate::{AttrType, Schema};
@@ -347,4 +349,135 @@ fn draining_server_rejects_new_queries() {
             "unexpected error {e}"
         ),
     }
+}
+
+/// Read from `stream` until `buf` ends a line, returning how many reads
+/// that took (1 when the response arrived in one piece).
+fn read_through_newline(stream: &mut TcpStream, buf: &mut Vec<u8>) -> usize {
+    let mut chunk = [0u8; 4096];
+    let mut reads = 0;
+    while !buf.ends_with(b"\n") {
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "server closed mid-response after {buf:?}");
+        buf.extend_from_slice(&chunk[..n]);
+        reads += 1;
+    }
+    reads
+}
+
+/// A connection that ends while the peer's bytes sit unread closes with
+/// a FIN: the peer reads the last response and then a clean EOF, not a
+/// reset. Here the filler after `quit` is more than the server reads in
+/// one chunk, so it is still unread when the connection thread returns.
+#[test]
+fn quit_with_unread_bytes_closes_with_fin_not_reset() {
+    let config = ServeConfig {
+        options: exact_options(),
+        ..ServeConfig::default()
+    };
+    let (addr, handle, join) = start_server(config);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut request = b"quit\n".to_vec();
+    request.resize(request.len() + 8 * 1024, b'x');
+    stream.write_all(&request).unwrap();
+
+    let mut response = Vec::new();
+    read_through_newline(&mut stream, &mut response);
+    assert_eq!(response, b"OK bye\n");
+    let mut sink = [0u8; 64];
+    match stream.read(&mut sink) {
+        Ok(0) => {}
+        Ok(n) => panic!("expected EOF after `OK bye`, got {n} more bytes"),
+        Err(e) => panic!("expected a clean close after `OK bye`, got {e}"),
+    }
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// The server writes each response, header and rows, as one piece: a
+/// client that writes each request whole gets the whole response from
+/// its first read, for single-line and multi-row responses alike.
+#[test]
+fn each_response_arrives_in_one_read() {
+    let config = ServeConfig {
+        options: exact_options(),
+        ..ServeConfig::default()
+    };
+    let (addr, handle, join) = start_server(config);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for request in ["ping\n", "bound SELECT SUM(price)\n"] {
+        for i in 0..200 {
+            stream.write_all(request.as_bytes()).unwrap();
+            let mut response = Vec::new();
+            let reads = read_through_newline(&mut stream, &mut response);
+            assert_eq!(
+                reads,
+                1,
+                "request {i} `{}` was answered in {reads} reads",
+                request.trim_end()
+            );
+            assert!(response.starts_with(b"OK "), "{response:?}");
+        }
+    }
+
+    stream
+        .write_all(b"batch SELECT COUNT(*) ;; SELECT SUM(price) ;; SELECT MAX(price)\n")
+        .unwrap();
+    let mut chunk = [0u8; 4096];
+    let n = stream.read(&mut chunk).unwrap();
+    let text = std::str::from_utf8(&chunk[..n]).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(
+        text.ends_with('\n'),
+        "the first read ended mid-line: {text:?}"
+    );
+    assert_eq!(lines.len(), 4, "the first read held {text:?}");
+    assert!(lines[0].starts_with("OK batch epoch=0 n=3"), "{text:?}");
+    assert!(
+        lines[1..].iter().all(|row| row.starts_with("RES ")),
+        "{text:?}"
+    );
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// [`Connection::send`] writes each request line whole: a stand-in
+/// server's first read after each send holds exactly the line.
+#[test]
+fn client_sends_each_request_in_one_piece() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut split = Vec::new();
+        for i in 0..200 {
+            let mut request = Vec::new();
+            if read_through_newline(&mut stream, &mut request) != 1 {
+                split.push(i);
+            }
+            assert_eq!(request, b"ping\n");
+            stream.write_all(b"OK pong\n").unwrap();
+        }
+        split
+    });
+    let mut conn = Connection::connect(addr).unwrap();
+    conn.set_response_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for _ in 0..200 {
+        assert_eq!(conn.send("ping").unwrap().header, "OK pong");
+    }
+    let split = server.join().unwrap();
+    assert!(split.is_empty(), "requests {split:?} arrived in pieces");
 }
