@@ -20,8 +20,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pc_bench::experiments::fig7::overlapping_set;
 use pc_bench::Scale;
 use pc_core::{
-    decompose, decompose_with, BoundEngine, BoundOptions, FrequencyConstraint, Parallelism, PcSet,
-    PredicateConstraint, Session, SessionOptions, Strategy, ValueConstraint,
+    decompose, decompose_with, BoundEngine, BoundOptions, FrequencyConstraint, MilpOptions,
+    Parallelism, PcSet, PredicateConstraint, Session, SessionOptions, Strategy, ValueConstraint,
+    Warmth,
 };
 use pc_datagen::intel::{self, IntelConfig};
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
@@ -133,7 +134,10 @@ fn bench_group_by(c: &mut Criterion) {
         (
             "cold",
             BoundOptions {
-                warm_start: false,
+                milp: MilpOptions {
+                    warmth: Warmth::Cold,
+                    ..MilpOptions::default()
+                },
                 threads: 1,
                 ..BoundOptions::default()
             },
@@ -155,10 +159,13 @@ fn bench_group_by(c: &mut Criterion) {
     // LP-relaxation variant: every allocation solved as a (warm-startable)
     // LP — the throughput configuration for wide GROUP-BYs (bounds stay
     // sound, possibly slightly wider).
-    for (name, warm_start) in [("lp_cold", false), ("lp_warm", true)] {
+    for (name, warmth) in [("lp_cold", Warmth::Cold), ("lp_warm", Warmth::Carry)] {
         let options = BoundOptions {
             lp_relax_cell_limit: 0,
-            warm_start,
+            milp: MilpOptions {
+                warmth,
+                ..MilpOptions::default()
+            },
             threads: 1,
             ..BoundOptions::default()
         };

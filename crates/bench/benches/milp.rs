@@ -26,7 +26,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pc_bench::emit_bench_json_line;
-use pc_solver::{solve_milp, ConstraintOp, LinearProgram, MilpOptions, MilpProblem, SearchStats};
+use pc_solver::{
+    solve_milp, ConstraintOp, LinearProgram, MilpOptions, MilpProblem, SearchStats, Warmth,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,30 +87,28 @@ fn alloc_problems(nvars: usize, nrows: usize, count: usize) -> Vec<(MilpProblem,
 
 fn modes() -> Vec<(String, MilpOptions)> {
     let pool = rayon::current_num_threads();
-    let tiers: [(&str, bool, bool); 3] = [
-        ("cold", false, false),
-        ("basis", true, false),
-        ("carry", true, true),
+    let tiers = [
+        ("cold", Warmth::Cold),
+        ("basis", Warmth::Basis),
+        ("carry", Warmth::Carry),
     ];
     let mut out = Vec::new();
-    for (tier, warm_start, tableau_carry) in tiers {
+    for (tier, warmth) in tiers {
         out.push((
             format!("{tier}_seq"),
             MilpOptions {
                 threads: 1,
-                warm_start,
-                tableau_carry,
+                warmth,
                 ..MilpOptions::default()
             },
         ));
     }
-    for (tier, warm_start, tableau_carry) in tiers {
+    for (tier, warmth) in tiers {
         out.push((
             format!("{tier}_par_{pool}w"),
             MilpOptions {
                 threads: 0,
-                warm_start,
-                tableau_carry,
+                warmth,
                 ..MilpOptions::default()
             },
         ));

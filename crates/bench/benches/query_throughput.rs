@@ -15,7 +15,7 @@
 //!   default tableau carry, so structurally repeating LPs re-price one
 //!   carried canonical tableau across queries. The serve path `pc batch`
 //!   uses.
-//! * `session_basis` — the full session with `tableau_carry` off:
+//! * `session_basis` — the full session at `Warmth::Basis`:
 //!   identical cell cache, but chained warm starts hand over bases only
 //!   (the pre-carry architecture). Isolates the carry's contribution.
 //!
@@ -32,8 +32,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pc_bench::emit_bench_json_line;
 use pc_core::budget::pressure::AdmissionVerdict;
 use pc_core::{
-    BoundEngine, BoundOptions, FrequencyConstraint, LpWork, PcSet, PredicateConstraint,
-    QueryBudget, Session, SessionOptions, ValueConstraint,
+    BoundEngine, BoundOptions, FrequencyConstraint, LpWork, MilpOptions, PcSet,
+    PredicateConstraint, QueryBudget, Session, SessionOptions, ValueConstraint, Warmth,
 };
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
 use pc_storage::{AggKind, AggQuery};
@@ -102,7 +102,7 @@ fn close(a: f64, b: f64) -> bool {
 /// cuts the shared decomposition differently). AVG queries are the
 /// chain-carry showcase: each runs a binary search of up to ~80
 /// feasibility probes over the *same* constraint rows with shifting
-/// objectives, so with `tableau_carry` every probe after the first
+/// objectives, so at `Warmth::Carry` every probe after the first
 /// re-prices one carried tableau instead of rebuilding and crashing.
 fn query_stream(count: usize) -> Vec<AggQuery> {
     (0..count)
@@ -132,7 +132,10 @@ fn bench_query_throughput(c: &mut Criterion) {
         // their aggregated solver-work counters become the pivot columns
         // of the artifact
         let basis_opts = BoundOptions {
-            tableau_carry: false,
+            milp: MilpOptions {
+                warmth: Warmth::Basis,
+                ..opts.milp
+            },
             ..opts
         };
         let engine = BoundEngine::with_options(&set, opts);
@@ -340,7 +343,7 @@ fn run_churn(
 /// * `rebuild` — `SessionOptions::incremental` off: every mutation pays a
 ///   full re-decomposition (the pre-epoch architecture). Isolates the
 ///   derivation's SAT-check savings (`churn_work/.../sat_checks`).
-/// * `basis` — incremental epochs but `tableau_carry` off: chained warm
+/// * `basis` — incremental epochs at `Warmth::Basis`: chained warm
 ///   starts hand over bases only, so every cross-epoch LP falls back to
 ///   a crash/cold start instead of a one-row adaptation. Isolates the
 ///   carry's pivot savings (`churn_work/.../pivots`).
@@ -352,7 +355,10 @@ fn run_churn(
 fn bench_constraint_churn(c: &mut Criterion) {
     let opts = BoundOptions::default();
     let basis_opts = BoundOptions {
-        tableau_carry: false,
+        milp: MilpOptions {
+            warmth: Warmth::Basis,
+            ..opts.milp
+        },
         ..opts
     };
     let mut group = c.benchmark_group("constraint_churn");
@@ -510,7 +516,8 @@ fn bench_deadline_stress(c: &mut Criterion) {
                 let budget = QueryBudget::armed().with_timeout(timeout);
                 let t0 = Instant::now();
                 let r = session
-                    .bound_budgeted(q, &budget)
+                    .bound_ticketed_stamped(q, &budget, None)
+                    .1
                     .expect("a deadline degrades, never errors");
                 lat.push(t0.elapsed());
                 assert!(
@@ -545,7 +552,8 @@ fn bench_deadline_stress(c: &mut Criterion) {
             budget.cancel_token().expect("armed budget").cancel();
             let t0 = Instant::now();
             let r = session
-                .bound_budgeted(q, &budget)
+                .bound_ticketed_stamped(q, &budget, None)
+                .1
                 .expect("a cancel degrades, never errors");
             lat.push(t0.elapsed());
             assert!(r.degraded, "a cancelled query's answer must be marked");
@@ -585,7 +593,8 @@ fn bench_deadline_stress(c: &mut Criterion) {
                 for q in qs {
                     let budget = QueryBudget::armed().with_timeout(Duration::from_secs(1));
                     session
-                        .bound_budgeted(q, &budget)
+                        .bound_ticketed_stamped(q, &budget, None)
+                        .1
                         .expect("bounded workload");
                 }
             })
@@ -651,7 +660,8 @@ fn run_burst(
         );
         let task = move || {
             let r = session
-                .bound_ticketed(&q, &budget, ticket)
+                .bound_ticketed_stamped(&q, &budget, ticket)
+                .1
                 .expect("a deadline degrades, never errors");
             let shed = matches!(
                 r.sched.as_ref().map(|s| s.verdict),
@@ -768,7 +778,10 @@ fn bench_deadline_burst(_c: &mut Criterion) {
         // measures the cold-start transient, not the scheduler.
         for q in &queries {
             let warm = QueryBudget::armed().with_timeout(Duration::from_secs(1));
-            session.bound_budgeted(q, &warm).expect("calibration run");
+            session
+                .bound_ticketed_stamped(q, &warm, None)
+                .1
+                .expect("calibration run");
         }
         arms.push((mode, tagged, session, Vec::new()));
     }
@@ -787,7 +800,10 @@ fn bench_deadline_burst(_c: &mut Criterion) {
             // calm traffic between bursts pulls it back down.
             for q in &queries {
                 let warm = QueryBudget::armed().with_timeout(Duration::from_secs(1));
-                session.bound_budgeted(q, &warm).expect("calibration run");
+                session
+                    .bound_ticketed_stamped(q, &warm, None)
+                    .1
+                    .expect("calibration run");
             }
             rows.extend(run_burst(
                 session, &queries, ARRIVALS, interval, deadlines, *tagged,

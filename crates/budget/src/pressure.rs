@@ -19,18 +19,19 @@
 //! (a query touching most of the constraint set costs more than one
 //! touching a corner).
 //!
-//! Admission can judge at two points. The closed-loop form
-//! ([`PressureGauge::admit`]) judges when a worker *starts* the query —
-//! right for serve loops where arrival and start coincide. The open-loop
-//! form ([`PressureGauge::admit_ticket`]) judges at *arrival*, before
-//! the query is enqueued, and returns a detached [`SchedTicket`] the
-//! eventual runner settles: under sustained overload the queue itself is
-//! where deadlines die, so the verdict must come before the wait, not
-//! after it.
+//! Admission judges once per query, in one form:
+//! [`PressureGauge::admit_ticket`] charges the gauge and returns a
+//! detached [`SchedTicket`] that whoever runs the query settles
+//! ([`PressureGauge::settle_waited`]) exactly once, however the run ends.
+//! Open-loop serving judges at *arrival*, before the query is enqueued:
+//! under sustained overload the queue itself is where deadlines die, so
+//! the verdict must come before the wait, not after it. A query nobody
+//! judged at arrival is judged when its run starts, where arrival and
+//! start coincide; its ticket then has no queue wait to report.
 //!
 //! # The admission ladder
 //!
-//! [`PressureGauge::admit`] compares the arrival's deadline slack
+//! [`PressureGauge::admit_ticket`] compares the arrival's deadline slack
 //! against `expected wait + estimated cost` and returns the first rung
 //! that fits:
 //!
@@ -61,7 +62,7 @@
 use crate::QueryBudget;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What the admission layer decided for one query.
@@ -197,27 +198,14 @@ impl PressureGauge {
         }
     }
 
-    /// Judge one arrival and charge it against the gauge. `cost_factor`
-    /// scales the learned service-time EWMAs to this query's estimated
-    /// size (1.0 = average; from the estimate layer). A query with no
-    /// deadline is always admitted exactly (but still charged, so timed
-    /// arrivals see it in the backlog).
-    ///
-    /// The returned permit must be kept alive for the query's duration
-    /// and [`AdmissionPermit::complete`]d on success — dropping it
-    /// un-charges the backlog without calibrating.
-    pub fn admit(&self, cost_factor: f64, deadline: Option<Instant>) -> AdmissionPermit<'_> {
-        AdmissionPermit {
-            ticket: Some(self.admit_ticket(cost_factor, deadline)),
-            gauge: self,
-            started: Instant::now(),
-        }
-    }
-
-    /// Arrival-time admission: judge and charge the gauge *now*, before
-    /// the query is enqueued, and return a detached ticket. The runner
-    /// must eventually [`settle`](Self::settle) the ticket (with its run
-    /// time on success, `None` on failure) or the charge leaks.
+    /// Judge one arrival and charge it against the gauge *now*, returning
+    /// a detached ticket. `cost_factor` scales the learned service-time
+    /// EWMAs to this query's estimated size (1.0 = average; from the
+    /// estimate layer). A query with no deadline is always admitted
+    /// exactly (but still charged, so timed arrivals see it in the
+    /// backlog). The runner must eventually
+    /// [`settle_waited`](Self::settle_waited) the ticket or the charge
+    /// leaks.
     pub fn admit_ticket(&self, cost_factor: f64, deadline: Option<Instant>) -> SchedTicket {
         let factor = if cost_factor.is_finite() {
             cost_factor.clamp(FACTOR_MIN, FACTOR_MAX)
@@ -291,18 +279,14 @@ impl PressureGauge {
         }
     }
 
-    /// Release a ticket's charge; with `run_time` (success) the observed
-    /// service time also calibrates the verdict's EWMA. `run_time` must
-    /// cover the *run only*, not the queue wait — queueing is the
-    /// gauge's own doing and must not inflate its service estimates.
-    pub fn settle(&self, ticket: SchedTicket, run_time: Option<Duration>) {
-        self.settle_waited(ticket, run_time, None)
-    }
-
-    /// [`settle`](Self::settle), plus the queue wait the query actually
-    /// observed between admission and run start. Against the ticket's
-    /// *predicted* wait this is the gauge's own forecast error, and it
-    /// feeds the drain-rate multiplier. Shed tickets are excluded: a
+    /// Release a ticket's charge. With `run_time` (success) the observed
+    /// service time also calibrates the verdict's EWMA; `run_time` must
+    /// cover the *run only*, not the queue wait — queueing is the gauge's
+    /// own doing and must not inflate its service estimates. With
+    /// `observed_wait`, the queue wait the query actually saw between
+    /// admission and run start: against the ticket's *predicted* wait
+    /// this is the gauge's own forecast error, and it feeds the
+    /// drain-rate multiplier. Shed tickets are excluded from that: a
     /// rejection pops out of deadline order (immediately), so its wait
     /// says nothing about how fast the queue drains.
     pub fn settle_waited(
@@ -374,7 +358,10 @@ impl PressureGauge {
 
     fn release(&self, key: u64, charged_us: u64) {
         {
-            let mut queued = self.queued.lock().unwrap();
+            // Runners settle from a drop guard, which must not panic; every
+            // update under this lock is one map operation, so a poisoned
+            // map is still a valid one.
+            let mut queued = self.queued.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(c) = queued.get_mut(&key) {
                 *c = c.saturating_sub(charged_us);
                 if *c == 0 {
@@ -442,56 +429,6 @@ impl SchedTicket {
     }
 }
 
-/// RAII charge against a [`PressureGauge`]: holds the admitted query's
-/// estimated cost in the backlog until the query finishes. The
-/// closed-loop wrapper over [`SchedTicket`] for callers whose arrival
-/// and run start coincide.
-#[derive(Debug)]
-pub struct AdmissionPermit<'g> {
-    gauge: &'g PressureGauge,
-    ticket: Option<SchedTicket>,
-    started: Instant,
-}
-
-impl AdmissionPermit<'_> {
-    fn ticket(&self) -> &SchedTicket {
-        self.ticket.as_ref().expect("present until settled")
-    }
-
-    pub fn verdict(&self) -> AdmissionVerdict {
-        self.ticket().verdict
-    }
-
-    /// The service-time estimate charged to the backlog.
-    pub fn estimated_cost(&self) -> Duration {
-        self.ticket().estimated_cost()
-    }
-
-    /// The expected wait observed at admission.
-    pub fn backlog_at_admission(&self) -> Duration {
-        self.ticket().backlog_at_admission()
-    }
-
-    /// Release the charge and feed the observed service time back into
-    /// the verdict's EWMA. Call on successful completion; a dropped
-    /// (not completed) permit releases without calibrating, so panicked
-    /// queries don't poison the estimates.
-    pub fn complete(mut self) {
-        let run = self.started.elapsed();
-        if let Some(ticket) = self.ticket.take() {
-            self.gauge.settle(ticket, Some(run));
-        }
-    }
-}
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        if let Some(ticket) = self.ticket.take() {
-            self.gauge.settle(ticket, None);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,18 +444,18 @@ mod tests {
     fn uncalibrated_gauge_admits_everything_exact() {
         let g = PressureGauge::new(4);
         let deadline = Instant::now() + Duration::from_micros(1);
-        let p = g.admit(1.0, Some(deadline));
-        assert_eq!(p.verdict(), AdmissionVerdict::Exact);
-        p.complete();
+        let t = g.admit_ticket(1.0, Some(deadline));
+        assert_eq!(t.verdict(), AdmissionVerdict::Exact);
+        g.settle_waited(t, Some(Duration::from_micros(1)), None);
     }
 
     #[test]
     fn no_deadline_is_always_exact_but_charged() {
         let g = calibrated(1, 10_000, 2_000);
-        let p = g.admit(1.0, None);
-        assert_eq!(p.verdict(), AdmissionVerdict::Exact);
+        let t = g.admit_ticket(1.0, None);
+        assert_eq!(t.verdict(), AdmissionVerdict::Exact);
         assert!(g.backlog() >= Duration::from_micros(10_000));
-        drop(p);
+        g.settle_waited(t, None, None);
         assert_eq!(g.backlog(), Duration::ZERO);
     }
 
@@ -526,17 +463,17 @@ mod tests {
     fn ladder_exact_degraded_shed() {
         let g = calibrated(1, 10_000, 2_000);
         // plenty of slack: exact
-        let p = g.admit(1.0, Some(Instant::now() + Duration::from_millis(100)));
-        assert_eq!(p.verdict(), AdmissionVerdict::Exact);
-        drop(p);
+        let t = g.admit_ticket(1.0, Some(Instant::now() + Duration::from_millis(100)));
+        assert_eq!(t.verdict(), AdmissionVerdict::Exact);
+        g.settle_waited(t, None, None);
         // slack fits degraded but not exact
-        let p = g.admit(1.0, Some(Instant::now() + Duration::from_micros(5_000)));
-        assert_eq!(p.verdict(), AdmissionVerdict::Degraded);
-        drop(p);
+        let t = g.admit_ticket(1.0, Some(Instant::now() + Duration::from_micros(5_000)));
+        assert_eq!(t.verdict(), AdmissionVerdict::Degraded);
+        g.settle_waited(t, None, None);
         // hopeless slack: shed
-        let p = g.admit(1.0, Some(Instant::now() + Duration::from_micros(100)));
-        assert_eq!(p.verdict(), AdmissionVerdict::Shed);
-        drop(p);
+        let t = g.admit_ticket(1.0, Some(Instant::now() + Duration::from_micros(100)));
+        assert_eq!(t.verdict(), AdmissionVerdict::Shed);
+        g.settle_waited(t, None, None);
         let s = g.stats();
         assert_eq!((s.admitted_exact, s.admitted_degraded, s.shed), (1, 1, 1));
     }
@@ -545,33 +482,32 @@ mod tests {
     fn backlog_pushes_later_arrivals_down_the_ladder() {
         let g = calibrated(1, 10_000, 100);
         let deadline = Instant::now() + Duration::from_millis(15);
-        let first = g.admit(1.0, Some(deadline));
+        let first = g.admit_ticket(1.0, Some(deadline));
         assert_eq!(first.verdict(), AdmissionVerdict::Exact);
         // the same deadline no longer fits exact behind 10ms of backlog
-        let second = g.admit(1.0, Some(deadline));
+        let second = g.admit_ticket(1.0, Some(deadline));
         assert_eq!(second.verdict(), AdmissionVerdict::Degraded);
-        second.complete();
-        first.complete();
+        g.settle_waited(second, Some(Duration::from_micros(100)), None);
+        g.settle_waited(first, Some(Duration::from_millis(10)), None);
     }
 
     #[test]
     fn cost_factor_scales_the_estimate() {
         let g = calibrated(1, 1_000, 100);
         // a 10× query does not fit where a 1× query would
-        let p = g.admit(10.0, Some(Instant::now() + Duration::from_micros(2_000)));
-        assert_ne!(p.verdict(), AdmissionVerdict::Exact);
-        drop(p);
-        let p = g.admit(1.0, Some(Instant::now() + Duration::from_micros(2_000)));
-        assert_eq!(p.verdict(), AdmissionVerdict::Exact);
-        drop(p);
+        let t = g.admit_ticket(10.0, Some(Instant::now() + Duration::from_micros(2_000)));
+        assert_ne!(t.verdict(), AdmissionVerdict::Exact);
+        g.settle_waited(t, None, None);
+        let t = g.admit_ticket(1.0, Some(Instant::now() + Duration::from_micros(2_000)));
+        assert_eq!(t.verdict(), AdmissionVerdict::Exact);
+        g.settle_waited(t, None, None);
     }
 
     #[test]
     fn complete_calibrates_and_releases() {
         let g = PressureGauge::new(2);
-        let p = g.admit(1.0, None);
-        std::thread::sleep(Duration::from_millis(2));
-        p.complete();
+        let t = g.admit_ticket(1.0, None);
+        g.settle_waited(t, Some(Duration::from_millis(2)), None);
         let s = g.stats();
         assert!(s.ewma_exact >= Duration::from_millis(1));
         assert_eq!(g.backlog(), Duration::ZERO);
@@ -581,8 +517,8 @@ mod tests {
     fn degenerate_cost_factors_are_clamped() {
         let g = calibrated(1, 1_000, 100);
         for f in [f64::NAN, f64::INFINITY, -3.0, 0.0, 1e300] {
-            let p = g.admit(f, Some(Instant::now() + Duration::from_secs(60)));
-            drop(p);
+            let t = g.admit_ticket(f, Some(Instant::now() + Duration::from_secs(60)));
+            g.settle_waited(t, None, None);
         }
         assert_eq!(g.backlog(), Duration::ZERO);
     }

@@ -69,7 +69,7 @@ use pc_budget::{QueryBudget, WorkGate};
 use pc_predicate::Region;
 use pc_solver::{
     greedy, solve_lp_tableau, solve_milp_budgeted, CanonicalTableau, ConstraintOp, LinearProgram,
-    MilpOptions, MilpProblem, SearchStats, Sense, WarmStart,
+    MilpOptions, MilpProblem, SearchStats, Sense, WarmStart, Warmth,
 };
 use pc_storage::{AggKind, AggQuery};
 use std::cell::Cell as StdCell;
@@ -82,7 +82,15 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 pub struct BoundOptions {
     /// Cell decomposition strategy (default: DFS + rewrite).
     pub strategy: Strategy,
-    /// MILP search knobs.
+    /// MILP search knobs. Its [`MilpOptions::warmth`] sets the warm-start
+    /// tier of every LP chain the engine runs, not only of branch & bound:
+    /// the probes of one AVG binary search, the root relaxations of
+    /// consecutive allocation MILPs, and the queries one worker serves in
+    /// a [`crate::Session`] (whose per-worker caches carry tableaux across
+    /// queries and epochs). [`Warmth::Cold`] turns every chain off;
+    /// structure mismatches demote a carried tableau to its basis
+    /// automatically. Never affects results, only work — see
+    /// [`BoundReport::solver`] for the counters.
     pub milp: MilpOptions,
     /// Whether to run the closure check; when disabled the report assumes
     /// closure (callers that constructed provably-closed sets skip the
@@ -113,28 +121,6 @@ pub struct BoundOptions {
     /// [`Parallelism::eager`]; off by default). Never changes results:
     /// the oracle for "forked == inline" tests.
     pub eager_fork: bool,
-    /// Chain simplex warm starts between related LP solves: the queries
-    /// one worker serves in a [`crate::Session`], the probes of one AVG
-    /// binary search, and — through [`MilpOptions::warm_start`] —
-    /// parent-to-child node relaxations inside branch & bound. Disabling
-    /// this turns all of them off, *including* the tableau carry (the
-    /// carry is the warm start's deeper tier; the engine knob is the
-    /// whole-family switch, unlike the solver-level [`MilpOptions`] pair,
-    /// where the contradictory `warm_start: false, tableau_carry: true`
-    /// is rejected with an error).
-    pub warm_start: bool,
-    /// Carry whole canonical tableaux instead of just bases wherever the
-    /// chained LPs allow it (on by default): parent-to-child inside
-    /// branch & bound (append the branch bound as one row — O(1) pivots
-    /// per node instead of an O(m) rebuild + crash), and across the LP
-    /// solves of one chain when the constraint structure matches exactly
-    /// (the AVG binary search re-prices the same tableau ~80 times with
-    /// zero rebuilds; a [`crate::Session`]'s per-worker caches carry
-    /// tableaux across *queries*). Structure mismatches degrade to the
-    /// basis tier automatically. Honest A/B switch
-    /// (`pc … --no-tableau-carry`): never affects results, only work —
-    /// see [`BoundReport::solver`] for the counters.
-    pub tableau_carry: bool,
     /// Factor the cell set over the constraint-interaction graph of the
     /// constraints the query region reaches (on by default): a one-shot
     /// bound drops every constraint whose predicate misses
@@ -182,8 +168,6 @@ impl Default for BoundOptions {
             lp_relax_cell_limit: 150,
             threads: 0,
             eager_fork: false,
-            warm_start: true,
-            tableau_carry: true,
             shard: true,
             ordering: true,
         }
@@ -371,9 +355,9 @@ fn take_cached(cache: &WarmCache, key: WarmKey, lp: &LinearProgram) -> Option<Ca
 }
 
 /// What a chain slot holds between solves: the whole canonical tableau
-/// when the engine carries ([`BoundOptions::tableau_carry`]), or just the
-/// basis otherwise. A carried tableau whose structure no longer matches
-/// the next program demotes itself to its basis inside the solver.
+/// at [`Warmth::Carry`], or just the basis at [`Warmth::Basis`]. A
+/// carried tableau whose structure no longer matches the next program
+/// demotes itself to its basis inside the solver.
 pub(crate) enum CachedWarm {
     Basis(WarmStart),
     Tableau(Box<CanonicalTableau>),
@@ -618,11 +602,8 @@ impl<'a> BoundEngine<'a> {
         // One bounding call can solve many structurally identical LPs (the
         // AVG binary search runs ~80 feasibility probes); give it its own
         // warm-start chain.
-        let warm = if self.options.warm_start {
-            Some(Arc::new(Mutex::new(HashMap::new())))
-        } else {
-            None
-        };
+        let warm = (self.options.milp.warmth != Warmth::Cold)
+            .then(|| Arc::new(Mutex::new(HashMap::new())));
         // Tag the call's pool tasks (decomposition forks, B&B fan-out)
         // with the budget's deadline so they ride the EDF lane; stamp the
         // trip reason on degraded reports.
@@ -1357,8 +1338,7 @@ impl<'a> BoundEngine<'a> {
         // plain LP chain; a structural mismatch demotes inside the solver.
         let milp_options = self.milp_options();
         let key: WarmKey = (sense, extra_min_total, lp.num_vars(), lp.constraints.len());
-        let chain = milp_options
-            .tableau_carry
+        let chain = (milp_options.warmth == Warmth::Carry)
             .then_some(&p.warm)
             .and_then(|w| w.as_ref());
         let prior = chain.and_then(|cache| match take_cached(cache, key, &lp) {
@@ -1400,19 +1380,11 @@ impl<'a> BoundEngine<'a> {
     }
 
     /// The branch & bound configuration for this engine's allocation
-    /// MILPs: the engine-level knobs flow into the solver-level ones, so
-    /// `BoundOptions { threads, warm_start, tableau_carry }` configures
-    /// the whole vertical slice without callers knowing the solver has
-    /// its own knobs. A strictly sequential engine (`threads: 1`) forces
-    /// a sequential search; otherwise `milp.threads` left at its
-    /// sequential default inherits the engine's fan-out (set it
-    /// explicitly to decouple the two). `warm_start: false` disables the
-    /// whole warm family — node-to-node basis reuse, the LP chains, *and*
-    /// the tableau carry (so the engine never hands the solver the
-    /// contradictory `warm_start: false, tableau_carry: true` combination
-    /// the solver rejects); `tableau_carry: false` alone keeps the basis
-    /// tier and drops only tier 3. All three engine knobs stay honest A/B
-    /// switches for the whole pipeline.
+    /// MILPs: [`BoundOptions::milp`] with its thread count reconciled. A
+    /// strictly sequential engine (`threads: 1`) forces a sequential
+    /// search; otherwise `milp.threads` left at its sequential default
+    /// inherits the engine's fan-out (set it explicitly to decouple the
+    /// two).
     fn milp_options(&self) -> MilpOptions {
         let threads = if self.options.threads == 1 {
             1
@@ -1421,13 +1393,8 @@ impl<'a> BoundEngine<'a> {
         } else {
             self.options.milp.threads
         };
-        let warm_start = self.options.warm_start && self.options.milp.warm_start;
         MilpOptions {
             threads,
-            warm_start,
-            tableau_carry: warm_start
-                && self.options.tableau_carry
-                && self.options.milp.tableau_carry,
             ..self.options.milp
         }
     }
@@ -1437,7 +1404,7 @@ impl<'a> BoundEngine<'a> {
     /// and the tableau dimensions; the solver additionally verifies
     /// structural/basis compatibility and falls back tier by tier (carry
     /// → basis crash → cold), so a stale entry can cost time but never
-    /// correctness. With [`BoundOptions::tableau_carry`] the slot holds
+    /// correctness. At [`Warmth::Carry`] the slot holds
     /// the whole canonical tableau — moved out for the solve and moved
     /// back after — so an AVG binary search re-prices one tableau across
     /// all its probes and a [`crate::Session`] carries tableaux across
@@ -1449,7 +1416,7 @@ impl<'a> BoundEngine<'a> {
         sense: Sense,
         extra_min_total: bool,
     ) -> Result<f64, pc_solver::SolverError> {
-        // Cache creation is already gated on `options.warm_start` at both
+        // Cache creation is already gated on the warmth at both
         // construction sites (`bound_budgeted`, a session's `WarmCaches`).
         let Some(cache) = &p.warm else {
             let (sol, ct) = solve_lp_tableau(lp, None, None)?;
@@ -1464,7 +1431,7 @@ impl<'a> BoundEngine<'a> {
         };
         let (sol, ct) = solve_lp_tableau(lp, prior, basis.as_ref())?;
         p.record_lp(ct.stats());
-        let entry = if self.options.tableau_carry {
+        let entry = if self.options.milp.warmth == Warmth::Carry {
             CachedWarm::Tableau(Box::new(ct))
         } else {
             CachedWarm::Basis(ct.warm_start())
@@ -2039,13 +2006,9 @@ mod tests {
         set.set_domain(domain);
 
         let carry_engine = BoundEngine::new(&set);
-        let basis_engine = BoundEngine::with_options(
-            &set,
-            BoundOptions {
-                tableau_carry: false,
-                ..BoundOptions::default()
-            },
-        );
+        let mut basis = BoundOptions::default();
+        basis.milp.warmth = Warmth::Basis;
+        let basis_engine = BoundEngine::with_options(&set, basis);
         let mut carried_total = 0;
         for agg in [
             AggKind::Sum,

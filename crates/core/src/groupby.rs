@@ -107,7 +107,9 @@ impl BoundEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BoundOptions, FrequencyConstraint, PcSet, PredicateConstraint, ValueConstraint};
+    use crate::{
+        BoundOptions, FrequencyConstraint, PcSet, PredicateConstraint, ValueConstraint, Warmth,
+    };
     use pc_predicate::{AttrType, Interval, Predicate, Region, Schema};
     use pc_storage::AggKind;
 
@@ -384,14 +386,9 @@ mod tests {
         let base = AggQuery::new(AggKind::Avg, 1, Predicate::always());
         let keys = [0.0, 1.0, 2.0, 3.0];
         let warm = BoundEngine::new(&set).bound_group_by(&base, 0, keys);
-        let cold = BoundEngine::with_options(
-            &set,
-            BoundOptions {
-                warm_start: false,
-                ..BoundOptions::default()
-            },
-        )
-        .bound_group_by(&base, 0, keys);
+        let mut options = BoundOptions::default();
+        options.milp.warmth = Warmth::Cold;
+        let cold = BoundEngine::with_options(&set, options).bound_group_by(&base, 0, keys);
         assert_reports_match(&warm, &cold);
     }
 

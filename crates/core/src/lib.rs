@@ -97,10 +97,12 @@
 //!    never publishes its survival history — the unpublished-epoch rule
 //!    applied to estimates.
 //! 8. **Budgets and graceful degradation** ([`QueryBudget`], re-exported
-//!    from [`budget`]): every engine entry point has a `_budgeted`
-//!    variant accepting a deadline / SAT-check cap / branch & bound node
-//!    cap / [`CancelToken`], checked cooperatively at task-granule
-//!    boundaries through the whole stack. A tripped budget never errors
+//!    from [`budget`]): every engine entry point takes a budget — a
+//!    deadline / SAT-check cap / branch & bound node cap /
+//!    [`CancelToken`] — in one form ([`BoundEngine::bound_budgeted`],
+//!    and the `_stamped` form of each [`Session`] operation), checked
+//!    cooperatively at task-granule boundaries through the whole stack.
+//!    A tripped budget never errors
 //!    and never hangs: the decomposition emits its frontier un-split,
 //!    SAT probes are admitted unverified (the EarlyStop argument), the
 //!    MILP falls back to its LP relaxation, and the answer comes back
@@ -127,7 +129,11 @@
 //!    range stays sound and its latency stays flat. A pop-time
 //!    feasibility re-check demotes stale admissions, and every query
 //!    carries a [`SchedReport`] (verdict, queue wait, estimate) surfaced
-//!    by `pc batch --stats`. Scheduling never moves an answer: EDF and
+//!    by `pc batch --stats`. Every admitted unit — a query, each batch
+//!    item, one GROUP-BY call — runs through one session path, judged at
+//!    arrival ([`Session::admit`]) or at run start, and its admission
+//!    ticket is settled however the run ends, a panic included.
+//!    Scheduling never moves an answer: EDF and
 //!    FIFO orders are property-tested bit-identical, and shed/degraded
 //!    ranges always contain the exact range.
 //! 10. A **multi-tenant serving front-end** (`pc serve`, the `pc-serve`
@@ -137,17 +143,19 @@
 //!     API. Query verbs fan onto the pool through each tenant's own
 //!     admission gauge and serialize their [`SchedReport`]; mutation
 //!     verbs interleave with in-flight reads under the epoch MVCC, and
-//!     **every response stamps the epoch it answered from** (the
-//!     `_stamped` session variants). The registry also owns the drain
+//!     **every response stamps the epoch it answered from**: each
+//!     [`Session`] operation has two forms, the plain one and a
+//!     `_stamped` one that takes the budget and returns the epoch stamp.
+//!     The registry also owns the drain
 //!     protocol behind graceful shutdown: draining rejects new work
 //!     ([`SessionRegistry::begin_query`]) and fires the [`CancelToken`]
 //!     of every in-flight query, which finish early with sound degraded
 //!     answers. See the `pc-serve` crate docs for the wire reference.
 //!
 //! Parallelism and warm starts are knobs on [`BoundOptions`] (`threads`,
-//! `eager_fork`, `warm_start`); under the exact strategies every
-//! configuration returns identical bounds — the knobs trade machine
-//! resources for latency, not accuracy.
+//! `eager_fork`, and the warm-start tier `milp.warmth`, one [`Warmth`]);
+//! under the exact strategies every configuration returns identical
+//! bounds — the knobs trade machine resources for latency, not accuracy.
 //!
 //! Constraints are *testable*: [`PcSet::validate`] checks a set against
 //! historical data, returning every violation, which is the paper's
@@ -216,6 +224,7 @@ pub use groupby::GroupBound;
 pub use pc_budget as budget;
 pub use pc_budget::pressure::{AdmissionVerdict, PressureGauge, PressureStats, SchedReport};
 pub use pc_budget::{CancelToken, QueryBudget, TripReason};
+pub use pc_solver::{MilpOptions, Warmth};
 pub use pcset::{PcSet, Violation};
 pub use session::{
     ConstraintId, QueryGuard, Session, SessionOptions, SessionRegistry, ShedCacheStats,

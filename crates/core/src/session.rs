@@ -85,8 +85,9 @@
 //!   query containing it non-closed without a SAT call;
 //! * simplex **warm starts chain across queries and across epochs**: the
 //!   session keeps per-worker [`WarmCaches`] alive for its whole
-//!   lifetime. With [`crate::BoundOptions::tableau_carry`] (the default)
-//!   each chain slot holds the whole **canonical tableau**; a successor
+//!   lifetime. At [`crate::Warmth::Carry`] (the default
+//!   [`crate::MilpOptions::warmth`]) each chain slot holds the whole
+//!   **canonical tableau**; a successor
 //!   LP with identical constraint structure re-prices it under its new
 //!   objective, and — new with the versioned API — a successor whose
 //!   rows differ by the *one constraint an epoch added or retired* is
@@ -115,12 +116,33 @@
 //! epochs keep unverified cells admitted (bounds may stay wider than a
 //! fresh rebuild's, never unsoundly narrower).
 //!
+//! # One way in
+//!
+//! Every operation has two public forms: the plain one
+//! ([`Session::bound`], [`Session::bound_many`],
+//! [`Session::bound_group_by`], [`Session::add_constraint`],
+//! [`Session::retire_constraint`], [`Session::replace_constraint`]) and a
+//! `_stamped` one that takes the [`QueryBudget`] and returns the number
+//! of the epoch it ran against — the stamp a serving tier puts on its
+//! response. [`Session::bound_ticketed_stamped`] also takes the ticket
+//! [`Session::admit`] issued at the query's arrival. Underneath, every
+//! admitted unit of work — a single query, each item of a batch, one
+//! GROUP-BY call — runs through one private path: it takes the unit's
+//! ticket (issuing one at run start when there is none), turns it into
+//! the report's [`SchedReport`], re-checks the verdict against the slack
+//! left, runs the rung, and settles the ticket through one guard on
+//! every exit, an unwind included. Mutations likewise share one shape:
+//! an add and a retire are each one delta on a draft of the next epoch,
+//! a replace chains the two, and nothing is installed before the last
+//! delta is done — so a mutation that panics leaves the current epoch,
+//! and the session, as they were.
+//!
 //! `pc batch` drives all of this from the command line: `+ <constraint>`
 //! and `- <id>` directive lines interleave catalog churn with the query
 //! stream, and the `query_throughput` bench records the
 //! incremental-vs-rebuild ablation to `BENCH_serve.json`.
 
-use crate::bounds::{pooled_map_catch, ShardSlice, WarmCache, WarmCaches};
+use crate::bounds::{pooled_map_catch, ShardSlice, WarmCaches};
 use crate::decompose::DecomposeStats;
 use crate::estimate::Estimates;
 use crate::groupby::bound_keys;
@@ -128,28 +150,17 @@ use crate::shard::ShardedCellSet;
 use crate::specialize::CellSet;
 use crate::{
     BoundEngine, BoundError, BoundOptions, BoundReport, GroupBound, PcSet, PredicateConstraint,
+    Warmth,
 };
-use pc_budget::pressure::{
-    AdmissionPermit, AdmissionVerdict, PressureGauge, SchedReport, SchedTicket,
-};
+use pc_budget::pressure::{AdmissionVerdict, PressureGauge, SchedReport, SchedTicket};
 use pc_budget::{CancelToken, QueryBudget, TripReason};
 use pc_storage::AggQuery;
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-
-/// The scheduling report of a call admitted through `permit`.
-fn permit_report(permit: &AdmissionPermit<'_>, budget: &QueryBudget) -> SchedReport {
-    SchedReport {
-        queue_wait: budget.armed_for().unwrap_or_default(),
-        verdict: permit.verdict(),
-        backlog: permit.backlog_at_admission(),
-        estimated_cost: permit.estimated_cost(),
-    }
-}
 
 /// Stable handle of one catalog constraint, assigned by the session at
 /// admission and never reused. Renders as `c<N>` (`pc batch` retire
@@ -197,7 +208,8 @@ pub struct SessionOptions {
     /// cached cells (the default). Disabled, every query decomposes its
     /// own region from scratch — the cold baseline, kept as an honest
     /// A/B switch (`pc … --no-session-cache`); warm-start chaining across
-    /// queries stays on either way unless `bound.warm_start` is off.
+    /// queries stays on either way unless `bound.milp.warmth` is
+    /// [`Warmth::Cold`].
     pub cache_cells: bool,
     /// Derive each mutation's epoch incrementally from the previous one
     /// (the default): re-split only the cells the churned constraint's
@@ -258,6 +270,32 @@ struct Epoch {
     shed_cache: Mutex<HashMap<String, BoundReport>>,
 }
 
+impl Epoch {
+    /// Epoch `number` of the catalog `set` with live `ids`. Derived
+    /// `cells` are published as its decomposition; without them the
+    /// first query that needs cells builds them.
+    fn new(
+        number: u64,
+        set: Arc<PcSet>,
+        ids: Vec<ConstraintId>,
+        estimates: Arc<Estimates>,
+        cells: Option<Arc<ShardedCellSet>>,
+    ) -> Epoch {
+        let built = OnceLock::new();
+        if let Some(cells) = cells {
+            let _ = built.set(Ok(cells));
+        }
+        Epoch {
+            number,
+            set,
+            ids,
+            cells: built,
+            estimates,
+            shed_cache: Mutex::new(HashMap::new()),
+        }
+    }
+}
+
 /// A long-lived, mutable query-serving handle over a constraint catalog:
 /// decompose once, specialize per query, delta-derive per mutation, chain
 /// warm starts across queries and epochs. See the module docs.
@@ -307,21 +345,14 @@ impl Session {
     /// A session with explicit options.
     pub fn with_options(set: PcSet, options: SessionOptions) -> Self {
         let seeded = set.len() as u64;
-        let ids: Vec<ConstraintId> = (0..seeded).map(ConstraintId).collect();
+        let ids = (0..seeded).map(ConstraintId).collect();
         let estimates = Arc::new(Estimates::for_set(&set));
         Session {
             options,
-            current: Mutex::new(Arc::new(Epoch {
-                number: 0,
-                set: Arc::new(set),
-                ids,
-                cells: OnceLock::new(),
-                estimates,
-                shed_cache: Mutex::new(HashMap::new()),
-            })),
+            current: Mutex::new(Arc::new(Epoch::new(0, Arc::new(set), ids, estimates, None))),
             mutations: Mutex::new(()),
             next_id: AtomicU64::new(seeded),
-            warm: WarmCaches::new(options.bound.warm_start),
+            warm: WarmCaches::new(options.bound.milp.warmth != Warmth::Cold),
             pressure: PressureGauge::new(rayon::current_num_threads()),
             shed_hits: AtomicU64::new(0),
             shed_misses: AtomicU64::new(0),
@@ -477,73 +508,28 @@ impl Session {
     /// Admit a constraint into the catalog, producing a new epoch. The
     /// returned id is stable for the session's lifetime.
     pub fn add_constraint(&self, pc: PredicateConstraint) -> ConstraintId {
-        self.add_constraint_budgeted(pc, &QueryBudget::unlimited())
+        self.add_constraint_stamped(pc, &QueryBudget::unlimited()).0
     }
 
     /// [`Session::add_constraint`] with the incremental derivation
-    /// metered by `budget`. The mutation itself **always succeeds** — the
-    /// new epoch's catalog is installed regardless. What the budget
-    /// governs is the eager cell derivation: if it trips mid-derivation,
-    /// the partially-derived cells are **discarded** (never published as
-    /// the epoch's cache) and the epoch's cells stay lazy, rebuilt by the
-    /// first query that needs them. The catalog never serves a half-built
-    /// [`CellSet`].
-    pub fn add_constraint_budgeted(
-        &self,
-        pc: PredicateConstraint,
-        budget: &QueryBudget,
-    ) -> ConstraintId {
-        self.add_constraint_stamped(pc, budget).0
-    }
-
-    /// [`Session::add_constraint_budgeted`], additionally returning the
-    /// epoch number the mutation created — the number a serving tier
-    /// stamps on the mutation's wire response, captured inside the
-    /// mutation lock so concurrent mutations cannot misattribute it.
+    /// metered by `budget`, additionally returning the epoch number the
+    /// mutation created — the number a serving tier stamps on the
+    /// mutation's wire response, captured inside the mutation lock so
+    /// concurrent mutations cannot misattribute it. The mutation itself
+    /// **always succeeds** — the new epoch's catalog is installed
+    /// regardless. What the budget governs is the eager cell derivation:
+    /// if it trips mid-derivation, the partially-derived cells are
+    /// **discarded** (never published as the epoch's cache) and the
+    /// epoch's cells stay lazy, rebuilt by the first query that needs
+    /// them. The catalog never serves a half-built [`CellSet`].
     pub fn add_constraint_stamped(
         &self,
         pc: PredicateConstraint,
         budget: &QueryBudget,
     ) -> (ConstraintId, u64) {
-        let _mutation = self.mutations.lock().unwrap();
-        // `prev` cannot move under us: only mutations swap `current`, and
-        // they all serialize on the lock above — so the expensive
-        // derivation runs with `current` free for query pins.
-        let prev = self.pin();
-        let id = ConstraintId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        let mut ids = prev.ids.clone();
-        ids.push(id);
-        let mut set = (*prev.set).clone();
-        // a new constraint may overlap the existing ones arbitrarily; the
-        // disjointness fast path must not survive on a stale hint
-        set.set_disjoint_hint(false);
-        set.push(pc.clone());
-        let set = Arc::new(set);
-        let estimates = Arc::new(prev.estimates.derive_add(&set));
-        let cells = OnceLock::new();
-        if let Some(prev_cells) = self.derivable(&prev) {
-            // A failed shard re-decomposition (e.g. a merge overflowing
-            // the naive strategy) stays unpublished; the error replays
-            // from the lazy rebuild instead.
-            if let Ok(derived) = self.derived_add(&prev_cells, &pc, &set, &estimates, budget) {
-                if !budget.is_tripped() {
-                    let _ = cells.set(Ok(Arc::new(derived)));
-                }
-            }
-        }
-        let number = prev.number + 1;
-        self.install(
-            &prev,
-            Epoch {
-                number,
-                set,
-                ids,
-                cells,
-                estimates,
-                shed_cache: Mutex::new(HashMap::new()),
-            },
-        );
-        (id, number)
+        let mut mutation = self.mutation();
+        let id = mutation.add(pc, budget);
+        (id, mutation.install())
     }
 
     /// Retire a constraint from the catalog, producing a new epoch.
@@ -554,36 +540,9 @@ impl Session {
     /// [`Session::retire_constraint`], returning the epoch number the
     /// retirement created (see [`Session::add_constraint_stamped`]).
     pub fn retire_constraint_stamped(&self, id: ConstraintId) -> Result<u64, UnknownConstraint> {
-        let _mutation = self.mutations.lock().unwrap();
-        let prev = self.pin();
-        let Some(index) = prev.ids.iter().position(|&i| i == id) else {
-            return Err(UnknownConstraint(id));
-        };
-        let mut ids = prev.ids.clone();
-        ids.remove(index);
-        let mut set = (*prev.set).clone();
-        let removed = set.remove_constraint(index);
-        let set = Arc::new(set);
-        let estimates = Arc::new(prev.estimates.derive_retire(index));
-        let cells = OnceLock::new();
-        if let Some(prev_cells) = self.derivable(&prev) {
-            let uncovered = self.retired_uncovered(&prev_cells, &removed, &set);
-            let derived = prev_cells.derive_retire(&set, index, &self.options.bound, uncovered);
-            let _ = cells.set(Ok(Arc::new(derived)));
-        }
-        let number = prev.number + 1;
-        self.install(
-            &prev,
-            Epoch {
-                number,
-                set,
-                ids,
-                cells,
-                estimates,
-                shed_cache: Mutex::new(HashMap::new()),
-            },
-        );
-        Ok(number)
+        let mut mutation = self.mutation();
+        mutation.retire(id)?;
+        Ok(mutation.install())
     }
 
     /// Swap one constraint for another in a **single** epoch (a retire
@@ -594,85 +553,51 @@ impl Session {
         id: ConstraintId,
         pc: PredicateConstraint,
     ) -> Result<ConstraintId, UnknownConstraint> {
-        self.replace_constraint_budgeted(id, pc, &QueryBudget::unlimited())
-    }
-
-    /// [`Session::replace_constraint`] with the derivation metered by
-    /// `budget` — same contract as [`Session::add_constraint_budgeted`]:
-    /// the swap always lands; a tripped derivation is discarded and the
-    /// new epoch's cells rebuild lazily.
-    pub fn replace_constraint_budgeted(
-        &self,
-        id: ConstraintId,
-        pc: PredicateConstraint,
-        budget: &QueryBudget,
-    ) -> Result<ConstraintId, UnknownConstraint> {
-        self.replace_constraint_stamped(id, pc, budget)
+        self.replace_constraint_stamped(id, pc, &QueryBudget::unlimited())
             .map(|(new_id, _)| new_id)
     }
 
-    /// [`Session::replace_constraint_budgeted`], returning the
-    /// replacement id *and* the epoch number the swap created (see
-    /// [`Session::add_constraint_stamped`]).
+    /// [`Session::replace_constraint`] with the add half's derivation
+    /// metered by `budget` (the contract of
+    /// [`Session::add_constraint_stamped`]: the swap always lands; a
+    /// tripped derivation is discarded and the new epoch's cells rebuild
+    /// lazily), returning the replacement id *and* the epoch number the
+    /// swap created.
     pub fn replace_constraint_stamped(
         &self,
         id: ConstraintId,
         pc: PredicateConstraint,
         budget: &QueryBudget,
     ) -> Result<(ConstraintId, u64), UnknownConstraint> {
-        let _mutation = self.mutations.lock().unwrap();
-        let prev = self.pin();
-        let Some(index) = prev.ids.iter().position(|&i| i == id) else {
-            return Err(UnknownConstraint(id));
-        };
-        let new_id = ConstraintId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        let mut ids = prev.ids.clone();
-        ids.remove(index);
-        ids.push(new_id);
-        let mut mid_set = (*prev.set).clone();
-        let removed = mid_set.remove_constraint(index);
-        let mut set = mid_set.clone();
-        set.set_disjoint_hint(false);
-        set.push(pc.clone());
-        let (mid_set, set) = (Arc::new(mid_set), Arc::new(set));
-        // chain the two estimate deltas exactly as the cells chain below
-        let estimates = Arc::new(prev.estimates.derive_retire(index).derive_add(&set));
-        let cells = OnceLock::new();
-        if let Some(prev_cells) = self.derivable(&prev) {
-            // chain the two deltas through the intermediate epoch-less set
-            let mid_uncovered = self.retired_uncovered(&prev_cells, &removed, &mid_set);
-            let mid = prev_cells.derive_retire(&mid_set, index, &self.options.bound, mid_uncovered);
-            if let Ok(mut derived) = self.derived_add(&mid, &pc, &set, &estimates, budget) {
-                derived.absorb_stats(mid.stats());
-                if !budget.is_tripped() {
-                    let _ = cells.set(Ok(Arc::new(derived)));
-                }
-            }
-        }
-        let number = prev.number + 1;
-        self.install(
-            &prev,
-            Epoch {
-                number,
-                set,
-                ids,
-                cells,
-                estimates,
-                shed_cache: Mutex::new(HashMap::new()),
-            },
-        );
-        Ok((new_id, number))
+        let mut mutation = self.mutation();
+        mutation.retire(id)?;
+        let new_id = mutation.add(pc, budget);
+        Ok((new_id, mutation.install()))
     }
 
-    /// Swap the new epoch in — the only place `current` is written, held
-    /// just long enough for the `Arc` assignment.
-    fn install(&self, prev: &Arc<Epoch>, epoch: Epoch) {
-        let mut cur = self.current.lock().unwrap();
-        debug_assert!(
-            Arc::ptr_eq(&cur, prev),
-            "mutations serialize on the mutation lock"
-        );
-        *cur = Arc::new(epoch);
+    /// Start a catalog mutation: take the mutation lock and draft the next
+    /// epoch from the current one.
+    fn mutation(&self) -> Mutation<'_> {
+        // A mutation that unwound installed nothing, so the lock it
+        // poisoned still guards an intact current epoch.
+        let lock = self
+            .mutations
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // `prev` cannot move under us: only mutations swap `current`, and
+        // they all serialize on the lock above — so the expensive
+        // derivation runs with `current` free for query pins.
+        let prev = self.pin();
+        Mutation {
+            session: self,
+            _lock: lock,
+            ids: prev.ids.clone(),
+            set: Arc::clone(&prev.set),
+            estimates: Arc::clone(&prev.estimates),
+            cells: self.derivable(&prev),
+            work: DecomposeStats::default(),
+            prev,
+        }
     }
 
     /// The add half of a derivation: closure counterexample carry (a
@@ -776,129 +701,40 @@ impl Session {
     /// against the same catalog snapshot, up to solver tolerance (see
     /// the module docs' invalidation section for the ~1e-6 caveat).
     pub fn bound(&self, query: &AggQuery) -> Result<BoundReport, BoundError> {
-        self.bound_budgeted(query, &QueryBudget::unlimited())
-    }
-
-    /// [`Session::bound`] under a [`QueryBudget`]. The budget meters the
-    /// whole serve path — epoch build (cold epochs only), per-query
-    /// specialization, closure checks, and the allocation MILPs. On a
-    /// trip the query still answers, sound but wider, with
-    /// [`BoundReport::degraded`] set; a degraded epoch build serves only
-    /// this query and is never published to the epoch cache (see
-    /// [`crate::budget`] for the degradation ladder).
-    pub fn bound_budgeted(
-        &self,
-        query: &AggQuery,
-        budget: &QueryBudget,
-    ) -> Result<BoundReport, BoundError> {
-        let epoch = self.pin();
-        self.bound_on(&epoch, query, self.warm.for_current_worker(), budget)
-    }
-
-    /// The per-query admission + scheduling wrapper around the serve
-    /// body: judge the arrival against the pressure gauge, pick the
-    /// ladder rung (exact / early-degraded / shed), tag the query's pool
-    /// tasks with its deadline, run, and stamp the scheduling outcome
-    /// ([`BoundReport::sched`], [`BoundReport::trip`]) on the report.
-    fn bound_on(
-        &self,
-        epoch: &Epoch,
-        query: &AggQuery,
-        warm: Option<WarmCache>,
-        budget: &QueryBudget,
-    ) -> Result<BoundReport, BoundError> {
-        let deadline = budget.deadline();
-        let sched_deadline = if self.options.deadline_sched {
-            deadline
-        } else {
-            None
-        };
-
-        // Admission only judges queries that declared urgency; everything
-        // else runs the full exact pipeline (their cost still registers
-        // on the gauge so timed arrivals see them in the backlog).
-        if !self.options.admission || deadline.is_none() {
-            return self.run_bypass(epoch, query, warm, budget, sched_deadline);
-        }
-
-        let permit = self
-            .pressure
-            .admit(self.cost_factor(epoch, query), deadline);
-        let sched = permit_report(&permit, budget);
-        let result = self.run_rung(epoch, query, warm, budget, sched, sched_deadline);
-        match &result {
-            Ok(_) => permit.complete(),
-            // Errors (including panics mapped by the batch layer) drop
-            // the permit: the backlog un-charges without calibrating.
-            Err(_) => drop(permit),
-        }
-        result
-    }
-
-    /// The exact pipeline of a query that bypasses admission (no
-    /// deadline, or admission off), stamped with
-    /// [`SchedReport::bypass`].
-    fn run_bypass(
-        &self,
-        epoch: &Epoch,
-        query: &AggQuery,
-        warm: Option<WarmCache>,
-        budget: &QueryBudget,
-        sched_deadline: Option<Instant>,
-    ) -> Result<BoundReport, BoundError> {
-        // The wait ends where the run starts, not where it returns.
-        let sched = SchedReport::bypass(budget);
-        let mut result = rayon::with_task_deadline(sched_deadline, || {
-            self.bound_serve(epoch, query, warm, budget, self.options.bound)
-        });
-        if let Ok(report) = &mut result {
-            report.sched = Some(sched);
-            if report.degraded && report.trip.is_none() {
-                report.trip = budget.trip_reason();
-            }
-        }
-        result
+        self.bound_ticketed_stamped(query, &QueryBudget::unlimited(), None)
+            .1
     }
 
     /// Arrival-time admission for open-loop serving: judge the query
     /// against the pressure gauge *now* — before it is enqueued — and
-    /// return the detached ticket to hand to [`Session::bound_ticketed`]
-    /// wherever the query eventually runs. Under sustained overload the
-    /// queue is where deadlines die; judging at run start would admit
-    /// every arrival into a queue none of them can survive. `None` when
-    /// the query bypasses admission (no deadline, or admission off) —
-    /// pass it through, [`Session::bound_ticketed`] handles both.
+    /// return the detached ticket to hand to
+    /// [`Session::bound_ticketed_stamped`] wherever the query eventually
+    /// runs. Under sustained overload the queue is where deadlines die;
+    /// judging at run start would admit every arrival into a queue none
+    /// of them can survive. `None` when the query bypasses admission (no
+    /// deadline, or admission off) — pass it through either way.
     pub fn admit(&self, query: &AggQuery, budget: &QueryBudget) -> Option<SchedTicket> {
-        let deadline = budget.deadline();
-        if !self.options.admission || deadline.is_none() {
-            return None;
-        }
-        let epoch = self.pin();
-        Some(
-            self.pressure
-                .admit_ticket(self.cost_factor(&epoch, query), deadline),
-        )
+        self.judge(budget, || self.cost_factor(&self.pin(), query))
     }
 
-    /// Run a query already judged by [`Session::admit`]: execute the
-    /// ticket's rung, settle the ticket (run time calibrates the gauge's
-    /// service estimates; the queue wait it already spent does not), and
-    /// stamp the scheduling outcome on the report. With no ticket this
-    /// is [`Session::bound_budgeted`].
-    pub fn bound_ticketed(
-        &self,
-        query: &AggQuery,
-        budget: &QueryBudget,
-        ticket: Option<SchedTicket>,
-    ) -> Result<BoundReport, BoundError> {
-        self.bound_ticketed_stamped(query, budget, ticket).1
-    }
-
-    /// [`Session::bound_ticketed`], additionally returning the number of
-    /// the epoch the answer was computed against — the **snapshot stamp**
-    /// a serving tier puts on every wire response. The stamp and the
-    /// answer come from the same single pin, so under concurrent catalog
-    /// churn the pair is consistent by construction.
+    /// [`Session::bound`] under a [`QueryBudget`], on the verdict of
+    /// `ticket`, additionally returning the number of the epoch the
+    /// answer was computed against — the **snapshot stamp** a serving
+    /// tier puts on every wire response. The stamp and the answer come
+    /// from the same single pin, so under concurrent catalog churn the
+    /// pair is consistent by construction.
+    ///
+    /// `ticket` is the arrival-time verdict from [`Session::admit`]; with
+    /// `None`, a deadline-armed query is judged when its run starts. The
+    /// scheduling outcome is stamped on [`BoundReport::sched`], and the
+    /// ticket is settled however the run ends, a panic included.
+    ///
+    /// The budget meters the whole serve path — epoch build (cold epochs
+    /// only), per-query specialization, closure checks, and the
+    /// allocation MILPs. On a trip the query still answers, sound but
+    /// wider, with [`BoundReport::degraded`] set; a degraded epoch build
+    /// serves only this query and is never published to the epoch cache
+    /// (see [`crate::budget`] for the degradation ladder).
     pub fn bound_ticketed_stamped(
         &self,
         query: &AggQuery,
@@ -906,54 +742,114 @@ impl Session {
         ticket: Option<SchedTicket>,
     ) -> (u64, Result<BoundReport, BoundError>) {
         let epoch = self.pin();
-        let number = epoch.number;
-        let Some(ticket) = ticket else {
-            let result = self.bound_on(&epoch, query, self.warm.for_current_worker(), budget);
-            return (number, result);
-        };
-        let warm = self.warm.for_current_worker();
-        let verdict = ticket.verdict();
-        let sched = SchedReport {
-            queue_wait: budget.armed_for().unwrap_or_default(),
-            verdict,
-            backlog: ticket.backlog_at_admission(),
-            estimated_cost: ticket.estimated_cost(),
-        };
-        let sched_deadline = if self.options.deadline_sched {
-            budget.deadline()
-        } else {
-            None
-        };
-        let run_started = Instant::now();
-        // Pop-time demotion: the verdict was judged at arrival against a
-        // *predicted* queue wait; by pop the wait is a fact. Re-check the
-        // admission inequality with it — a query whose remaining slack no
-        // longer covers its rung's estimated cost would burn pool work on
-        // an answer that will degrade mid-run anyway, so answer from the
-        // cheapest sound path (the rejection cache) instead. Expired
-        // deadlines are the zero-slack special case.
-        let demoted = verdict != AdmissionVerdict::Shed
-            && budget.deadline().is_some_and(|d| {
-                d.saturating_duration_since(run_started) < ticket.estimated_cost()
-            });
-        let verdict = if demoted {
-            AdmissionVerdict::Shed
-        } else {
-            verdict
-        };
-        let sched = SchedReport { verdict, ..sched };
-        let result = self.run_rung(&epoch, query, warm, budget, sched, sched_deadline);
-        // A demoted run took the shed path, not the rung the ticket was
-        // charged for — its (near-zero) elapsed time says nothing about
-        // that rung's service cost and must not calibrate the gauge. The
-        // observed queue wait, by contrast, is real either way and feeds
-        // the drain-rate feedback.
-        self.pressure.settle_waited(
+        let result = self.bound_admitted(&epoch, query, budget, ticket);
+        (epoch.number, result)
+    }
+
+    /// Judge an arrival against the pressure gauge at `cost_factor()`:
+    /// `None` when admission does not apply (no armed deadline, or
+    /// admission off), and the query then runs exact.
+    fn judge(
+        &self,
+        budget: &QueryBudget,
+        cost_factor: impl FnOnce() -> f64,
+    ) -> Option<SchedTicket> {
+        let deadline = budget.deadline();
+        (self.options.admission && deadline.is_some())
+            .then(|| self.pressure.admit_ticket(cost_factor(), deadline))
+    }
+
+    /// The deadline a query's pool tasks are tagged with: the budget's,
+    /// when [`SessionOptions::deadline_sched`] is on.
+    fn task_deadline(&self, budget: &QueryBudget) -> Option<Instant> {
+        budget.deadline().filter(|_| self.options.deadline_sched)
+    }
+
+    /// One query against `epoch` through [`Session::run_admitted`].
+    fn bound_admitted(
+        &self,
+        epoch: &Epoch,
+        query: &AggQuery,
+        budget: &QueryBudget,
+        ticket: Option<SchedTicket>,
+    ) -> Result<BoundReport, BoundError> {
+        self.run_admitted(
+            budget,
             ticket,
-            (result.is_ok() && !demoted).then(|| run_started.elapsed()),
-            Some(sched.queue_wait),
-        );
-        (number, result)
+            || self.cost_factor(epoch, query),
+            Result::is_ok,
+            |sched| self.run_rung(epoch, query, budget, sched),
+        )
+    }
+
+    /// The one run path of every admitted unit of work: a single query,
+    /// each item of a batch, or one whole GROUP-BY call.
+    ///
+    /// * The ticket comes from [`Session::admit`] at arrival; given
+    ///   `None`, it is issued here at run start, at `cost_factor()`,
+    ///   wherever admission applies ([`Session::judge`]). No ticket means
+    ///   the exact rung and a [`SchedReport::bypass`].
+    /// * The ticket becomes the run's [`SchedReport`], after the
+    ///   pop-time re-check: the verdict was judged against a *predicted*
+    ///   queue wait, and by now the wait is a fact. A query whose
+    ///   remaining slack no longer covers its rung's estimated cost would
+    ///   burn pool work on an answer that will degrade mid-run anyway, so
+    ///   it is demoted to the cheapest sound path (the shed rung)
+    ///   instead. Expired deadlines are the zero-slack special case.
+    /// * `run` executes the rung, its pool tasks tagged with the budget's
+    ///   deadline ([`Session::task_deadline`]).
+    /// * One guard settles the ticket on every exit path, unwinding
+    ///   included. The run time calibrates the gauge's service estimates
+    ///   only when `calibrates` accepts the outcome of the rung the ticket
+    ///   was charged for; the queue wait an arrival ticket observed feeds
+    ///   the drain-rate feedback either way.
+    fn run_admitted<T>(
+        &self,
+        budget: &QueryBudget,
+        ticket: Option<SchedTicket>,
+        cost_factor: impl FnOnce() -> f64,
+        calibrates: fn(&T) -> bool,
+        run: impl FnOnce(SchedReport) -> T,
+    ) -> T {
+        // A ticket issued at run start has no queue wait to observe.
+        let arrived = ticket.is_some();
+        let ticket = ticket.or_else(|| self.judge(budget, cost_factor));
+        // The wait ends where the run starts, not where it returns.
+        let mut sched = SchedReport::bypass(budget);
+        let run_started = Instant::now();
+        let mut demoted = false;
+        let mut settle = Settle {
+            gauge: &self.pressure,
+            ticket: None,
+            observed_wait: None,
+            run_time: None,
+        };
+        if let Some(ticket) = ticket {
+            demoted = ticket.verdict() != AdmissionVerdict::Shed
+                && budget.deadline().is_some_and(|d| {
+                    d.saturating_duration_since(run_started) < ticket.estimated_cost()
+                });
+            sched = SchedReport {
+                verdict: if demoted {
+                    AdmissionVerdict::Shed
+                } else {
+                    ticket.verdict()
+                },
+                backlog: ticket.backlog_at_admission(),
+                estimated_cost: ticket.estimated_cost(),
+                ..sched
+            };
+            settle.observed_wait = arrived.then_some(sched.queue_wait);
+            settle.ticket = Some(ticket);
+        }
+        let out = rayon::with_task_deadline(self.task_deadline(budget), || run(sched));
+        // A demoted run took the shed path, not the rung the ticket was
+        // charged for: its (near-zero) elapsed time says nothing about
+        // that rung's service cost.
+        if !demoted && calibrates(&out) {
+            settle.run_time = Some(run_started.elapsed());
+        }
+        out
     }
 
     /// Execute one rung of the admission ladder: Degraded skips straight
@@ -965,15 +861,14 @@ impl Session {
     /// turning it off *assumes* closure (a tightening), while a tripped
     /// budget skips the probe as "open" (a widening) — only the latter
     /// is sound. Both rungs only ever *widen* the range (property-tested
-    /// in `prop_sched.rs`). The rung is `sched.verdict`.
+    /// in `prop_sched.rs`). The rung is `sched.verdict`, which the report
+    /// carries.
     fn run_rung(
         &self,
         epoch: &Epoch,
         query: &AggQuery,
-        warm: Option<WarmCache>,
         budget: &QueryBudget,
         sched: SchedReport,
-        sched_deadline: Option<Instant>,
     ) -> Result<BoundReport, BoundError> {
         let verdict = sched.verdict;
         let mut opts = self.options.bound;
@@ -1006,9 +901,7 @@ impl Session {
                 &shed_budget
             }
         };
-        let mut result = rayon::with_task_deadline(sched_deadline, || {
-            self.bound_serve(epoch, query, warm, run_budget, opts)
-        });
+        let mut result = self.bound_serve(epoch, query, run_budget, opts);
         if let Ok(report) = &mut result {
             report.degraded |= verdict != AdmissionVerdict::Exact;
             report.sched = Some(sched);
@@ -1058,10 +951,10 @@ impl Session {
         &self,
         epoch: &Epoch,
         query: &AggQuery,
-        warm: Option<WarmCache>,
         budget: &QueryBudget,
         opts: BoundOptions,
     ) -> Result<BoundReport, BoundError> {
+        let warm = self.warm.for_current_worker();
         let set = &*epoch.set;
         let engine = BoundEngine::with_options(set, opts);
         engine.set_estimates(Arc::clone(&epoch.estimates));
@@ -1131,59 +1024,38 @@ impl Session {
     /// once before the fan-out so the workers specialize instead of
     /// racing to decompose.
     pub fn bound_many(&self, queries: &[AggQuery]) -> Vec<Result<BoundReport, BoundError>> {
-        self.bound_many_budgeted(queries, &QueryBudget::unlimited())
+        self.bound_many_stamped(queries, &QueryBudget::unlimited())
+            .1
     }
 
     /// [`Session::bound_many`] under one [`QueryBudget`] shared by the
-    /// whole batch: every query's SAT checks and branch-and-bound nodes
+    /// whole batch, additionally returning the number of the single epoch
+    /// the whole batch was answered from, for serving tiers that stamp
+    /// responses. Every query's SAT checks and branch-and-bound nodes
     /// charge the same meter, and a deadline cuts the *batch*, not each
-    /// query separately. Tripped queries degrade individually (sound,
-    /// wider, [`BoundReport::degraded`] set) — the batch always returns
-    /// one result per query, in input order.
+    /// query separately; each query is admitted on its own when its task
+    /// starts. Tripped queries degrade individually (sound, wider,
+    /// [`BoundReport::degraded`] set) — the batch always returns one
+    /// result per query, in input order.
     ///
     /// Each query runs behind a panic boundary: a query whose solve
     /// panics comes back as [`BoundError::Panicked`] while its siblings,
     /// the session, and the epoch cache stay intact (the panicking
     /// worker's warm-cache slot is cleared on next use, so no torn
     /// solver state survives).
-    pub fn bound_many_budgeted(
-        &self,
-        queries: &[AggQuery],
-        budget: &QueryBudget,
-    ) -> Vec<Result<BoundReport, BoundError>> {
-        self.bound_many_stamped(queries, budget).1
-    }
-
-    /// [`Session::bound_many_budgeted`], additionally returning the
-    /// number of the single epoch the whole batch was answered from (the
-    /// batch pins exactly once — snapshot isolation, property-tested in
-    /// `prop_epoch.rs`), for serving tiers that stamp responses.
     pub fn bound_many_stamped(
         &self,
         queries: &[AggQuery],
         budget: &QueryBudget,
     ) -> (u64, Vec<Result<BoundReport, BoundError>>) {
         let epoch = self.pin();
-        if self.options.cache_cells && !queries.is_empty() {
-            // Prime the OnceLock up front; a per-query error replays
-            // below. (Budgeted: a degraded build stays unpublished and
-            // each worker rebuilds-or-degrades for itself.)
-            let _ = self.cells_of_budgeted(&epoch, budget);
-        }
-        let engine = BoundEngine::with_options(&epoch.set, self.options.bound);
-        let threads = engine.task_threads(queries.len());
-        // Tag the fan-out with the batch's deadline: every per-query task
-        // lands in the pool's EDF lane and is served by urgency against
-        // other batches' tasks (`bound_on` re-tags per query anyway, but
-        // the *spawns* themselves must carry the stamp to be prioritized).
-        let tag = if self.options.deadline_sched {
-            budget.deadline()
-        } else {
-            None
-        };
-        let results = rayon::with_task_deadline(tag, || {
+        let threads = self.fan_out(&epoch, budget, queries.len());
+        // Tag the fan-out with the batch's deadline: the *spawns*
+        // themselves must carry the stamp for the pool to serve them by
+        // urgency against other batches' tasks.
+        let results = rayon::with_task_deadline(self.task_deadline(budget), || {
             pooled_map_catch(queries, threads, &|query| {
-                self.bound_on(&epoch, query, self.warm.for_current_worker(), budget)
+                self.bound_admitted(&epoch, query, budget, None)
             })
         })
         .into_iter()
@@ -1203,30 +1075,19 @@ impl Session {
         group_attr: usize,
         keys: impl IntoIterator<Item = f64>,
     ) -> Vec<GroupBound> {
-        self.bound_group_by_budgeted(base, group_attr, keys, &QueryBudget::unlimited())
+        self.bound_group_by_stamped(base, group_attr, keys, &QueryBudget::unlimited())
+            .1
     }
 
     /// [`Session::bound_group_by`] under one [`QueryBudget`] shared by
-    /// every key. With a deadline armed and admission on, the whole call
+    /// every key, additionally returning the number of the single epoch
+    /// every group was answered from, for serving tiers that stamp
+    /// responses. With a deadline armed and admission on, the whole call
     /// is admitted once, at the cost of all its keys, and every key runs
     /// the rung of that one verdict; each key's report carries the
     /// call's [`SchedReport`]. A tripped or shed key still answers, sound
     /// but wider, with [`BoundReport::degraded`] and its trip reason set.
     /// A key whose task panics comes back as [`BoundError::Panicked`].
-    pub fn bound_group_by_budgeted(
-        &self,
-        base: &AggQuery,
-        group_attr: usize,
-        keys: impl IntoIterator<Item = f64>,
-        budget: &QueryBudget,
-    ) -> Vec<GroupBound> {
-        self.bound_group_by_stamped(base, group_attr, keys, budget)
-            .1
-    }
-
-    /// [`Session::bound_group_by_budgeted`], additionally returning the
-    /// number of the single epoch every group was answered from, for
-    /// serving tiers that stamp responses.
     pub fn bound_group_by_stamped(
         &self,
         base: &AggQuery,
@@ -1236,40 +1097,148 @@ impl Session {
     ) -> (u64, Vec<GroupBound>) {
         let epoch = self.pin();
         let keys: Vec<f64> = keys.into_iter().collect();
-        if self.options.cache_cells && !keys.is_empty() {
-            // Prime the cell cache once, as `bound_many_stamped` does.
-            let _ = self.cells_of_budgeted(&epoch, budget);
-        }
-        let deadline = budget.deadline();
-        let sched_deadline = if self.options.deadline_sched {
-            deadline
-        } else {
-            None
-        };
-        // One admission decision for the whole call, charged at the cost
-        // of every key's query.
-        let permit = (self.options.admission && deadline.is_some()).then(|| {
-            let factor = self.cost_factor(&epoch, base) * (keys.len().max(1) as f64);
-            self.pressure.admit(factor, deadline)
-        });
-        let sched = permit.as_ref().map(|p| permit_report(p, budget));
-        let threads =
-            BoundEngine::with_options(&epoch.set, self.options.bound).task_threads(keys.len());
-        let groups = rayon::with_task_deadline(sched_deadline, || {
-            bound_keys(base, group_attr, &keys, threads, &|query| {
-                let warm = self.warm.for_current_worker();
-                match sched {
-                    Some(sched) => {
-                        self.run_rung(&epoch, query, warm, budget, sched, sched_deadline)
-                    }
-                    None => self.run_bypass(&epoch, query, warm, budget, sched_deadline),
-                }
-            })
-        });
-        if let Some(permit) = permit {
-            permit.complete();
-        }
+        let threads = self.fan_out(&epoch, budget, keys.len());
+        let groups = self.run_admitted(
+            budget,
+            None,
+            || self.cost_factor(&epoch, base) * keys.len().max(1) as f64,
+            |_| true,
+            |sched| {
+                bound_keys(base, group_attr, &keys, threads, &|query| {
+                    self.run_rung(&epoch, query, budget, sched)
+                })
+            },
+        );
         (epoch.number, groups)
+    }
+
+    /// Prepare a fan-out of `n` tasks against `epoch`: prime its cell
+    /// cache once, so the tasks specialize instead of racing to
+    /// decompose, and return the task thread count. A build error replays
+    /// in each task; under a budget, a degraded build stays unpublished
+    /// and each task rebuilds or degrades for itself.
+    fn fan_out(&self, epoch: &Epoch, budget: &QueryBudget, n: usize) -> usize {
+        if self.options.cache_cells && n > 0 {
+            let _ = self.cells_of_budgeted(epoch, budget);
+        }
+        BoundEngine::with_options(&epoch.set, self.options.bound).task_threads(n)
+    }
+}
+
+/// One catalog mutation in progress. It holds the session's mutation
+/// lock and drafts the next epoch one delta at a time: an add or a retire
+/// moves the drafted catalog, its estimates and, when the previous
+/// epoch's cells were built, its incrementally derived cells by one
+/// constraint; a replace chains a retire and an add. Nothing is visible
+/// to queries before [`Mutation::install`]: a mutation dropped without it
+/// (an unknown id, or an unwind) leaves the current epoch as it was.
+struct Mutation<'s> {
+    session: &'s Session,
+    _lock: MutexGuard<'s, ()>,
+    prev: Arc<Epoch>,
+    ids: Vec<ConstraintId>,
+    set: Arc<PcSet>,
+    /// Per-constraint selectivity estimates, moved per delta: an add
+    /// appends one entry, a retire drops one, and every carried entry
+    /// shares its live split-survival counter with the previous epoch by
+    /// `Arc`, so ordering history accumulates across the session.
+    estimates: Arc<Estimates>,
+    /// The drafted catalog's cells; `None` when the new epoch builds its
+    /// cells lazily (none to derive from, or a derivation that failed or
+    /// tripped its budget).
+    cells: Option<Arc<ShardedCellSet>>,
+    /// The derivation work of this mutation's deltas so far.
+    work: DecomposeStats,
+}
+
+impl Mutation<'_> {
+    /// The add delta: append `pc` under a fresh id, deriving the cells
+    /// under `budget`.
+    fn add(&mut self, pc: PredicateConstraint, budget: &QueryBudget) -> ConstraintId {
+        let session = self.session;
+        let id = ConstraintId(session.next_id.fetch_add(1, Ordering::SeqCst));
+        self.ids.push(id);
+        let mut set = (*self.set).clone();
+        // a new constraint may overlap the existing ones arbitrarily; the
+        // disjointness fast path must not survive on a stale hint
+        set.set_disjoint_hint(false);
+        set.push(pc.clone());
+        self.set = Arc::new(set);
+        self.estimates = Arc::new(self.estimates.derive_add(&self.set));
+        // A failed shard re-decomposition (e.g. a merge overflowing the
+        // naive strategy) stays unpublished; the error replays from the
+        // lazy rebuild instead.
+        let derived = self.cells.take().and_then(|prev| {
+            session
+                .derived_add(&prev, &pc, &self.set, &self.estimates, budget)
+                .ok()
+        });
+        if let Some(cells) = derived.filter(|_| !budget.is_tripped()) {
+            self.adopt(cells);
+        }
+        id
+    }
+
+    /// The retire delta: drop `id` from the catalog (zero SAT checks in
+    /// the cells).
+    fn retire(&mut self, id: ConstraintId) -> Result<(), UnknownConstraint> {
+        let Some(index) = self.ids.iter().position(|&i| i == id) else {
+            return Err(UnknownConstraint(id));
+        };
+        self.ids.remove(index);
+        let mut set = (*self.set).clone();
+        let removed = set.remove_constraint(index);
+        self.set = Arc::new(set);
+        self.estimates = Arc::new(self.estimates.derive_retire(index));
+        if let Some(prev) = self.cells.take() {
+            let session = self.session;
+            let uncovered = session.retired_uncovered(&prev, &removed, &self.set);
+            self.adopt(prev.derive_retire(&self.set, index, &session.options.bound, uncovered));
+        }
+        Ok(())
+    }
+
+    /// Draft one delta's derived cells; their stats report the work of
+    /// every delta of this mutation.
+    fn adopt(&mut self, mut cells: ShardedCellSet) {
+        cells.absorb_stats(self.work);
+        self.work = cells.stats();
+        self.cells = Some(Arc::new(cells));
+    }
+
+    /// Swap the drafted epoch in — the only place `current` is written,
+    /// held just long enough for the `Arc` assignment — and return its
+    /// number.
+    fn install(self) -> u64 {
+        let number = self.prev.number + 1;
+        let epoch = Epoch::new(number, self.set, self.ids, self.estimates, self.cells);
+        let mut current = self.session.current.lock().unwrap();
+        debug_assert!(
+            Arc::ptr_eq(&current, &self.prev),
+            "mutations serialize on the mutation lock"
+        );
+        *current = Arc::new(epoch);
+        number
+    }
+}
+
+/// Settles an admission ticket when dropped, so every exit of a run — a
+/// return, an error or an unwind — releases the ticket's charge on the
+/// gauge exactly once. `run_time`, set only on a calibrating success,
+/// feeds the service estimates; `observed_wait` the drain-rate feedback.
+struct Settle<'g> {
+    gauge: &'g PressureGauge,
+    ticket: Option<SchedTicket>,
+    observed_wait: Option<Duration>,
+    run_time: Option<Duration>,
+}
+
+impl Drop for Settle<'_> {
+    fn drop(&mut self) {
+        if let Some(ticket) = self.ticket.take() {
+            self.gauge
+                .settle_waited(ticket, self.run_time, self.observed_wait);
+        }
     }
 }
 
@@ -1767,7 +1736,7 @@ mod tests {
         // Cold epoch + starved budget: the build degrades to frontier
         // cells, the query still answers a sound (wider) range…
         let budget = QueryBudget::armed().with_sat_cap(0);
-        let r = session.bound_budgeted(&q, &budget).unwrap();
+        let r = session.bound_ticketed_stamped(&q, &budget, None).1.unwrap();
         assert!(budget.is_tripped());
         assert!(r.degraded);
         assert!(
@@ -1797,7 +1766,7 @@ mod tests {
         let budget = QueryBudget::armed()
             .with_sat_cap(10_000)
             .with_node_cap(1_000_000);
-        let r = session.bound_budgeted(&q, &budget).unwrap();
+        let r = session.bound_ticketed_stamped(&q, &budget, None).1.unwrap();
         assert!(!r.degraded);
         assert_eq!(r.range, exact.range);
     }
@@ -1808,7 +1777,7 @@ mod tests {
         session.cell_set().unwrap(); // prime so mutations derive
         let budget = QueryBudget::armed().with_sat_cap(1_000);
         budget.cancel_token().unwrap().cancel(); // trip before any work
-        session.add_constraint_budgeted(
+        session.add_constraint_stamped(
             pc_utc(11.5, 12.5, 90.0, FrequencyConstraint::at_most(40)),
             &budget,
         );
@@ -1826,7 +1795,7 @@ mod tests {
         let qs = queries();
         let exact = session.bound_many(&qs);
         let budget = QueryBudget::armed().with_sat_cap(0);
-        let degraded = session.bound_many_budgeted(&qs, &budget);
+        let degraded = session.bound_many_stamped(&qs, &budget).1;
         assert_eq!(degraded.len(), qs.len());
         for (q, (e, d)) in qs.iter().zip(exact.iter().zip(&degraded)) {
             match (e, d) {
@@ -1872,7 +1841,7 @@ mod tests {
         let q = AggQuery::new(AggKind::Avg, 1, Predicate::always());
         let budget = QueryBudget::armed();
         let started = Instant::now();
-        let r = session.bound_budgeted(&q, &budget).unwrap();
+        let r = session.bound_ticketed_stamped(&q, &budget, None).1.unwrap();
         let elapsed = started.elapsed();
         let sched = r.sched.expect("the serve path stamps its schedule");
         assert_eq!(sched.verdict, AdmissionVerdict::Exact);

@@ -13,6 +13,10 @@
 //! 3. **Deadline over straggler** — a solver stall does not hang a
 //!    budgeted call; the deadline trips at the next cooperative check
 //!    and the call returns degraded-but-sound.
+//! 4. **Nothing held across an unwind** — a mutation that panics
+//!    mid-derivation installs nothing and leaves the catalog mutable,
+//!    and a query that panics after admission gives its charge back to
+//!    the session's pressure gauge.
 //!
 //! The fault registry is process-global, so every test serializes on one
 //! mutex and disarms in a drop guard (a failing test must not leak its
@@ -22,8 +26,8 @@
 
 use pc_core::budget::fault::{self, Plan};
 use pc_core::{
-    BoundError, BoundOptions, FrequencyConstraint, PcSet, PredicateConstraint, QueryBudget,
-    Session, SessionOptions, TripReason, ValueConstraint,
+    BoundEngine, BoundError, BoundOptions, FrequencyConstraint, PcSet, PredicateConstraint,
+    QueryBudget, Session, SessionOptions, TripReason, ValueConstraint,
 };
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
 use pc_storage::{AggKind, AggQuery};
@@ -209,7 +213,8 @@ fn stalled_sat_probe_is_cut_by_the_deadline_not_waited_out() {
     let budget = QueryBudget::armed().with_timeout(Duration::from_millis(20));
     let t0 = Instant::now();
     let r = s
-        .bound_budgeted(&q, &budget)
+        .bound_ticketed_stamped(&q, &budget, None)
+        .1
         .expect("a deadline degrades, never errors");
     let elapsed = t0.elapsed();
 
@@ -270,7 +275,7 @@ fn stalled_worker_mid_steal_does_not_hang_a_deadline_batch() {
 
     let budget = QueryBudget::armed().with_timeout(Duration::from_millis(50));
     let t0 = Instant::now();
-    let results = s.bound_many_budgeted(&queries, &budget);
+    let results = s.bound_many_stamped(&queries, &budget).1;
     let elapsed = t0.elapsed();
 
     assert!(
@@ -311,5 +316,108 @@ fn stalled_worker_mid_steal_does_not_hang_a_deadline_batch() {
             "after disarm the session must answer exactly again"
         );
         assert!(!got.degraded);
+    }
+}
+
+/// `s` answers every query as a fresh engine over its current catalog does
+/// (up to the solver tolerance).
+fn assert_matches_fresh(s: &Session, queries: &[AggQuery]) {
+    let set = s.pc_set();
+    let engine = BoundEngine::new(&set);
+    for (i, q) in queries.iter().enumerate() {
+        let want = engine.bound(q).expect("fixture bounds every query");
+        let got = s.bound(q).expect("the session answers every query");
+        let close = |a: f64, b: f64| a == b || (a - b).abs() < 1e-6;
+        assert!(
+            close(want.range.lo, got.range.lo) && close(want.range.hi, got.range.hi),
+            "query {i}: session [{}, {}] vs fresh engine [{}, {}]",
+            got.range.lo,
+            got.range.hi,
+            want.range.lo,
+            want.range.hi
+        );
+    }
+}
+
+#[test]
+fn panicked_mutation_leaves_the_catalog_mutable() {
+    let (_guard, _disarm) = armed_section();
+    let s = session(1, true);
+    let queries = sixteen_queries();
+    // Build epoch 0's cells, so the add below derives its epoch from them.
+    s.bound_many(&queries);
+    let ids = s.constraint_ids();
+    let pc = |cap: u64| {
+        PredicateConstraint::new(
+            Predicate::atom(Atom::between(0, 2.0, 5.0)),
+            ValueConstraint::none().with(1, Interval::closed(0.0, 12.0)),
+            FrequencyConstraint::at_most(cap),
+        )
+    };
+
+    // Panic inside the add's incremental derivation, with the session's
+    // mutation lock held.
+    fault::arm("sat::probe", Plan::PanicAfter(0));
+    let unwound = catch_unwind(AssertUnwindSafe(|| s.add_constraint(pc(9))));
+    assert!(unwound.is_err(), "the injected probe panic must surface");
+    fault::disarm_all();
+    // Nothing was installed: the catalog is the one before the add.
+    assert_eq!(s.epoch(), 0);
+    assert_eq!(s.constraint_ids(), ids);
+    assert_matches_fresh(&s, &queries);
+
+    // Every kind of mutation still lands, and each new epoch answers as
+    // a fresh engine on its catalog does.
+    let added = s.add_constraint(pc(9));
+    assert_matches_fresh(&s, &queries);
+    s.retire_constraint(ids[0]).expect("a live id retires");
+    assert_matches_fresh(&s, &queries);
+    s.replace_constraint(added, pc(4))
+        .expect("a live id is replaced");
+    assert_matches_fresh(&s, &queries);
+    assert_eq!(s.epoch(), 3);
+}
+
+#[test]
+fn panicked_admitted_query_releases_its_gauge_charge() {
+    let (_guard, _disarm) = armed_section();
+    // cache_cells off: every query decomposes, so `sat::probe` fires
+    // inside the query's own run.
+    let s = session(1, false);
+    let q = AggQuery::new(AggKind::Sum, 1, Predicate::always());
+    let budget = || QueryBudget::armed().with_timeout(Duration::from_secs(3600));
+    // Calibrate the gauge: admitted exact and completed, so later
+    // arrivals are charged a nonzero service estimate.
+    for _ in 0..3 {
+        s.bound_ticketed_stamped(&q, &budget(), None)
+            .1
+            .expect("fixture must be clean");
+    }
+    assert_eq!(s.pressure().backlog(), Duration::ZERO);
+
+    // Judged at arrival (a ticket from `admit`, as `pc serve` does) and
+    // judged at run start (no ticket): the panicked run settles either.
+    for ticketed in [true, false] {
+        let b = budget();
+        let ticket = if ticketed { s.admit(&q, &b) } else { None };
+        if ticketed {
+            assert!(
+                s.pressure().backlog() > Duration::ZERO,
+                "a calibrated gauge charges the arrival"
+            );
+        }
+        fault::arm("sat::probe", Plan::PanicAfter(0));
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            s.bound_ticketed_stamped(&q, &b, ticket)
+        }));
+        assert!(
+            unwound.is_err(),
+            "ticketed={ticketed}: the panic must surface"
+        );
+        assert_eq!(
+            s.pressure().backlog(),
+            Duration::ZERO,
+            "ticketed={ticketed}: the panicked run must give its charge back"
+        );
     }
 }

@@ -168,7 +168,7 @@ proptest! {
         let budget = QueryBudget::armed().with_sat_cap(u64::MAX);
         budget.cancel_token().unwrap().cancel();
         prop_assert_eq!(budget.trip_reason(), Some(TripReason::Cancelled));
-        let degraded = session.bound_many_budgeted(&queries, &budget);
+        let degraded = session.bound_many_stamped(&queries, &budget).1;
 
         prop_assert_eq!(oracle.len(), degraded.len());
         for ((q, exact), deg) in queries.iter().zip(&oracle).zip(&degraded) {

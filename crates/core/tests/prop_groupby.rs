@@ -6,8 +6,8 @@
 //! per-group errors.
 
 use pc_core::{
-    BoundEngine, BoundOptions, FrequencyConstraint, GroupBound, PcSet, PredicateConstraint,
-    ValueConstraint,
+    BoundEngine, BoundOptions, FrequencyConstraint, GroupBound, MilpOptions, PcSet,
+    PredicateConstraint, ValueConstraint, Warmth,
 };
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
 use pc_storage::{AggKind, AggQuery};
@@ -192,7 +192,7 @@ proptest! {
         .bound_group_by(&query, 0, keys.clone());
         let cold = BoundEngine::with_options(&set, BoundOptions {
             lp_relax_cell_limit,
-            warm_start: false,
+            milp: MilpOptions { warmth: Warmth::Cold, ..MilpOptions::default() },
             ..BoundOptions::default()
         })
         .bound_group_by(&query, 0, keys.clone());

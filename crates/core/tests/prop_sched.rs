@@ -147,7 +147,7 @@ proptest! {
             } else {
                 QueryBudget::unlimited()
             };
-            let got = session.bound_many_budgeted(&queries, &budget);
+            let got = session.bound_many_stamped(&queries, &budget).1;
             prop_assert!(!budget.is_tripped(), "a far-future deadline must not trip");
             match &oracle {
                 None => oracle = Some(got),
@@ -198,7 +198,7 @@ proptest! {
         // batches (they admit exact and complete).
         for _ in 0..2 {
             let warm = QueryBudget::armed().with_timeout(Duration::from_secs(3600));
-            let _ = session.bound_many_budgeted(&queries, &warm);
+            let _ = session.bound_many_stamped(&queries, &warm).1;
         }
 
         // Now arrivals whose deadline has already passed: the first
@@ -207,7 +207,7 @@ proptest! {
         // shed. Every answer must stay sound.
         for round in 0..3 {
             let expired = QueryBudget::armed().with_timeout(Duration::ZERO);
-            let got = session.bound_many_budgeted(&queries, &expired);
+            let got = session.bound_many_stamped(&queries, &expired).1;
             for (i, (exact, g)) in oracle.iter().zip(&got).enumerate() {
                 let exact = match exact {
                     Ok(r) => r,
@@ -279,7 +279,10 @@ fn group_by_keys_carry_the_calls_admission_outcome() {
     // Calibrate the gauge with generously deadlined calls.
     for _ in 0..3 {
         let warm = QueryBudget::armed().with_timeout(Duration::from_secs(3600));
-        for group in session.bound_group_by_budgeted(&base, 0, keys.clone(), &warm) {
+        for group in session
+            .bound_group_by_stamped(&base, 0, keys.clone(), &warm)
+            .1
+        {
             let report = group.report.expect("a 1 h deadline answers every key");
             assert!(
                 report.sched.is_some(),
@@ -293,7 +296,9 @@ fn group_by_keys_carry_the_calls_admission_outcome() {
     let mut not_exact = 0;
     for round in 0..3 {
         let expired = QueryBudget::armed().with_timeout(Duration::ZERO);
-        let groups = session.bound_group_by_budgeted(&base, 0, keys.clone(), &expired);
+        let groups = session
+            .bound_group_by_stamped(&base, 0, keys.clone(), &expired)
+            .1;
         for (want, got) in unlimited.iter().zip(&groups) {
             let key = got.key;
             let want = want.report.as_ref().expect("every key has an exact range");

@@ -410,7 +410,10 @@ fn budget_trip_in_one_shard_degrades_only_that_shard() {
     // B trips to frontier cells.
     let starved = Session::with_options(set, options);
     let budget = QueryBudget::armed().with_sat_cap(a_only);
-    let r_a = starved.bound_budgeted(&a_query, &budget).unwrap();
+    let r_a = starved
+        .bound_ticketed_stamped(&a_query, &budget, None)
+        .1
+        .unwrap();
     assert!(budget.is_tripped(), "shard B's build must exhaust the cap");
     // The clean shard's answer is *exact*, not just contained: shard B
     // never contributes to a query its boxes don't touch.
@@ -423,7 +426,10 @@ fn budget_trip_in_one_shard_degrades_only_that_shard() {
     assert_eq!(r_a.range.hi, exact_a.range.hi, "clean-shard hi");
 
     // A query spanning both shards is sound but may be wider.
-    let r_span = starved.bound_budgeted(&span_query, &budget).unwrap();
+    let r_span = starved
+        .bound_ticketed_stamped(&span_query, &budget, None)
+        .1
+        .unwrap();
     assert!(
         r_span.range.lo <= exact_span.range.lo + 1e-9
             && r_span.range.hi >= exact_span.range.hi - 1e-9,

@@ -481,18 +481,7 @@ fn execute(
             let Some(attr) = shared.table.schema().index_of(&column) else {
                 return err(format!("group-by: no column named `{column}`"));
             };
-            let keys: Vec<f64> = match shared.table.dictionary(attr) {
-                Some(dict) => (0..dict.len()).map(|c| c as f64).collect(),
-                None => {
-                    let mut vals: Vec<f64> = (0..shared.table.len())
-                        .map(|r| shared.table.encoded(r, attr))
-                        .filter(|v| !v.is_nan())
-                        .collect();
-                    vals.sort_by(f64::total_cmp);
-                    vals.dedup();
-                    vals
-                }
-            };
+            let keys = shared.table.group_keys(attr);
             if keys.is_empty() {
                 return err("group-by: no group keys found in the data".into());
             }
@@ -507,12 +496,7 @@ fn execute(
             };
             let mut out = format!("OK group-by epoch={epoch} n={}", groups.len());
             for group in &groups {
-                let label = shared
-                    .table
-                    .dictionary(attr)
-                    .and_then(|d| d.label(group.key as u32))
-                    .map(str::to_string)
-                    .unwrap_or_else(|| group.key.to_string());
+                let label = shared.table.key_label(attr, group.key);
                 match &group.report {
                     Ok(r) => {
                         out.push_str(&format!("\nRES key={label} {}", proto::report_fields(r)))
@@ -555,9 +539,11 @@ fn execute(
             let Some(_guard) = registry.begin_query(&budget) else {
                 return err("server is draining".into());
             };
-            match session.retire_constraint_stamped(id) {
-                Ok(epoch) => (format!("OK retired={id} epoch={epoch}"), Action::Continue),
-                Err(e) => err(e.to_string()),
+            let outcome = catch_unwind(AssertUnwindSafe(|| session.retire_constraint_stamped(id)));
+            match outcome {
+                Ok(Ok(epoch)) => (format!("OK retired={id} epoch={epoch}"), Action::Continue),
+                Ok(Err(e)) => err(e.to_string()),
+                Err(_) => err("mutation panicked (tenant state isolated)".into()),
             }
         }
         Request::Replace(id, text) => {

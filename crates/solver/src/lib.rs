@@ -30,7 +30,7 @@ pub use error::SolverError;
 pub use linprog::{Constraint, ConstraintOp, LinearProgram, Sense};
 pub use milp::{
     solve_milp, solve_milp_budgeted, solve_milp_carried, MilpOptions, MilpProblem, MilpSolution,
-    SearchStats,
+    SearchStats, Warmth,
 };
 pub use simplex::{
     solve_lp, solve_lp_tableau, solve_lp_warm, BranchBound, CanonicalTableau, ChildSolve,

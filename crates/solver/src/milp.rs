@@ -13,16 +13,16 @@
 //! A child node's LP differs from its parent's by a single tightened
 //! variable bound, which the engine exploits at three escalating levels:
 //!
-//! 1. **Cold crash** (`warm_start: false, tableau_carry: false`) — every
-//!    node standardizes its LP, builds a tableau, and runs phase 1 from
-//!    the slack/artificial basis. The property-tested oracle.
-//! 2. **Basis restore** ([`MilpOptions::warm_start`]) — the parent's
+//! 1. **Cold crash** ([`Warmth::Cold`]) — every node standardizes its
+//!    LP, builds a tableau, and runs phase 1 from the slack/artificial
+//!    basis. The property-tested oracle.
+//! 2. **Basis restore** ([`Warmth::Basis`]) — the parent's
 //!    optimal simplex *basis* is threaded into
 //!    [`solve_lp_tableau`]: the child still
 //!    rebuilds its tableau from scratch, then crashes the parent basis
 //!    in (O(m) pivots) and dual-restores feasibility, skipping phase 1.
 //!    Basis incompatibility silently degrades to a cold solve.
-//! 3. **Tableau carry** ([`MilpOptions::tableau_carry`], the default) —
+//! 3. **Tableau carry** ([`Warmth::Carry`], the default) —
 //!    the parent's whole [`CanonicalTableau`] is carried: the child
 //!    appends its branch bound as one row, runs a single elimination
 //!    pass against the parent-optimal basis, and dual-restores — **O(1)
@@ -43,10 +43,8 @@
 //!    periodic refresh folds the survivors into the node's merged bounds
 //!    for free (the rebuild standardizes from bounds, not rows).
 //!
-//!    Requesting `tableau_carry` while disabling `warm_start` is a
-//!    contradiction — the carried tableau *is* the warm start's deeper
-//!    tier — and is rejected with [`SolverError::BadModel`] rather than
-//!    silently ignored.
+//!    Each tier includes the ones below it: the carried tableau *is*
+//!    the warm start's deeper tier.
 //!
 //!    Interaction with the all-Le auto-disable: for a program whose rows
 //!    are all `≤` with nonnegative rhs, a cold phase 1 is free, so the
@@ -167,16 +165,26 @@ pub struct MilpOptions {
     /// number, decides actual concurrency). Objective and feasibility are
     /// identical in every mode.
     pub threads: usize,
-    /// Thread each node's parent simplex basis into the child relaxation
-    /// (on by default; tier 2 of the module docs). Never affects results,
-    /// only work. Disabling this while leaving [`MilpOptions::tableau_carry`]
-    /// on is rejected as a contradiction — see the module docs.
-    pub warm_start: bool,
-    /// Carry each node's whole canonical tableau into its children (tier
-    /// 3: append the branch bound as one row + dual-restore, O(1) pivots
-    /// per node; on by default). Requires [`MilpOptions::warm_start`].
-    /// Never affects results, only work.
-    pub tableau_carry: bool,
+    /// How much of its parent's solve each node inherits (the tiers of
+    /// the module docs; [`Warmth::Carry`] by default). Never affects
+    /// results, only work.
+    pub warmth: Warmth,
+}
+
+/// The warm-start tier of a chain of related LP solves: branch & bound
+/// parent-to-child here, and, in the PC engine, the LP and root-MILP
+/// chains across probes and queries. Each tier includes the one below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Warmth {
+    /// Every solve standardizes and runs phase 1 from scratch.
+    Cold,
+    /// Hand each solve the previous optimal simplex basis: the successor
+    /// rebuilds its tableau, crashes the basis in and dual-restores.
+    Basis,
+    /// Hand each solve the previous whole canonical tableau (append a
+    /// branch row, re-price, or adapt by one row); a structural mismatch
+    /// demotes to the basis tier.
+    Carry,
 }
 
 impl Default for MilpOptions {
@@ -185,8 +193,7 @@ impl Default for MilpOptions {
             node_limit: 50_000,
             best_effort: false,
             threads: 1,
-            warm_start: true,
-            tableau_carry: true,
+            warmth: Warmth::Carry,
         }
     }
 }
@@ -257,10 +264,10 @@ pub fn solve_milp(
 /// root [`CanonicalTableau`] to the next, which re-prices it instead of
 /// rebuilding (a structural mismatch demotes to the basis tier inside
 /// [`solve_lp_tableau`], exactly like the LP chains). Returns the root
-/// tableau for the next solve in the chain when
-/// [`MilpOptions::tableau_carry`] is on and the search reached a root
-/// solve (`None` otherwise — e.g. `prior` arrived poisoned or carry is
-/// off); `prior` is ignored when carry is off.
+/// tableau for the next solve in the chain when [`MilpOptions::warmth`]
+/// is [`Warmth::Carry`] and the search reached a root solve (`None`
+/// otherwise — e.g. `prior` arrived poisoned or the tier is lower);
+/// `prior` is ignored below the carry tier.
 pub fn solve_milp_carried(
     problem: &MilpProblem,
     options: MilpOptions,
@@ -299,15 +306,6 @@ pub fn solve_milp_budgeted(
             ));
         }
     }
-    if options.tableau_carry && !options.warm_start {
-        // Mirror of the CLI flag-rejection hardening: the carried tableau
-        // is the warm start's deeper tier, so "no warm starts, but carry
-        // tableaux" is a contradiction — error instead of silently
-        // picking one of the two readings.
-        return Err(SolverError::BadModel(
-            "MilpOptions::tableau_carry requires warm_start; disable both to run cold".into(),
-        ));
-    }
     // Node *basis* warm starts pay when a cold node solve has a real
     // phase 1 — i.e. some row standardizes with an artificial (Ge/Eq, or
     // a Le whose negative rhs flips). An all-Le program starts feasible
@@ -320,26 +318,23 @@ pub fn solve_milp_budgeted(
         crate::ConstraintOp::Ge | crate::ConstraintOp::Eq => true,
         crate::ConstraintOp::Le => c.rhs < 0.0,
     });
-    let options = MilpOptions {
-        warm_start: options.warm_start && phase1_is_real,
-        ..options
-    };
-    let search = Search::new(problem, options, budget);
-    if options.tableau_carry {
+    let basis_restore = options.warmth != Warmth::Cold && phase1_is_real;
+    let search = Search::new(problem, options, basis_restore, budget);
+    if options.warmth == Warmth::Carry {
         *search.root_prior.lock().unwrap() = prior;
     }
     if options.threads == 1 {
-        search.run_stack(Vec::new(), Warmth::Cold);
+        search.run_stack(Vec::new(), Inherited::Cold);
     } else {
-        search.run_parallel(Vec::new(), Warmth::Cold, 0, false);
+        search.run_parallel(Vec::new(), Inherited::Cold, 0, false);
     }
     search.finish()
 }
 
 /// What a node inherits from its parent to warm its relaxation solve.
 #[derive(Clone)]
-enum Warmth {
-    /// Nothing (the root, or both warm tiers disabled).
+enum Inherited {
+    /// Nothing (the root, or the cold tier).
     Cold,
     /// The parent's optimal basis (tier 2).
     Basis(Arc<WarmStart>),
@@ -352,6 +347,9 @@ enum Warmth {
 struct Search<'a> {
     problem: &'a MilpProblem,
     options: MilpOptions,
+    /// Whether rebuilt nodes crash their parent's basis in: the tier asks
+    /// for it and a cold phase 1 is not free (see `solve_milp_budgeted`).
+    basis_restore: bool,
     /// The caller's cooperative budget, charged once per claimed node.
     budget: &'a QueryBudget,
     /// When [`Search::run_parallel`] may start forking children.
@@ -383,7 +381,12 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    fn new(problem: &'a MilpProblem, options: MilpOptions, budget: &'a QueryBudget) -> Self {
+    fn new(
+        problem: &'a MilpProblem,
+        options: MilpOptions,
+        basis_restore: bool,
+        budget: &'a QueryBudget,
+    ) -> Self {
         let maximizing = problem.lp.sense == Sense::Maximize;
         let identity = if maximizing {
             f64::NEG_INFINITY
@@ -393,6 +396,7 @@ impl<'a> Search<'a> {
         Search {
             problem,
             options,
+            basis_restore,
             budget,
             gate: if options.threads == 1 {
                 WorkGate::INLINE
@@ -539,15 +543,15 @@ impl<'a> Search<'a> {
     /// Solve one (already claimed) node. `is_near` says whether this node
     /// is the first-explored ("near") child of its parent's branch — it
     /// only feeds the [`SearchStats::incumbent_first_hits`] counter.
-    /// Returns branch instructions — `(variable, fractional value, warmth
-    /// for the children)` — or `None` when the node was pruned,
+    /// Returns branch instructions — `(variable, fractional value, what the
+    /// children inherit)` — or `None` when the node was pruned,
     /// infeasible, integral, or errored.
     fn process_node(
         &self,
         overrides: &Overrides,
-        warmth: Warmth,
+        inherited: Inherited,
         is_near: bool,
-    ) -> Option<(usize, f64, Warmth)> {
+    ) -> Option<(usize, f64, Inherited)> {
         if !self.consistent_bounds(overrides) {
             return None;
         }
@@ -555,8 +559,8 @@ impl<'a> Search<'a> {
         // Tier 3: answer the node from the carried parent tableau. The
         // node's *last* override is its own branch bound; everything
         // before it is already baked into the parent's tableau.
-        let mut solved: Option<(crate::LpSolution, Warmth)> = None;
-        if let Warmth::Carried(parent, carries) = &warmth {
+        let mut solved: Option<(crate::LpSolution, Inherited)> = None;
+        if let Inherited::Carried(parent, carries) = &inherited {
             if *carries < TABLEAU_REFRESH_DEPTH {
                 let &(var, lo, hi) = overrides.last().expect("carried node has a branch");
                 let bound = if lo.is_finite() {
@@ -567,7 +571,8 @@ impl<'a> Search<'a> {
                 match CanonicalTableau::solve_child(Arc::clone(parent), var, bound) {
                     ChildSolve::Solved { solution, tableau } => {
                         self.record_carried(tableau.stats().pivots);
-                        solved = Some((solution, Warmth::Carried(Arc::new(tableau), carries + 1)));
+                        solved =
+                            Some((solution, Inherited::Carried(Arc::new(tableau), carries + 1)));
                     }
                     ChildSolve::Infeasible { pivots } => {
                         self.record_carried(pivots);
@@ -582,7 +587,7 @@ impl<'a> Search<'a> {
         // Tiers 2/1 (and the root, carry stalls, periodic refreshes):
         // rebuild the node LP from scratch, crashing the parent basis in
         // when tier 2 is on.
-        let (relax, child_warmth) = match solved {
+        let (relax, child_inherited) = match solved {
             Some(pair) => pair,
             None => {
                 let lp = self.node_lp(overrides);
@@ -592,9 +597,9 @@ impl<'a> Search<'a> {
                 // cold phase 1. A branched parent's shape may no longer
                 // match the fresh standardization — crash_basis detects
                 // that and degrades cold, so offering it is free.
-                let basis = match (&warmth, self.options.warm_start) {
-                    (Warmth::Basis(b), true) => Some((**b).clone()),
-                    (Warmth::Carried(p, _), true) => Some(p.warm_start()),
+                let basis = match (&inherited, self.basis_restore) {
+                    (Inherited::Basis(b), true) => Some((**b).clone()),
+                    (Inherited::Carried(p, _), true) => Some(p.warm_start()),
                     _ => None,
                 };
                 // The root consults the *chain* prior (solve_milp_carried):
@@ -614,16 +619,16 @@ impl<'a> Search<'a> {
                         } else {
                             self.record_carried(tableau.stats().pivots);
                         }
-                        let next = if self.options.tableau_carry {
+                        let next = if self.options.warmth == Warmth::Carry {
                             let tableau = Arc::new(tableau);
                             if is_root {
                                 *self.root_out.lock().unwrap() = Some(Arc::clone(&tableau));
                             }
-                            Warmth::Carried(tableau, 0)
-                        } else if self.options.warm_start {
-                            Warmth::Basis(Arc::new(tableau.warm_start()))
+                            Inherited::Carried(tableau, 0)
+                        } else if self.basis_restore {
+                            Inherited::Basis(Arc::new(tableau.warm_start()))
                         } else {
-                            Warmth::Cold
+                            Inherited::Cold
                         };
                         (solution, next)
                     }
@@ -687,7 +692,7 @@ impl<'a> Search<'a> {
                 }
                 None
             }
-            Some((var, v)) => Some((var, v, child_warmth)),
+            Some((var, v)) => Some((var, v, child_inherited)),
         }
     }
 
@@ -708,16 +713,18 @@ impl<'a> Search<'a> {
 
     /// Deterministic sequential DFS with an explicit stack (the near child
     /// is pushed last, so it pops first — the pre-parallel visit order).
-    fn run_stack(&self, overrides: Overrides, warmth: Warmth) {
-        let mut stack: Vec<(Overrides, Warmth, bool)> = vec![(overrides, warmth, false)];
-        while let Some((overrides, warmth, is_near)) = stack.pop() {
+    fn run_stack(&self, overrides: Overrides, inherited: Inherited) {
+        let mut stack: Vec<(Overrides, Inherited, bool)> = vec![(overrides, inherited, false)];
+        while let Some((overrides, inherited, is_near)) = stack.pop() {
             if self.aborted() || !self.try_claim_node() {
                 return;
             }
-            if let Some((var, v, child_warmth)) = self.process_node(&overrides, warmth, is_near) {
+            if let Some((var, v, child_inherited)) =
+                self.process_node(&overrides, inherited, is_near)
+            {
                 let (near, far) = Self::children(overrides, var, v);
-                stack.push((far, child_warmth.clone(), false));
-                stack.push((near, child_warmth, true));
+                stack.push((far, child_inherited.clone(), false));
+                stack.push((near, child_inherited, true));
             }
         }
     }
@@ -726,26 +733,33 @@ impl<'a> Search<'a> {
     /// hot on this worker and the far child becomes a stealable task;
     /// before that both run inline, near first. Deep chains fall back to
     /// the stack search to bound recursion.
-    fn run_parallel(&self, overrides: Overrides, warmth: Warmth, depth: usize, is_near: bool) {
+    fn run_parallel(
+        &self,
+        overrides: Overrides,
+        inherited: Inherited,
+        depth: usize,
+        is_near: bool,
+    ) {
         if depth >= PAR_DEPTH_LIMIT {
-            return self.run_stack(overrides, warmth);
+            return self.run_stack(overrides, inherited);
         }
         if self.aborted() || !self.try_claim_node() {
             return;
         }
-        let Some((var, v, child_warmth)) = self.process_node(&overrides, warmth, is_near) else {
+        let Some((var, v, child_inherited)) = self.process_node(&overrides, inherited, is_near)
+        else {
             return;
         };
         let (near, far) = Self::children(overrides, var, v);
-        let far_warmth = child_warmth.clone();
+        let far_inherited = child_inherited.clone();
         if self.gate.is_open() {
             rayon::join(
-                || self.run_parallel(near, child_warmth, depth + 1, true),
-                || self.run_parallel(far, far_warmth, depth + 1, false),
+                || self.run_parallel(near, child_inherited, depth + 1, true),
+                || self.run_parallel(far, far_inherited, depth + 1, false),
             );
         } else {
-            self.run_parallel(near, child_warmth, depth + 1, true);
-            self.run_parallel(far, far_warmth, depth + 1, false);
+            self.run_parallel(near, child_inherited, depth + 1, true);
+            self.run_parallel(far, far_inherited, depth + 1, false);
         }
     }
 
@@ -835,19 +849,17 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    /// Every valid (threads, warm_start, tableau_carry) combination the
-    /// engine supports.
+    /// Every (threads, warmth) combination the engine supports.
     fn all_modes() -> [MilpOptions; 6] {
         let base = MilpOptions::default();
-        let tiers = [(false, false), (true, false), (true, true)];
+        let tiers = [Warmth::Cold, Warmth::Basis, Warmth::Carry];
         let mut out = [base; 6];
         let mut i = 0;
         for threads in [1usize, 0] {
-            for (warm_start, tableau_carry) in tiers {
+            for warmth in tiers {
                 out[i] = MilpOptions {
                     threads,
-                    warm_start,
-                    tableau_carry,
+                    warmth,
                     ..base
                 };
                 i += 1;
@@ -959,25 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn carry_without_warm_start_is_rejected() {
-        // The silent-knob gap, closed: this combination used to be
-        // representable with one flag silently winning.
-        let lp = LinearProgram::maximize(vec![1.0]);
-        let r = solve_milp(
-            &MilpProblem::all_integer(lp),
-            MilpOptions {
-                warm_start: false,
-                tableau_carry: true,
-                ..MilpOptions::default()
-            },
-        );
-        assert!(
-            matches!(r, Err(SolverError::BadModel(_))),
-            "expected BadModel, got {r:?}"
-        );
-    }
-
-    #[test]
     fn all_le_program_still_carries_tableaux() {
         // The all-Le auto-disable turns off the *basis* tier (phase 1 is
         // free), not the carry tier: children must still be answered from
@@ -988,8 +981,7 @@ mod tests {
         let cold = solve_milp(
             &problem,
             MilpOptions {
-                warm_start: false,
-                tableau_carry: false,
+                warmth: Warmth::Cold,
                 ..MilpOptions::default()
             },
         )
@@ -1114,8 +1106,7 @@ mod tests {
         let cold = solve_milp(
             &problem,
             MilpOptions {
-                warm_start: false,
-                tableau_carry: false,
+                warmth: Warmth::Cold,
                 ..MilpOptions::default()
             },
         )
@@ -1123,8 +1114,7 @@ mod tests {
         let warm = solve_milp(
             &problem,
             MilpOptions {
-                warm_start: true,
-                tableau_carry: false,
+                warmth: Warmth::Basis,
                 ..MilpOptions::default()
             },
         )
@@ -1193,7 +1183,7 @@ mod tests {
         let basis = solve_milp(
             &problem,
             MilpOptions {
-                tableau_carry: false,
+                warmth: Warmth::Basis,
                 ..MilpOptions::default()
             },
         )

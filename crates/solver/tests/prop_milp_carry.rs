@@ -12,7 +12,9 @@
 //! parallel tests really run on four workers even on a single-core CI
 //! container (more workers than cores = maximum interleaving).
 
-use pc_solver::{solve_milp, ConstraintOp, LinearProgram, MilpOptions, MilpProblem, SolverError};
+use pc_solver::{
+    solve_milp, ConstraintOp, LinearProgram, MilpOptions, MilpProblem, SolverError, Warmth,
+};
 use proptest::prelude::*;
 use std::sync::Once;
 
@@ -72,8 +74,7 @@ const COLD: MilpOptions = MilpOptions {
     node_limit: 50_000,
     best_effort: false,
     threads: 1,
-    warm_start: false,
-    tableau_carry: false,
+    warmth: Warmth::Cold,
 };
 
 fn assert_equivalent(
@@ -130,7 +131,7 @@ proptest! {
         pool4();
         let problem = MilpProblem::all_integer(build_lp(&p));
         let basis = solve_milp(&problem, MilpOptions {
-            threads: 1, tableau_carry: false, ..MilpOptions::default()
+            threads: 1, warmth: Warmth::Basis, ..MilpOptions::default()
         });
         let carry = solve_milp(&problem, MilpOptions { threads: 1, ..MilpOptions::default() });
         assert_equivalent("basis vs carry", &basis, &carry, &problem.lp)?;
@@ -181,7 +182,7 @@ fn carried_nodes_pivot_strictly_less_than_rebuilt() {
         let basis = solve_milp(
             &problem,
             MilpOptions {
-                tableau_carry: false,
+                warmth: Warmth::Basis,
                 ..MilpOptions::default()
             },
         )

@@ -8,7 +8,9 @@
 //! parallel mode really runs on four workers even on a single-core CI
 //! container (more workers than cores = maximum interleaving).
 
-use pc_solver::{solve_milp, ConstraintOp, LinearProgram, MilpOptions, MilpProblem, SolverError};
+use pc_solver::{
+    solve_milp, ConstraintOp, LinearProgram, MilpOptions, MilpProblem, SolverError, Warmth,
+};
 use proptest::prelude::*;
 use std::sync::Once;
 
@@ -109,10 +111,10 @@ proptest! {
         pool4();
         let problem = MilpProblem::all_integer(build_lp(&p));
         let cold = solve_milp(&problem, MilpOptions {
-            warm_start: false, tableau_carry: false, ..MilpOptions::default()
+            warmth: Warmth::Cold, ..MilpOptions::default()
         });
         let warm = solve_milp(&problem, MilpOptions {
-            warm_start: true, tableau_carry: false, ..MilpOptions::default()
+            warmth: Warmth::Basis, ..MilpOptions::default()
         });
         assert_equivalent("cold vs warm", &cold, &warm, &problem.lp)?;
     }
@@ -122,10 +124,10 @@ proptest! {
         pool4();
         let problem = MilpProblem::all_integer(build_lp(&p));
         let base = solve_milp(&problem, MilpOptions {
-            threads: 1, warm_start: false, tableau_carry: false, ..MilpOptions::default()
+            threads: 1, warmth: Warmth::Cold, ..MilpOptions::default()
         });
         let fast = solve_milp(&problem, MilpOptions {
-            threads: 0, warm_start: true, tableau_carry: false, ..MilpOptions::default()
+            threads: 0, warmth: Warmth::Basis, ..MilpOptions::default()
         });
         assert_equivalent("baseline vs parallel+warm", &base, &fast, &problem.lp)?;
     }

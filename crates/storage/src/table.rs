@@ -149,6 +149,31 @@ impl Table {
         (self.select(rows), self.select(&rest))
     }
 
+    /// The GROUP-BY keys of attribute `attr`, ascending: every dictionary
+    /// code of a categorical attribute, else the distinct encoded values
+    /// the rows hold, NaN dropped (the CSV loader rejects NaN, other
+    /// frontends may not).
+    pub fn group_keys(&self, attr: usize) -> Vec<f64> {
+        if let Some(dict) = self.dictionary(attr) {
+            return (0..dict.len()).map(|c| c as f64).collect();
+        }
+        let mut keys: Vec<f64> = (0..self.len())
+            .map(|r| self.encoded(r, attr))
+            .filter(|v| !v.is_nan())
+            .collect();
+        keys.sort_by(f64::total_cmp);
+        keys.dedup();
+        keys
+    }
+
+    /// How a GROUP-BY key of attribute `attr` prints: its dictionary
+    /// label, or the number itself.
+    pub fn key_label(&self, attr: usize, key: f64) -> String {
+        self.dictionary(attr)
+            .and_then(|d| d.label(key as u32))
+            .map_or_else(|| key.to_string(), str::to_string)
+    }
+
     /// Min and max encoded value of an attribute over all rows, or `None`
     /// for an empty table.
     pub fn attr_range(&self, attr: usize) -> Option<(f64, f64)> {
@@ -226,6 +251,24 @@ mod tests {
         assert_eq!(t.attr_range(2), Some((3.02, 18.99)));
         let empty = Table::new(t.schema().clone());
         assert_eq!(empty.attr_range(0), None);
+    }
+
+    #[test]
+    fn group_keys_are_distinct_ascending_and_labelled() {
+        let mut t = sales();
+        t.push_row(vec![Value::Int(1), Value::Cat(0), Value::Float(6.71)]);
+        t.push_row(vec![Value::Int(-4), Value::Cat(1), Value::Float(-0.5)]);
+        // categorical: every dictionary code, in code order
+        assert_eq!(t.group_keys(1), vec![0.0, 1.0]);
+        assert_eq!(t.key_label(1, 1.0), "New York");
+        // numeric: duplicates merged, ascending
+        assert_eq!(t.group_keys(0), vec![-4.0, 1.0, 2.0, 3.0]);
+        assert_eq!(t.group_keys(2), vec![-0.5, 3.02, 6.71, 18.99]);
+        assert_eq!(t.key_label(2, 6.71), "6.71");
+        // `push_row` refuses NaN; a column built another way drops it
+        t.columns[2] = Column::Float(vec![f64::NAN, 2.5, f64::NAN, 1.0, 2.5]);
+        assert_eq!(t.group_keys(2), vec![1.0, 2.5]);
+        assert!(Table::new(t.schema().clone()).group_keys(0).is_empty());
     }
 
     #[test]

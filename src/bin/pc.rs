@@ -58,7 +58,7 @@
 //!   missing-data range (SUM/COUNT only).
 //! * `--group-by COL` — bound the query once per distinct value of `COL`
 //!   (dictionary codes for categorical columns, observed values
-//!   otherwise). Each group's line is the answer of the query with
+//!   otherwise, ascending). Each group's line is the answer of the query with
 //!   `COL = <key>` conjoined to its WHERE clause, exactly what `bound`
 //!   prints for that keyed query; the groups run in parallel.
 //! * `--threads N` — worker threads for parallel decomposition, parallel
@@ -77,18 +77,20 @@
 //!   one indented counter line under each query's result.
 //! * `--no-session-cache` — for `batch`: decompose each query's region
 //!   from scratch instead of specializing the session's cached domain
-//!   decomposition (A/B baseline for the session layer). `bound` always
-//!   runs cache-less — one query has nothing to amortize, and the
-//!   per-query pushdown decomposition is never larger than the domain's.
-//! * `--no-warm-start` — disable all simplex warm-start chaining
-//!   (within queries, across queries, and inside branch & bound). Warm
-//!   starting is what the tableau carry rides on, so this flag demands
-//!   `--no-tableau-carry` too — the contradictory combination is
-//!   rejected, not silently resolved.
-//! * `--no-tableau-carry` — keep basis-level warm starts but disable the
-//!   deeper tableau-carry tier (carrying whole canonical tableaux into
-//!   branch & bound children, across AVG probes, and across a session's
-//!   queries). A/B knob for the O(1)-pivot carry; never changes results.
+//!   decomposition (A/B baseline for the session layer). `bound` answers
+//!   through the one-shot engine (`BoundEngine`), which decomposes only
+//!   the query's region: one query has nothing to amortize.
+//! * `--warmth cold|basis|carry` — the simplex warm-start tier of every
+//!   chain of related solves: branch & bound parent to child, the probes
+//!   of an AVG binary search, and a session's queries. `carry` (the
+//!   default) hands on whole canonical tableaux (O(1) pivots per branch
+//!   & bound child), `basis` only the optimal basis, `cold` nothing. An
+//!   A/B knob; never changes results.
+//! * `--fifo` / `--no-admission` — configure sessions only (`batch`,
+//!   `serve`): serve pool tasks first-in first-out instead of
+//!   earliest-deadline-first, and answer every query on the exact rung
+//!   instead of letting the pressure gauge degrade or shed queries whose
+//!   deadlines it cannot meet (see `pc_budget::pressure`).
 //! * `--timeout-ms N` / `--sat-cap N` / `--node-cap N` — arm a
 //!   [`QueryBudget`] (wall-clock deadline, SAT-probe cap, branch & bound
 //!   node cap). A tripped budget never errors: the engine degrades
@@ -124,8 +126,8 @@
 
 use predicate_constraints::core::budget::caps::{parse_cap_value, parse_line_caps, BudgetCaps};
 use predicate_constraints::core::{
-    dsl, BoundError, BoundOptions, BoundReport, ConstraintId, PcSet, QueryBudget, Session,
-    SessionOptions, TripReason,
+    dsl, BoundEngine, BoundError, BoundOptions, BoundReport, ConstraintId, PcSet, QueryBudget,
+    Session, SessionOptions, TripReason, Warmth,
 };
 use predicate_constraints::predicate::{AttrType, Schema};
 use predicate_constraints::serve::{run_script, Connection, ServeConfig, Server};
@@ -151,8 +153,7 @@ struct Args {
     group_by: Option<String>,
     threads: usize,
     no_session_cache: bool,
-    no_warm_start: bool,
-    no_tableau_carry: bool,
+    warmth: Warmth,
     fifo: bool,
     no_admission: bool,
     stats: bool,
@@ -180,8 +181,7 @@ fn parse_args() -> Result<Args, String> {
         group_by: None,
         threads: 0,
         no_session_cache: false,
-        no_warm_start: false,
-        no_tableau_carry: false,
+        warmth: BoundOptions::default().milp.warmth,
         fifo: false,
         no_admission: false,
         stats: false,
@@ -230,36 +230,37 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--no-session-cache" => args.no_session_cache = true,
-            "--no-warm-start" => args.no_warm_start = true,
-            "--no-tableau-carry" => args.no_tableau_carry = true,
+            "--warmth" => {
+                let v = argv.next().ok_or("--warmth needs a value")?;
+                args.warmth = match v.as_str() {
+                    "cold" => Warmth::Cold,
+                    "basis" => Warmth::Basis,
+                    "carry" => Warmth::Carry,
+                    _ => return Err(format!("--warmth: `{v}` is not cold, basis or carry")),
+                };
+            }
             "--fifo" => args.fifo = true,
             "--no-admission" => args.no_admission = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if args.no_warm_start && !args.no_tableau_carry {
-        // Mirror the batch-flag hardening: the tableau carry is the warm
-        // start's deeper tier, so "no warm starts, but keep carrying
-        // tableaux" has no honest reading — demand the explicit pair
-        // instead of silently disabling one side.
-        return Err(
-            "--no-warm-start also disables the tableau carry it rides on; \
-             pass --no-tableau-carry alongside it"
-                .into(),
-        );
-    }
     Ok(args)
 }
 
-/// The engine/session configuration the CLI knobs describe.
+/// The engine configuration the CLI knobs describe.
+fn bound_options(args: &Args) -> BoundOptions {
+    let mut options = BoundOptions {
+        threads: args.threads,
+        ..BoundOptions::default()
+    };
+    options.milp.warmth = args.warmth;
+    options
+}
+
+/// The session configuration (`batch`, `serve`) the CLI knobs describe.
 fn session_options(args: &Args) -> SessionOptions {
     SessionOptions {
-        bound: BoundOptions {
-            threads: args.threads,
-            warm_start: !args.no_warm_start,
-            tableau_carry: !args.no_tableau_carry,
-            ..BoundOptions::default()
-        },
+        bound: bound_options(args),
         cache_cells: !args.no_session_cache,
         incremental: true,
         deadline_sched: !args.fifo,
@@ -511,7 +512,7 @@ fn main() -> ExitCode {
                 }
                 let queries: Vec<AggQuery> = pending.iter().map(|(_, q)| q.clone()).collect();
                 let budget = query_budget(&args);
-                let reports = session.bound_many_budgeted(&queries, &budget);
+                let (_, reports) = session.bound_many_stamped(&queries, &budget);
                 for ((sql, _), report) in pending.iter().zip(reports) {
                     emit(sql, report, failed);
                 }
@@ -535,8 +536,9 @@ fn main() -> ExitCode {
                     match dsl::parse_constraint(&table, rest) {
                         Ok(pc) => {
                             flush(&mut pending, &mut failed);
-                            let id = session.add_constraint_budgeted(pc, &query_budget(&args));
-                            println!("+ {rest} -> {id} (epoch {})", session.epoch());
+                            let (id, epoch) =
+                                session.add_constraint_stamped(pc, &query_budget(&args));
+                            println!("+ {rest} -> {id} (epoch {epoch})");
                         }
                         Err(e) => {
                             flush(&mut pending, &mut failed);
@@ -554,8 +556,8 @@ fn main() -> ExitCode {
                     match rest.trim().parse::<ConstraintId>() {
                         Ok(id) => {
                             flush(&mut pending, &mut failed);
-                            match session.retire_constraint(id) {
-                                Ok(()) => println!("- {id} retired (epoch {})", session.epoch()),
+                            match session.retire_constraint_stamped(id) {
+                                Ok(epoch) => println!("- {id} retired (epoch {epoch})"),
                                 Err(e) => return fail(&format!("line {lineno}: {e}")),
                             }
                         }
@@ -580,7 +582,8 @@ fn main() -> ExitCode {
                         Ok(q) => {
                             flush(&mut pending, &mut failed);
                             let budget = args.caps.overridden_by(line_caps).budget();
-                            emit(sql, session.bound_budgeted(&q, &budget), &mut failed);
+                            let (_, report) = session.bound_ticketed_stamped(&q, &budget, None);
+                            emit(sql, report, &mut failed);
                         }
                         Err(e) => {
                             flush(&mut pending, &mut failed);
@@ -630,22 +633,7 @@ fn main() -> ExitCode {
                 Ok(q) => q,
                 Err(e) => return fail(&e.to_string()),
             };
-            // --threads flows through the session/engine into
-            // decomposition, GROUP-BY group tasks, the parallel witness
-            // search, and the allocation MILP's branch & bound alike.
-            // `bound` answers exactly one query, so the session's
-            // domain-wide cell cache has nothing to amortize — worse, it
-            // would trade the query-region pushdown for a possibly much
-            // larger full-domain decomposition. Always serve `bound`
-            // cache-less (per-query pushdown decomposition, as before the
-            // session layer); `batch` is where the cache pays.
-            let session = Session::with_options(
-                set,
-                SessionOptions {
-                    cache_cells: false,
-                    ..session_options(&args)
-                },
-            );
+            let engine = BoundEngine::with_options(&set, bound_options(&args));
 
             if let Some(group_col) = &args.group_by {
                 if args.stats {
@@ -660,34 +648,14 @@ fn main() -> ExitCode {
                 let Some(attr) = table.schema().index_of(group_col) else {
                     return fail(&format!("--group-by: no column named `{group_col}`"));
                 };
-                let keys: Vec<f64> = match table.dictionary(attr) {
-                    // categorical: every dictionary code is a group
-                    Some(dict) => (0..dict.len()).map(|c| c as f64).collect(),
-                    // numeric: the distinct observed values. The CSV
-                    // loader rejects NaN, but other frontends may not —
-                    // filter explicitly and sort by total order rather
-                    // than trusting partial_cmp.
-                    None => {
-                        let mut vals: Vec<f64> = (0..table.len())
-                            .map(|r| table.encoded(r, attr))
-                            .filter(|v| !v.is_nan())
-                            .collect();
-                        vals.sort_by(f64::total_cmp);
-                        vals.dedup();
-                        vals
-                    }
-                };
+                let keys = table.group_keys(attr);
                 if keys.is_empty() {
                     return fail("--group-by: no group keys found in the data");
                 }
                 println!("{sql} GROUP BY {group_col}");
                 let budget = query_budget(&args);
-                for group in session.bound_group_by_budgeted(&query, attr, keys, &budget) {
-                    let label = table
-                        .dictionary(attr)
-                        .and_then(|d| d.label(group.key as u32))
-                        .map(str::to_string)
-                        .unwrap_or_else(|| group.key.to_string());
+                for group in engine.bound_group_by_budgeted(&query, attr, keys, &budget) {
+                    let label = table.key_label(attr, group.key);
                     match group.report {
                         Ok(r) => {
                             let tag = report_tags(r.degraded, r.trip, r.closed);
@@ -702,7 +670,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
 
-            let report = match session.bound_budgeted(&query, &query_budget(&args)) {
+            let report = match engine.bound_budgeted(&query, &query_budget(&args)) {
                 Ok(r) => r,
                 Err(BoundError::EmptyAggregate) => {
                     println!("EMPTY: no missing row can match this query");

@@ -168,8 +168,8 @@ fn batch_command_streams_queries_through_one_session() {
     for extra in [
         &[][..],
         &["--no-session-cache"],
-        &["--no-tableau-carry"],
-        &["--no-warm-start", "--no-tableau-carry"],
+        &["--warmth", "basis"],
+        &["--warmth", "cold"],
     ] {
         let out = pc_bin()
             .args([
@@ -603,15 +603,14 @@ fn unsupported_flag_combinations_are_rejected() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--query"));
-    // disabling warm starts while leaving the tableau carry on is a
-    // contradiction (the carry rides on warm starts): rejected for every
-    // command, never silently resolved
+    // a warm-start tier the engine does not have is rejected for every
+    // command, naming the flag, never silently replaced by the default
     for cmd in ["bound", "batch"] {
-        let out = base(cmd).args(["--no-warm-start"]).output().unwrap();
-        assert!(!out.status.success(), "{cmd} must reject the bare flag");
+        let out = base(cmd).args(["--warmth", "lukewarm"]).output().unwrap();
+        assert!(!out.status.success(), "{cmd} must reject an unknown tier");
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("--no-tableau-carry"),
-            "{cmd} must name the missing flag"
+            String::from_utf8_lossy(&out.stderr).contains("--warmth: `lukewarm`"),
+            "{cmd} must name the flag and the value"
         );
     }
 }
