@@ -71,6 +71,8 @@ grep -q '^OK added=c1 epoch=1' "$WORK/session.out"
 grep -q '^OK replaced=c1 added=c2 epoch=2' "$WORK/session.out"
 grep -q '^OK retired=c2 epoch=3' "$WORK/session.out"
 grep -q 'shed-cache-hits=' "$WORK/session.out"
+# the repeated `bound` line is the session's one memo hit
+grep -q ' memo-hits=1 ' "$WORK/session.out"
 grep -q '^OK draining' "$WORK/session.out"
 ! grep -q '^MISMATCH' "$WORK/session.out"
 echo "serve smoke passed"

@@ -268,10 +268,13 @@ pub struct BoundReport {
     /// ([`DecomposeStats::shards`]); a one-shot answer of one slice
     /// reports none, and a [`crate::Session`] answer reports its epoch's.
     /// All zero on a cell-free answer (an open region the closure probe
-    /// answered alone; module docs).
+    /// answered alone; module docs) and on a session answer taken from
+    /// its epoch's answer memo, which does no work
+    /// ([`crate::Session::memo_stats`]).
     pub stats: DecomposeStats,
     /// LP/MILP work counters (pivots, carried vs rebuilt tableaux, branch
-    /// & bound nodes) — the measured side of the warm-start tiers.
+    /// & bound nodes) — the measured side of the warm-start tiers. All
+    /// zero on a session answer taken from its epoch's answer memo.
     pub solver: LpWork,
     /// `true` when the query's [`QueryBudget`] tripped somewhere along the
     /// pipeline and the engine degraded instead of erroring: the

@@ -76,7 +76,12 @@
 //!    [`Session::bound_many`] fans a batch out over the work-stealing
 //!    pool against a single pinned epoch.
 //!    Epoch derivation is **shard-local**: a mutation re-derives only
-//!    the shard(s) its box overlaps, the rest carry by `Arc`.
+//!    the shard(s) its box overlaps, the rest carry by `Arc`. Each epoch
+//!    keeps a bounded **answer memo** keyed by the query's canonical
+//!    form (aggregate, attribute, region ∩ domain): a query the epoch
+//!    has already answered exactly takes that answer before admission,
+//!    with no work ([`Session::memo_stats`]); a mutation starts an empty
+//!    memo.
 //! 7. **Estimate-guided search ordering** ([`estimate`]): per-constraint
 //!    selectivity estimates on the catalog — normalized box volume and
 //!    a live split-survival counter — maintained incrementally with the
@@ -125,8 +130,8 @@
 //!    admitted **early-degraded** (LP-relaxation rung — closure checks
 //!    are never skipped), or **shed** when even the degraded estimate
 //!    cannot meet the deadline. A shed query still answers — it runs the
-//!    pre-tripped one-granule walk (memoized per epoch), so its wider
-//!    range stays sound and its latency stays flat. A pop-time
+//!    pre-tripped one-granule walk (kept in the epoch's answer memo), so
+//!    its wider range stays sound and its latency stays flat. A pop-time
 //!    feasibility re-check demotes stale admissions, and every query
 //!    carries a [`SchedReport`] (verdict, queue wait, estimate) surfaced
 //!    by `pc batch --stats`. Every admitted unit — a query, each batch
@@ -227,8 +232,8 @@ pub use pc_budget::{CancelToken, QueryBudget, TripReason};
 pub use pc_solver::{MilpOptions, Warmth};
 pub use pcset::{PcSet, Violation};
 pub use session::{
-    ConstraintId, QueryGuard, Session, SessionOptions, SessionRegistry, ShedCacheStats,
-    TenantExists, UnknownConstraint,
+    ConstraintId, MemoStats, QueryGuard, Session, SessionOptions, SessionRegistry, TenantExists,
+    UnknownConstraint,
 };
 pub use shard::{interaction_components, Shard, ShardedCellSet, SHARD_RESPLIT_THRESHOLD};
 pub use specialize::CellSet;

@@ -96,7 +96,28 @@
 //!   `pc_solver::solve_lp_tableau`), instead of falling all the way back
 //!   to a cold rebuild. A larger structural mismatch still demotes to
 //!   the basis tier and from there to cold, so churn can cost work but
-//!   never correctness.
+//!   never correctness;
+//! * each epoch keeps one **answer memo**. A range depends only on the
+//!   catalog and the query, and an epoch's catalog never changes, so an
+//!   exact answer stays exact for the epoch's whole life. The memo is
+//!   keyed by the query's canonical form — its aggregate, its
+//!   aggregated attribute, and its region ∩ the catalog domain, which is
+//!   all the serve path reads of a query — and each entry is marked
+//!   exact or shed. An exact-rung run that answers `Ok`, undegraded and
+//!   untripped, stores its range and closure flag; a later single query
+//!   or batch item with the same key takes that answer before
+//!   admission, as long as its budget can still proceed (a cancelled or
+//!   expired query degrades as it would have), and does no work: no
+//!   ticket is judged, nothing is specialized or solved, and the report
+//!   carries a [`SchedReport::bypass`] and no work counters. A shed
+//!   entry holds the pre-tripped one-granule walk's answer and serves
+//!   only later shed-rung runs of its key (under overload, rejections
+//!   are the bulk of the traffic). The memo dies with its epoch, so a
+//!   mutation always starts an empty one; it holds at most a fixed
+//!   number of entries and stops inserting there; and it is off under
+//!   [`SessionOptions::cache_cells`]` = false`, the cold baseline. A
+//!   GROUP-BY call's keys store their answers but always compute them.
+//!   [`Session::memo_stats`] counts its hits and misses.
 //!
 //! # What mutations invalidate (and what they don't)
 //!
@@ -149,12 +170,14 @@ use crate::groupby::bound_keys;
 use crate::shard::ShardedCellSet;
 use crate::specialize::CellSet;
 use crate::{
-    BoundEngine, BoundError, BoundOptions, BoundReport, GroupBound, PcSet, PredicateConstraint,
-    Warmth,
+    BoundEngine, BoundError, BoundOptions, BoundReport, GroupBound, LpWork, PcSet,
+    PredicateConstraint, ResultRange, Warmth,
 };
 use pc_budget::pressure::{AdmissionVerdict, PressureGauge, SchedReport, SchedTicket};
 use pc_budget::{CancelToken, QueryBudget, TripReason};
-use pc_storage::AggQuery;
+use pc_predicate::Region;
+use pc_storage::{AggKind, AggQuery};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
@@ -205,10 +228,12 @@ pub struct SessionOptions {
     /// Engine knobs shared by every query of the session.
     pub bound: BoundOptions,
     /// Decompose each epoch once and answer queries by specializing the
-    /// cached cells (the default). Disabled, every query decomposes its
-    /// own region from scratch — the cold baseline, kept as an honest
-    /// A/B switch (`pc … --no-session-cache`); warm-start chaining across
-    /// queries stays on either way unless `bound.milp.warmth` is
+    /// cached cells, and keep each epoch's answer memo (the default; see
+    /// the module docs). Disabled, every query decomposes its own region
+    /// from scratch and nothing is memoized, not even shed answers — the
+    /// cold baseline, kept as an honest A/B switch
+    /// (`pc … --no-session-cache`); warm-start chaining across queries
+    /// stays on either way unless `bound.milp.warmth` is
     /// [`Warmth::Cold`].
     pub cache_cells: bool,
     /// Derive each mutation's epoch incrementally from the previous one
@@ -261,13 +286,52 @@ struct Epoch {
     /// with the previous epoch by `Arc`, so ordering history accumulates
     /// across the session instead of restarting per epoch.
     estimates: Arc<Estimates>,
-    /// Rejection cache: shed answers keyed by query shape. A shed answer
-    /// is deterministic per epoch (pre-tripped budget, fixed options),
-    /// and under overload rejections are the bulk of the traffic — the
-    /// first rejection of a shape pays the one-granule walk, every
-    /// repeat is a lookup. Dies with the epoch, so a catalog mutation
-    /// can never serve a stale range.
-    shed_cache: Mutex<HashMap<String, BoundReport>>,
+    /// The answer memo (module docs): exact and shed answers by query
+    /// key. Both are deterministic per epoch — the catalog is fixed, and
+    /// a shed run's budget is born tripped — and the memo dies with the
+    /// epoch, so a catalog mutation can never serve a stale range.
+    memo: Mutex<HashMap<MemoKey, Memoized>>,
+}
+
+/// Most entries one epoch's memo holds: past it, the memo stops
+/// inserting, and a new query answers as usual without being stored.
+const MEMO_CAP: usize = 1024;
+
+/// A query's canonical form against one catalog: its aggregate, its
+/// aggregated attribute, and its region ∩ the catalog domain, one
+/// `(lo, hi, lo_open, hi_open)` per attribute with the endpoints by bit
+/// pattern. That is everything of a query the serve path reads, so one
+/// key has one answer per epoch. (Two spellings of one set, say `[3, 5]`
+/// and `(2, 6)` over an integer attribute, are two keys: a miss, never
+/// a wrong answer.)
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct MemoKey {
+    agg: AggKind,
+    attr: usize,
+    region: Vec<(u64, u64, bool, bool)>,
+}
+
+impl MemoKey {
+    fn new(query: &AggQuery, target: &Region) -> MemoKey {
+        MemoKey {
+            agg: query.agg,
+            attr: query.attr,
+            region: (0..target.width())
+                .map(|attr| {
+                    let iv = target.interval(attr);
+                    (iv.lo.to_bits(), iv.hi.to_bits(), iv.lo_open, iv.hi_open)
+                })
+                .collect(),
+        }
+    }
+}
+
+/// One memoized answer, marked by the rung that computed it.
+enum Memoized {
+    /// An exact-rung answer: all a hit reports besides its schedule.
+    Exact { range: ResultRange, closed: bool },
+    /// The shed rung's whole report.
+    Shed(Box<BoundReport>),
 }
 
 impl Epoch {
@@ -291,9 +355,60 @@ impl Epoch {
             ids,
             cells: built,
             estimates,
-            shed_cache: Mutex::new(HashMap::new()),
+            memo: Mutex::new(HashMap::new()),
         }
     }
+
+    /// The memo, recovered if a holder panicked: every update under the
+    /// lock is one map operation, so the map is valid either way.
+    fn memo(&self) -> MutexGuard<'_, HashMap<MemoKey, Memoized>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The exact answer memoized for `key`: its range and closure flag.
+    fn exact_answer(&self, key: &MemoKey) -> Option<(ResultRange, bool)> {
+        match self.memo().get(key) {
+            Some(&Memoized::Exact { range, closed }) => Some((range, closed)),
+            _ => None,
+        }
+    }
+
+    /// The shed report memoized for `key`.
+    fn shed_answer(&self, key: &MemoKey) -> Option<BoundReport> {
+        match self.memo().get(key) {
+            Some(Memoized::Shed(report)) => Some(BoundReport::clone(report)),
+            _ => None,
+        }
+    }
+
+    /// Store an answer under `key`. An exact answer replaces a shed one,
+    /// never the reverse; a full memo takes no new key.
+    fn memoize(&self, key: MemoKey, answer: Memoized) {
+        let mut memo = self.memo();
+        let full = memo.len() >= MEMO_CAP;
+        match memo.entry(key) {
+            Entry::Occupied(mut held)
+                if matches!(
+                    (held.get(), &answer),
+                    (Memoized::Shed(_), Memoized::Exact { .. })
+                ) =>
+            {
+                held.insert(answer);
+            }
+            Entry::Vacant(slot) if !full => {
+                slot.insert(answer);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// `query`'s region ∩ the catalog domain: the region the serve path
+/// bounds over.
+fn target_region(set: &PcSet, query: &AggQuery) -> Region {
+    let mut target = query.predicate.to_region(set.schema());
+    target.intersect(set.domain());
+    target
 }
 
 /// A long-lived, mutable query-serving handle over a constraint catalog:
@@ -316,23 +431,31 @@ pub struct Session {
     /// Aggregate queued-deadline-pressure tracker driving admission
     /// control ([`SessionOptions::admission`]).
     pressure: PressureGauge,
-    /// Cumulative shed-rejection-cache outcomes across every epoch (the
-    /// caches themselves die with their epoch; the counters survive so
+    /// Cumulative answer-memo outcomes across every epoch (the memos
+    /// themselves die with their epoch; the counters survive so
     /// `--stats` and the serve `stats` verb can report hit rates).
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
     shed_hits: AtomicU64,
     shed_misses: AtomicU64,
 }
 
-/// Cumulative shed-rejection-cache outcomes for one session — how many
-/// shed answers were served from the per-epoch cache vs computed by the
-/// pre-tripped one-granule walk. See [`Session::shed_cache_stats`].
+/// Cumulative answer-memo outcomes for one session, across every epoch.
+/// See [`Session::memo_stats`] and the module docs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShedCacheStats {
-    /// Shed answers served straight from the rejection cache.
+pub struct MemoStats {
+    /// Single queries and batch items answered from a stored exact
+    /// answer, with no work.
     pub hits: u64,
-    /// Shed answers that paid the one-granule walk (and populated the
-    /// cache for the next repeat of the same shape).
+    /// Single queries and batch items that looked up the memo and found
+    /// no exact answer, so they ran (a query whose budget could no
+    /// longer proceed does not look up).
     pub misses: u64,
+    /// Shed answers served straight from the memo.
+    pub shed_hits: u64,
+    /// Shed answers that paid the one-granule walk (and stored it for
+    /// the next repeat of the same key).
+    pub shed_misses: u64,
 }
 
 impl Session {
@@ -354,19 +477,24 @@ impl Session {
             next_id: AtomicU64::new(seeded),
             warm: WarmCaches::new(options.bound.milp.warmth != Warmth::Cold),
             pressure: PressureGauge::new(rayon::current_num_threads()),
+            memo_hits: AtomicU64::new(0),
+            memo_misses: AtomicU64::new(0),
             shed_hits: AtomicU64::new(0),
             shed_misses: AtomicU64::new(0),
         }
     }
 
-    /// Cumulative shed-rejection-cache hit/miss counters (see
-    /// [`ShedCacheStats`]). Monotone across epochs; a high hit rate under
-    /// overload means rejections are answering from lookups instead of
-    /// one-granule walks.
-    pub fn shed_cache_stats(&self) -> ShedCacheStats {
-        ShedCacheStats {
-            hits: self.shed_hits.load(Ordering::Relaxed),
-            misses: self.shed_misses.load(Ordering::Relaxed),
+    /// Cumulative answer-memo hit/miss counters (see [`MemoStats`]).
+    /// Monotone across epochs. A high exact hit rate means repeated
+    /// queries are answering from lookups instead of solves; a high shed
+    /// hit rate under overload, that rejections are answering from
+    /// lookups instead of one-granule walks.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.memo_hits.load(Ordering::Relaxed),
+            misses: self.memo_misses.load(Ordering::Relaxed),
+            shed_hits: self.shed_hits.load(Ordering::Relaxed),
+            shed_misses: self.shed_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -727,7 +855,10 @@ impl Session {
     /// `ticket` is the arrival-time verdict from [`Session::admit`]; with
     /// `None`, a deadline-armed query is judged when its run starts. The
     /// scheduling outcome is stamped on [`BoundReport::sched`], and the
-    /// ticket is settled however the run ends, a panic included.
+    /// ticket is settled however the run ends, a panic included. A query
+    /// the epoch has already answered exactly takes that answer from the
+    /// memo before admission (module docs): its ticket is settled with
+    /// no run time, so it never calibrates the gauge.
     ///
     /// The budget meters the whole serve path — epoch build (cold epochs
     /// only), per-query specialization, closure checks, and the
@@ -765,7 +896,8 @@ impl Session {
         budget.deadline().filter(|_| self.options.deadline_sched)
     }
 
-    /// One query against `epoch` through [`Session::run_admitted`].
+    /// One query against `epoch`: from the memo when the epoch holds its
+    /// exact answer, otherwise through [`Session::run_admitted`].
     fn bound_admitted(
         &self,
         epoch: &Epoch,
@@ -773,13 +905,62 @@ impl Session {
         budget: &QueryBudget,
         ticket: Option<SchedTicket>,
     ) -> Result<BoundReport, BoundError> {
+        let key = self.memo_key(epoch, query);
+        if let Some(report) = key
+            .as_ref()
+            .and_then(|key| self.recall_exact(epoch, key, budget))
+        {
+            // A hit runs no rung: its charge goes back, and its (zero)
+            // run time says nothing about any rung's service cost.
+            if let Some(ticket) = ticket {
+                self.pressure.settle_waited(ticket, None, None);
+            }
+            return Ok(report);
+        }
         self.run_admitted(
             budget,
             ticket,
             || self.cost_factor(epoch, query),
             Result::is_ok,
-            |sched| self.run_rung(epoch, query, budget, sched),
+            |sched| self.run_rung(epoch, query, key, budget, sched),
         )
+    }
+
+    /// `query`'s memo key against `epoch`, or `None` when the session
+    /// keeps no memo ([`SessionOptions::cache_cells`] off).
+    fn memo_key(&self, epoch: &Epoch, query: &AggQuery) -> Option<MemoKey> {
+        self.options
+            .cache_cells
+            .then(|| MemoKey::new(query, &target_region(&epoch.set, query)))
+    }
+
+    /// The epoch's exact answer for `key`, reported with no work and a
+    /// bypass schedule — but only while `budget` can still proceed: a
+    /// cancelled or expired query runs (and degrades) as it would have.
+    fn recall_exact(
+        &self,
+        epoch: &Epoch,
+        key: &MemoKey,
+        budget: &QueryBudget,
+    ) -> Option<BoundReport> {
+        if !budget.proceed() {
+            return None;
+        }
+        let Some((range, closed)) = epoch.exact_answer(key) else {
+            self.memo_misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        Some(BoundReport {
+            range,
+            closed,
+            stats: DecomposeStats::default(),
+            solver: LpWork::default(),
+            degraded: false,
+            shard_sat_checks: Vec::new(),
+            trip: None,
+            sched: Some(SchedReport::bypass(budget)),
+        })
     }
 
     /// The one run path of every admitted unit of work: a single query,
@@ -863,17 +1044,22 @@ impl Session {
     /// is sound. Both rungs only ever *widen* the range (property-tested
     /// in `prop_sched.rs`). The rung is `sched.verdict`, which the report
     /// carries.
+    ///
+    /// With a memo `key`, a shed run first looks for the epoch's shed
+    /// answer, and the run's answer is stored: an exact one when it
+    /// answered `Ok`, undegraded and untripped (range and closure flag
+    /// only), a shed one always.
     fn run_rung(
         &self,
         epoch: &Epoch,
         query: &AggQuery,
+        key: Option<MemoKey>,
         budget: &QueryBudget,
         sched: SchedReport,
     ) -> Result<BoundReport, BoundError> {
         let verdict = sched.verdict;
         let mut opts = self.options.bound;
         let shed_budget;
-        let mut shed_key = None;
         let run_budget = match verdict {
             AdmissionVerdict::Exact => budget,
             AdmissionVerdict::Degraded => {
@@ -888,15 +1074,14 @@ impl Session {
                 // queued job a trip through the contended deadline lane,
                 // delaying the admitted queries the shed exists to protect.
                 opts.threads = 1;
-                let key = format!("{query:?}");
-                if let Some(cached) = epoch.shed_cache.lock().unwrap().get(&key) {
-                    self.shed_hits.fetch_add(1, Ordering::Relaxed);
-                    let mut report = cached.clone();
-                    report.sched = Some(sched);
-                    return Ok(report);
+                if let Some(key) = &key {
+                    if let Some(mut report) = epoch.shed_answer(key) {
+                        self.shed_hits.fetch_add(1, Ordering::Relaxed);
+                        report.sched = Some(sched);
+                        return Ok(report);
+                    }
+                    self.shed_misses.fetch_add(1, Ordering::Relaxed);
                 }
-                self.shed_misses.fetch_add(1, Ordering::Relaxed);
-                shed_key = Some(key);
                 shed_budget = QueryBudget::pre_tripped(TripReason::Deadline);
                 &shed_budget
             }
@@ -910,8 +1095,17 @@ impl Session {
                     .trip_reason()
                     .or(Some(TripReason::Deadline).filter(|_| verdict != AdmissionVerdict::Exact));
             }
-            if let Some(key) = shed_key {
-                epoch.shed_cache.lock().unwrap().insert(key, report.clone());
+            match (key, verdict) {
+                (Some(key), AdmissionVerdict::Exact)
+                    if !report.degraded && !run_budget.is_tripped() =>
+                {
+                    let (range, closed) = (report.range, report.closed);
+                    epoch.memoize(key, Memoized::Exact { range, closed });
+                }
+                (Some(key), AdmissionVerdict::Shed) => {
+                    epoch.memoize(key, Memoized::Shed(Box::new(report.clone())));
+                }
+                _ => {}
             }
         }
         result
@@ -926,8 +1120,7 @@ impl Session {
     /// learned per-query service-time EWMA.
     fn cost_factor(&self, epoch: &Epoch, query: &AggQuery) -> f64 {
         let set = &*epoch.set;
-        let mut target = query.predicate.to_region(set.schema());
-        target.intersect(set.domain());
+        let target = target_region(set, query);
         let mut total = 0.0;
         let mut touched = 0.0;
         for (i, pc) in set.constraints().iter().enumerate() {
@@ -964,8 +1157,7 @@ impl Session {
             return engine.bound_with_warm(query, warm, budget);
         }
         let sharded = self.cells_of_budgeted(epoch, budget)?;
-        let mut target = query.predicate.to_region(set.schema());
-        target.intersect(set.domain());
+        let target = target_region(set, query);
 
         // One slice per epoch shard: only shards whose boxes the query
         // region touches pay specialization; an untouched shard
@@ -1066,9 +1258,11 @@ impl Session {
 
     /// Bound a GROUP-BY against the epoch current at the call: every key
     /// is one keyed query (the base predicate with `group_attr = key`
-    /// conjoined, see [`BoundEngine::bound_group_by`]) served exactly as
-    /// a [`Session::bound_many`] query is, so each key specializes the
-    /// epoch's cell cache to its slice. Results come back in key order.
+    /// conjoined, see [`BoundEngine::bound_group_by`]) run on the rung a
+    /// [`Session::bound_many`] query runs, so each key specializes the
+    /// epoch's cell cache to its slice. A key stores its answer in the
+    /// epoch's memo but never takes one from it: every key is computed.
+    /// Results come back in key order.
     pub fn bound_group_by(
         &self,
         base: &AggQuery,
@@ -1105,7 +1299,7 @@ impl Session {
             |_| true,
             |sched| {
                 bound_keys(base, group_attr, &keys, threads, &|query| {
-                    self.run_rung(&epoch, query, budget, sched)
+                    self.run_rung(&epoch, query, self.memo_key(&epoch, query), budget, sched)
                 })
             },
         );
@@ -1527,9 +1721,13 @@ mod tests {
 
     #[test]
     fn repeated_queries_pay_no_new_sat_checks() {
-        let session = Session::new(overlapping_set());
         let q = AggQuery::new(AggKind::Sum, 1, Predicate::always());
-        let first = session.bound(&q).unwrap();
+        // The first ask decomposes its (cold) epoch. A repeat on that
+        // epoch would be a memo hit, so the repeat runs on a second
+        // session whose epoch is already built.
+        let first = Session::new(overlapping_set()).bound(&q).unwrap();
+        let session = Session::new(overlapping_set());
+        session.cell_set().unwrap();
         let second = session.bound(&q).unwrap();
         assert_eq!(first.range, second.range);
         // the full-domain query is answered by sharing every cached cell:
@@ -1546,8 +1744,11 @@ mod tests {
         let qs = queries();
         let batch = session.bound_many(&qs);
         assert_eq!(batch.len(), qs.len());
+        // One at a time on a second session: on the batch's own epoch
+        // every repeat would be a memo hit of the batch's answer.
+        let single = Session::new(overlapping_set());
         for (q, got) in qs.iter().zip(&batch) {
-            let want = session.bound(q);
+            let want = single.bound(q);
             match (&want, got) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.range, b.range, "{q:?}");
@@ -1760,7 +1961,11 @@ mod tests {
         let session = Session::new(overlapping_set());
         session.cell_set().unwrap(); // publish a clean epoch
         let q = AggQuery::new(AggKind::Sum, 1, Predicate::always());
-        let exact = session.bound(&q).unwrap();
+        // The oracle runs on a second warm session: on this one, the
+        // budgeted repeat would be a memo hit, not a cache ride.
+        let oracle = Session::new(overlapping_set());
+        oracle.cell_set().unwrap();
+        let exact = oracle.bound(&q).unwrap();
         // A warm epoch costs no decomposition, so a generous budget rides
         // the cache and stays exact.
         let budget = QueryBudget::armed()
@@ -1793,7 +1998,10 @@ mod tests {
     fn budgeted_batch_degrades_but_answers_every_query() {
         let session = Session::new(overlapping_set());
         let qs = queries();
-        let exact = session.bound_many(&qs);
+        // The oracle runs on a second session: on this one, the starved
+        // batch would take the exact answers from the memo, not degrade.
+        let exact = Session::new(overlapping_set()).bound_many(&qs);
+        session.cell_set().unwrap(); // the warm epoch an exact batch leaves
         let budget = QueryBudget::armed().with_sat_cap(0);
         let degraded = session.bound_many_stamped(&qs, &budget).1;
         assert_eq!(degraded.len(), qs.len());
@@ -1850,6 +2058,183 @@ mod tests {
             "queue wait {:?} of a {elapsed:?} call",
             sched.queue_wait
         );
+    }
+
+    // ------------------------------------------------------------------
+    // The per-epoch answer memo
+    // ------------------------------------------------------------------
+
+    /// The number of answers the current epoch's memo holds.
+    fn memo_len(session: &Session) -> usize {
+        let epoch = session.pin();
+        let len = epoch.memo().len();
+        len
+    }
+
+    #[test]
+    fn a_repeated_query_is_a_memo_hit_with_no_work() {
+        let session = Session::new(overlapping_set());
+        for q in queries() {
+            let before = session.memo_stats();
+            let first = session.bound(&q).unwrap();
+            assert!(first.stats.cells > 0, "{q:?}: the first ask runs");
+            let second = session.bound(&q).unwrap();
+            let after = session.memo_stats();
+            assert_eq!(after.hits, before.hits + 1, "{q:?}");
+            assert_eq!(after.misses, before.misses + 1, "{q:?}");
+            assert_eq!(
+                (first.range.lo.to_bits(), first.range.hi.to_bits()),
+                (second.range.lo.to_bits(), second.range.hi.to_bits()),
+                "{q:?}: a hit returns the stored range bit for bit"
+            );
+            assert_eq!(first.closed, second.closed, "{q:?}");
+            assert_eq!(second.stats, DecomposeStats::default(), "{q:?}");
+            assert_eq!(second.solver, LpWork::default(), "{q:?}");
+            assert!(second.shard_sat_checks.is_empty(), "{q:?}");
+            assert!(!second.degraded && second.trip.is_none(), "{q:?}");
+            let sched = second.sched.expect("a hit stamps a bypass schedule");
+            assert_eq!(sched.verdict, AdmissionVerdict::Exact);
+            assert_eq!(sched.estimated_cost, Duration::ZERO);
+        }
+        // A batch item with a stored answer is a hit too.
+        let before = session.memo_stats();
+        let batch = session.bound_many(&queries());
+        assert!(batch
+            .iter()
+            .all(|r| r.as_ref().unwrap().solver == LpWork::default()));
+        assert_eq!(
+            session.memo_stats().hits,
+            before.hits + queries().len() as u64
+        );
+    }
+
+    #[test]
+    fn a_mutation_starts_an_empty_memo() {
+        let session = Session::new(overlapping_set());
+        let qs = queries();
+        session.bound_many(&qs);
+        assert_eq!(memo_len(&session), qs.len());
+        session.add_constraint(pc_utc(11.5, 12.5, 90.0, FrequencyConstraint::at_most(40)));
+        assert_eq!(memo_len(&session), 0, "a new epoch starts with no answers");
+        let hits = session.memo_stats().hits;
+        assert_matches_fresh(&session, &qs);
+        assert_eq!(
+            session.memo_stats().hits,
+            hits,
+            "no answer crossed the epoch"
+        );
+        // …and the new epoch's repeats hit its own answers, which still
+        // match a fresh engine on the mutated catalog.
+        assert_matches_fresh(&session, &qs);
+        assert_eq!(session.memo_stats().hits, hits + qs.len() as u64);
+    }
+
+    #[test]
+    fn a_budget_that_cannot_proceed_never_takes_a_hit() {
+        let session = Session::new(overlapping_set());
+        let q = AggQuery::new(AggKind::Sum, 1, Predicate::always());
+        session.bound(&q).unwrap();
+        let cancelled = QueryBudget::armed();
+        cancelled.cancel_token().unwrap().cancel();
+        let expired = QueryBudget::armed().with_timeout(Duration::ZERO);
+        for (budget, reason) in [
+            (cancelled, TripReason::Cancelled),
+            (expired, TripReason::Deadline),
+        ] {
+            let hits = session.memo_stats().hits;
+            let r = session.bound_ticketed_stamped(&q, &budget, None).1.unwrap();
+            assert_eq!(session.memo_stats().hits, hits, "{reason}: no hit");
+            assert!(r.degraded, "{reason}: the run degrades as it would have");
+            assert_eq!(r.degraded, budget.is_tripped(), "{reason}");
+            assert_eq!(r.trip, Some(reason));
+        }
+    }
+
+    #[test]
+    fn cache_disabled_never_hits() {
+        let session = Session::with_options(
+            overlapping_set(),
+            SessionOptions {
+                cache_cells: false,
+                ..SessionOptions::default()
+            },
+        );
+        for q in queries() {
+            session.bound(&q).unwrap();
+            let again = session.bound(&q).unwrap();
+            assert!(again.stats.cells > 0, "{q:?}: the repeat runs");
+        }
+        assert_eq!(session.memo_stats(), MemoStats::default());
+        assert_eq!(memo_len(&session), 0);
+    }
+
+    #[test]
+    fn a_hit_settles_its_admit_ticket_without_calibrating_the_gauge() {
+        let session = Session::new(overlapping_set());
+        let q = AggQuery::new(AggKind::Avg, 1, Predicate::always());
+        // A deadline-armed miss runs the exact rung and calibrates.
+        let budget = QueryBudget::armed().with_timeout(Duration::from_secs(3600));
+        let ticket = session.admit(&q, &budget);
+        assert!(ticket.is_some(), "a deadline-armed query is judged");
+        session
+            .bound_ticketed_stamped(&q, &budget, ticket)
+            .1
+            .unwrap();
+        let calibrated = session.pressure().stats();
+        assert!(calibrated.ewma_exact > Duration::ZERO);
+        assert_eq!(session.pressure().backlog(), Duration::ZERO);
+
+        let budget = QueryBudget::armed().with_timeout(Duration::from_secs(3600));
+        let ticket = session.admit(&q, &budget);
+        assert!(
+            session.pressure().backlog() > Duration::ZERO,
+            "the ticket is charged"
+        );
+        let hits = session.memo_stats().hits;
+        let r = session
+            .bound_ticketed_stamped(&q, &budget, ticket)
+            .1
+            .unwrap();
+        assert_eq!(session.memo_stats().hits, hits + 1);
+        assert_eq!(r.solver, LpWork::default());
+        let settled = session.pressure().stats();
+        assert_eq!(settled.ewma_exact, calibrated.ewma_exact);
+        assert_eq!(settled.ewma_degraded, calibrated.ewma_degraded);
+        assert_eq!(settled.drain_mult_milli, calibrated.drain_mult_milli);
+        assert_eq!(session.pressure().backlog(), Duration::ZERO);
+    }
+
+    #[test]
+    fn the_memo_stops_inserting_at_its_cap() {
+        let session = Session::new(overlapping_set());
+        let set = session.pc_set();
+        let engine = BoundEngine::new(&set);
+        // Distinct regions: price at most 1, 2, 3, …
+        let q = |i: usize| {
+            AggQuery::new(
+                AggKind::Sum,
+                1,
+                Predicate::atom(Atom::between(1, 0.0, 1.0 + i as f64)),
+            )
+        };
+        let qs: Vec<AggQuery> = (0..MEMO_CAP).map(q).collect();
+        session.bound_many(&qs);
+        assert_eq!(memo_len(&session), MEMO_CAP);
+        // Past the cap a new query still answers correctly…
+        let extra = q(MEMO_CAP);
+        assert_matches_fresh(&session, std::slice::from_ref(&extra));
+        assert_eq!(memo_len(&session), MEMO_CAP, "…but is not stored");
+        // …so its repeat runs again, and still matches.
+        let before = session.memo_stats();
+        let again = session.bound(&extra).unwrap();
+        let fresh = engine.bound(&extra).unwrap();
+        assert!((again.range.hi - fresh.range.hi).abs() < 1e-5);
+        assert!(again.stats.cells > 0, "the repeat ran");
+        assert_eq!(session.memo_stats().hits, before.hits);
+        assert_eq!(session.memo_stats().misses, before.misses + 1);
+        // Stored answers keep serving.
+        session.bound(&qs[0]).unwrap();
+        assert_eq!(session.memo_stats().hits, before.hits + 1);
     }
 
     #[test]

@@ -191,8 +191,11 @@ proptest! {
         let session = session_with(&set, true, true);
         let queries = batch(q_lo, q_hi);
 
-        // Unlimited calls bypass admission: this is the exact oracle.
-        let oracle = session.bound_many(&queries);
+        // Unlimited calls bypass admission: this is the exact oracle. It
+        // runs on a second session, so the calibration batches below run
+        // their exact rung here instead of taking its answers from the
+        // epoch's memo.
+        let oracle = session_with(&set, true, true).bound_many(&queries);
 
         // Calibrate the gauge's exact EWMA with generously-deadlined
         // batches (they admit exact and complete).

@@ -169,6 +169,13 @@ proptest! {
         });
         let first = session.bound(&q);
         for _ in 0..3 {
+            // A repeat on one epoch is a memo hit. Swapping a constraint
+            // for a copy of itself keeps the catalog and starts a fresh
+            // epoch, so each repeat solves again through the session's
+            // warm-start chains and derived cells.
+            let id = session.constraint_ids()[0];
+            let pc = session.pc_set().constraints()[0].clone();
+            session.replace_constraint(id, pc).expect("a live id is replaced");
             let again = session.bound(&q);
             if let Err(msg) = results_equal(&q, &first, &again) {
                 return Err(TestCaseError::fail(msg));

@@ -759,6 +759,28 @@ fn sharded_count_and_sum_report_the_components_solver_work() {
     }
 }
 
+/// Ask distinct throwaway queries until the current epoch's answer memo
+/// stops storing answers, so every later ask on the epoch runs the serve
+/// path: a stored answer would be a memo hit, which reads no summary.
+fn fill_the_memo(session: &Session) {
+    for i in 0..100_000 {
+        // COUNT over v ∈ [0, i/1000]: the one value v = 0, a new key each
+        // time.
+        let q = AggQuery::count(Predicate::atom(Atom::between(
+            1,
+            0.0,
+            f64::from(i) / 1000.0,
+        )));
+        session.bound(&q).expect("a filler answers");
+        let hits = session.memo_stats().hits;
+        session.bound(&q).expect("a filler answers");
+        if session.memo_stats().hits == hits {
+            return;
+        }
+    }
+    panic!("the answer memo never stopped storing");
+}
+
 /// A single-shard epoch answers a COUNT or SUM whose region contains
 /// every member box from the shard's cached summary: the repeated answer
 /// equals the first and the one-shot engine's, and runs no LP solve.
@@ -774,6 +796,9 @@ fn single_shard_epoch_serves_a_contained_count_and_sum_from_its_summary() {
     ]);
     let session = Session::new(set.clone());
     assert_eq!(session.sharded_cell_set().unwrap().shards().len(), 1);
+    // With the memo full, the repeat below runs instead of taking the
+    // first answer from the memo.
+    fill_the_memo(&session);
     for agg in [AggKind::Count, AggKind::Sum] {
         let q = AggQuery::new(agg, 1, Predicate::always());
         let first = session.bound(&q).unwrap();

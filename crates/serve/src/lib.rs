@@ -43,7 +43,8 @@
 //! use <name>                -> OK using=<name> epoch=<e>
 //! stats [<name>]            -> OK stats tenant=<t> epoch=<e> exact=<n>
 //!                                 degraded=<n> shed=<n> shed-cache-hits=<n>
-//!                                 shed-cache-misses=<n> backlog-us=<n>
+//!                                 shed-cache-misses=<n> memo-hits=<n>
+//!                                 memo-misses=<n> backlog-us=<n>
 //!                                 inflight=<n> draining=<true|false>
 //! quit                      -> OK bye                       (closes the connection)
 //! shutdown                  -> OK draining                  (starts graceful shutdown)
@@ -52,8 +53,14 @@
 //! New tenants seed from the server's base constraint file (shared
 //! schema, ids `c0..`); `use` scopes the connection's later query and
 //! mutation verbs. `stats` surfaces the tenant's admission-gauge
-//! counters and the session's cumulative shed-rejection-cache hit/miss
-//! counters ([`pc_core::ShedCacheStats`]).
+//! counters and the session's cumulative answer-memo counters
+//! ([`pc_core::MemoStats`]): `shed-cache-hits`/`shed-cache-misses`
+//! count shed answers served from the current epoch's memo versus
+//! walked, and `memo-hits`/`memo-misses` count `bound` queries and
+//! `batch` items answered from an exact answer the epoch already gave
+//! (no work, verdict `exact`, `queue-us` the wait until the lookup)
+//! versus run. `exact`/`degraded`/`shed` count admission verdicts, so a
+//! deadline-armed query is counted there even when the memo answers it.
 //!
 //! ## Query verbs
 //!

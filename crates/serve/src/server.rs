@@ -380,17 +380,20 @@ fn execute(
                 Err(r) => return r,
             };
             let pressure = session.pressure().stats();
-            let shed = session.shed_cache_stats();
+            let memo = session.memo_stats();
             (
                 format!(
                     "OK stats tenant={name} epoch={} exact={} degraded={} shed={} \
-                     shed-cache-hits={} shed-cache-misses={} backlog-us={} inflight={} draining={}",
+                     shed-cache-hits={} shed-cache-misses={} memo-hits={} memo-misses={} \
+                     backlog-us={} inflight={} draining={}",
                     session.epoch(),
                     pressure.admitted_exact,
                     pressure.admitted_degraded,
                     pressure.shed,
-                    shed.hits,
-                    shed.misses,
+                    memo.shed_hits,
+                    memo.shed_misses,
+                    memo.hits,
+                    memo.misses,
                     session.pressure().backlog().as_micros(),
                     registry.inflight(),
                     registry.is_draining(),

@@ -74,12 +74,17 @@
 //!   engine factored the catalog over its constraint-interaction graph
 //!   (see `pc_core::shard`), the shard count, the largest shard's
 //!   constraint count, and the per-shard SAT-check profile. For `batch`:
-//!   one indented counter line under each query's result.
-//! * `--no-session-cache` — for `batch`: decompose each query's region
-//!   from scratch instead of specializing the session's cached domain
-//!   decomposition (A/B baseline for the session layer). `bound` answers
-//!   through the one-shot engine (`BoundEngine`), which decomposes only
-//!   the query's region: one query has nothing to amortize.
+//!   one indented counter line under each query's result (all zero for
+//!   a query answered from the epoch's memo), then the session's memo
+//!   counters: shed answers and exact answers served from the memo
+//!   versus computed.
+//! * `--no-session-cache` — for `batch` and `serve`: decompose each
+//!   query's region from scratch instead of specializing the session's
+//!   cached domain decomposition, and keep no per-epoch answer memo
+//!   (A/B baseline for the session layer). `bound` answers through the
+//!   one-shot engine (`BoundEngine`), which decomposes only the query's
+//!   region: one query has nothing to amortize, so `bound` rejects the
+//!   flag.
 //! * `--warmth cold|basis|carry` — the simplex warm-start tier of every
 //!   chain of related solves: branch & bound parent to child, the probes
 //!   of an AVG binary search, and a session's queries. `carry` (the
@@ -87,10 +92,10 @@
 //!   & bound child), `basis` only the optimal basis, `cold` nothing. An
 //!   A/B knob; never changes results.
 //! * `--fifo` / `--no-admission` — configure sessions only (`batch`,
-//!   `serve`): serve pool tasks first-in first-out instead of
-//!   earliest-deadline-first, and answer every query on the exact rung
-//!   instead of letting the pressure gauge degrade or shed queries whose
-//!   deadlines it cannot meet (see `pc_budget::pressure`).
+//!   `serve`; `bound` rejects them): serve pool tasks first-in first-out
+//!   instead of earliest-deadline-first, and answer every query on the
+//!   exact rung instead of letting the pressure gauge degrade or shed
+//!   queries whose deadlines it cannot meet (see `pc_budget::pressure`).
 //! * `--timeout-ms N` / `--sat-cap N` / `--node-cap N` — arm a
 //!   [`QueryBudget`] (wall-clock deadline, SAT-probe cap, branch & bound
 //!   node cap). A tripped budget never errors: the engine degrades
@@ -606,10 +611,15 @@ fn main() -> ExitCode {
             flush(&mut pending, &mut failed);
             if args.stats {
                 // Session-lifetime counters (they survive epoch churn):
-                // how often a shed query's pre-tripped walk was answered
-                // from the per-epoch memo instead of re-run.
-                let shed = session.shed_cache_stats();
-                println!("shed cache: {} hits, {} misses", shed.hits, shed.misses);
+                // how often a shed query's pre-tripped walk, and how often
+                // a query's exact answer, came from the per-epoch memo
+                // instead of a run.
+                let memo = session.memo_stats();
+                println!(
+                    "shed cache: {} hits, {} misses",
+                    memo.shed_hits, memo.shed_misses
+                );
+                println!("memo: {} hits, {} misses", memo.hits, memo.misses);
             }
             if failed {
                 ExitCode::FAILURE
@@ -620,6 +630,20 @@ fn main() -> ExitCode {
         "bound" => {
             if args.queries.is_some() {
                 return fail("`bound` takes --query (one query), not --queries; use `batch` for a query file");
+            }
+            // `bound` answers without a session: reject the session-only
+            // flags it would otherwise silently ignore.
+            for (given, flag) in [
+                (args.fifo, "--fifo"),
+                (args.no_admission, "--no-admission"),
+                (args.no_session_cache, "--no-session-cache"),
+            ] {
+                if given {
+                    return fail(&format!(
+                        "{flag} configures the sessions of `batch` and `serve`; \
+                         `bound` answers one query without a session"
+                    ));
+                }
             }
             let set = match load_constraints(&args, &table) {
                 Ok(s) => s,

@@ -603,6 +603,19 @@ fn unsupported_flag_combinations_are_rejected() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--query"));
+    // nor the session-only flags: bound answers without a session
+    for flag in ["--fifo", "--no-admission", "--no-session-cache"] {
+        let out = base("bound")
+            .args(["--query", "SELECT COUNT(*)", flag])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "bound must reject {flag}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(flag),
+            "bound must name {flag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
     // a warm-start tier the engine does not have is rejected for every
     // command, naming the flag, never silently replaced by the default
     for cmd in ["bound", "batch"] {
