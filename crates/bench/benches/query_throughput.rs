@@ -120,6 +120,22 @@ fn query_stream(count: usize) -> Vec<AggQuery> {
         .collect()
 }
 
+/// Start a fresh epoch over the same catalog: swap the last constraint
+/// (the catch-all cap) for a copy of itself, so the catalog and its
+/// order stay as they were. The new epoch's answer memo is empty, so the
+/// next ask of every query runs again — through the derived cells and
+/// the warm-start chains — instead of taking a stored answer.
+fn fresh_epoch(session: &Session) {
+    let id = *session
+        .constraint_ids()
+        .last()
+        .expect("a non-empty catalog");
+    let pc = session.pc_set().constraints().last().cloned();
+    session
+        .replace_constraint(id, pc.expect("a non-empty catalog"))
+        .expect("a live id is replaced");
+}
+
 fn bench_query_throughput(c: &mut Criterion) {
     let opts = BoundOptions::default();
     let mut group = c.benchmark_group("query_throughput");
@@ -472,7 +488,8 @@ fn percentile_us(sorted: &[Duration], pct: usize) -> u128 {
 /// Two artifact families ride next to the timing rows:
 ///
 /// * `deadline_stress/deadline_<t>` — the 24-query stream served under a
-///   per-query wall-clock deadline `t`, many rounds. Reports the
+///   per-query wall-clock deadline `t`, many rounds, each on a fresh
+///   epoch so that every query runs (asserted). Reports the
 ///   **degraded hit-rate** (what fraction of answers had to fall back to
 ///   a sound-but-wider range) and the latency percentiles. Every
 ///   degraded answer is asserted to *contain* the exact range first —
@@ -511,7 +528,11 @@ fn bench_deadline_stress(c: &mut Criterion) {
     ] {
         let mut lat: Vec<Duration> = Vec::with_capacity(ROUNDS * queries.len());
         let mut degraded = 0usize;
+        let hits = session.memo_stats().hits;
         for _ in 0..ROUNDS {
+            // Each round on a fresh epoch: a query runs under its
+            // deadline instead of taking the answer the last round stored.
+            fresh_epoch(&session);
             for (q, &(lo, hi)) in queries.iter().zip(&oracle) {
                 let budget = QueryBudget::armed().with_timeout(timeout);
                 let t0 = Instant::now();
@@ -529,6 +550,11 @@ fn bench_deadline_stress(c: &mut Criterion) {
                 degraded += r.degraded as usize;
             }
         }
+        assert_eq!(
+            session.memo_stats().hits,
+            hits,
+            "deadline {label}: every query must run, not take a memo hit"
+        );
         lat.sort();
         emit_bench_json_line(&format!(
             "{{\"id\": \"deadline_stress/deadline_{label}\", \"queries\": {}, \
@@ -615,6 +641,17 @@ struct BurstRow {
     lo: f64,
     hi: f64,
     qi: usize,
+}
+
+/// One arm of the burst comparison ([`bench_deadline_burst`]): its
+/// session, whether its spawns are EDF-tagged, what its bursts answered,
+/// and the answer-memo misses they paid.
+struct BurstArm {
+    mode: &'static str,
+    tagged: bool,
+    session: Arc<Session>,
+    rows: Vec<BurstRow>,
+    memo_misses: u64,
 }
 
 /// Fire `arrivals` queries at a fixed `interval` (open loop: the driver
@@ -707,10 +744,15 @@ fn run_burst(
 /// (`deadline_stress/burst_fifo` vs `burst_edf`) report degraded-rate
 /// and latency percentiles, and every answer (degraded, shed, or exact)
 /// is asserted to contain the exact range before anything is recorded.
+/// Every arrival asks a query its epoch has not answered (asserted: no
+/// burst arrival is an answer-memo hit), so each one meets admission.
 fn bench_deadline_burst(_c: &mut Criterion) {
     let set = serving_set(14);
-    let queries = query_stream(24);
     const ARRIVALS: usize = 96;
+    // One distinct query per arrival (the stream first repeats at 580),
+    // and every burst on a fresh epoch: no arrival can take an answer
+    // from the epoch's memo, so each one meets admission and runs.
+    let queries = query_stream(ARRIVALS);
 
     // Scale the scenario to this machine. The burst constants are
     // ratios of the measured uncontended per-query service time, so the
@@ -733,12 +775,15 @@ fn bench_deadline_burst(_c: &mut Criterion) {
     // run faster than its work, so the min is the robust estimate.
     let mut service = Duration::MAX;
     for _ in 0..5 {
+        // A fresh epoch per pass: the probe times runs, not memo hits.
+        fresh_epoch(&probe);
         let probe_start = Instant::now();
         for q in &queries {
             probe.bound(q).expect("service probe");
         }
         service = service.min(probe_start.elapsed() / queries.len() as u32);
     }
+    assert_eq!(probe.memo_stats().hits, 0, "the probe must time runs");
     let service = service.max(Duration::from_micros(40));
     let interval = service * 3 / 5;
     let deadlines = [service * 14, service * 42];
@@ -753,7 +798,7 @@ fn bench_deadline_burst(_c: &mut Criterion) {
         })
         .collect();
 
-    let mut arms: Vec<(&str, bool, Arc<Session>, Vec<BurstRow>)> = Vec::new();
+    let mut arms: Vec<BurstArm> = Vec::new();
     for (mode, tagged, options) in [
         (
             "fifo",
@@ -772,18 +817,13 @@ fn bench_deadline_burst(_c: &mut Criterion) {
         for q in &queries {
             session.bound(q).expect("warm-up");
         }
-        // Calibrate the gauge's service-time EWMA with uncontended timed
-        // runs (generous deadline: admits exact, completes, calibrates).
-        // A burst against an uncalibrated gauge admits everything — that
-        // measures the cold-start transient, not the scheduler.
-        for q in &queries {
-            let warm = QueryBudget::armed().with_timeout(Duration::from_secs(1));
-            session
-                .bound_ticketed_stamped(q, &warm, None)
-                .1
-                .expect("calibration run");
-        }
-        arms.push((mode, tagged, session, Vec::new()));
+        arms.push(BurstArm {
+            mode,
+            tagged,
+            session,
+            rows: Vec::new(),
+            memo_misses: 0,
+        });
     }
     // Pool several bursts: one 96-arrival burst's p99 is its max, so a
     // single unlucky steal would dominate the row. Rounds alternate the
@@ -793,11 +833,17 @@ fn bench_deadline_burst(_c: &mut Criterion) {
     // queue-empty.
     const ROUNDS: usize = 12;
     for _ in 0..ROUNDS {
-        for (_, tagged, session, rows) in arms.iter_mut() {
-            // Re-converge the gauge in the calm gap between bursts:
-            // settles from inside a burst measure contention, not
-            // service, and drift the EWMA up; in steady serving the
-            // calm traffic between bursts pulls it back down.
+        for arm in arms.iter_mut() {
+            let session = &arm.session;
+            // Calibrate the gauge's service-time EWMA in the calm gap
+            // before each burst, with uncontended timed runs on a fresh
+            // epoch (generous deadline: admits exact, completes,
+            // calibrates). A burst against an uncalibrated gauge admits
+            // everything — that measures the cold-start transient, not
+            // the scheduler — and settles from inside a burst measure
+            // contention, not service, and drift the EWMA up; in steady
+            // serving the calm traffic between bursts pulls it back down.
+            fresh_epoch(session);
             for q in &queries {
                 let warm = QueryBudget::armed().with_timeout(Duration::from_secs(1));
                 session
@@ -805,13 +851,32 @@ fn bench_deadline_burst(_c: &mut Criterion) {
                     .1
                     .expect("calibration run");
             }
-            rows.extend(run_burst(
-                session, &queries, ARRIVALS, interval, deadlines, *tagged,
+            // The calibration stored every answer: burst on a new epoch.
+            fresh_epoch(session);
+            let before = session.memo_stats();
+            arm.rows.extend(run_burst(
+                session, &queries, ARRIVALS, interval, deadlines, arm.tagged,
             ));
+            let after = session.memo_stats();
+            // Guards the scenario itself: an arrival that took a stored
+            // answer would skip admission and the run the burst measures.
+            assert_eq!(
+                after.hits, before.hits,
+                "burst_{}: no arrival may be a memo hit",
+                arm.mode
+            );
+            arm.memo_misses += after.misses - before.misses;
             std::thread::sleep(Duration::from_millis(5));
         }
     }
-    for (mode, _, _, mut rows) in arms {
+    for BurstArm {
+        mode,
+        mut rows,
+        memo_misses,
+        ..
+    } in arms
+    {
+        assert!(memo_misses > 0, "burst_{mode}: the arrivals must run");
         for row in &rows {
             let (lo, hi) = oracle[row.qi];
             assert!(
@@ -832,6 +897,7 @@ fn bench_deadline_burst(_c: &mut Criterion) {
              \"interval_us\": {}, \"deadline_tight_us\": {}, \"deadline_loose_us\": {}, \
              \"degraded\": {degraded}, \"degraded_rate\": {:.4}, \
              \"degraded_tight\": {degraded_tight}, \"shed\": {shed}, \
+             \"memo_misses\": {memo_misses}, \
              \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
             rows.len(),
             service.as_micros(),
@@ -886,20 +952,53 @@ const NET_MUTATIONS: &[&str] = &[
 ];
 
 /// The replayed query mix, as SQL text (the wire carries text, and the
-/// oracle parses the same text, so the two sides cannot diverge).
-fn net_sqls() -> Vec<String> {
-    (0..8)
+/// oracle parses the same text, so the two sides cannot diverge). Each
+/// line caps `value` at its own bound, so no two lines share an
+/// answer-memo key and no replayed arrival can take a stored answer.
+fn net_sqls(count: usize) -> Vec<String> {
+    (0..count)
         .map(|i| {
             let lo = (i * 7 % 29) as f64;
             let hi = lo + 6.0 + (i % 5) as f64;
+            let cap = 100.0 - i as f64 / 64.0;
+            let window = format!("region BETWEEN {lo} AND {hi} AND value <= {cap}");
             match i % 4 {
-                0 => format!("SELECT SUM(value) WHERE region BETWEEN {lo} AND {hi}"),
-                1 => format!("SELECT COUNT(*) WHERE region BETWEEN {lo} AND {hi}"),
-                2 => format!("SELECT AVG(value) WHERE region BETWEEN {lo} AND {hi}"),
-                _ => format!("SELECT MAX(value) WHERE region BETWEEN {lo} AND {hi}"),
+                0 => format!("SELECT SUM(value) WHERE {window}"),
+                1 => format!("SELECT COUNT(*) WHERE {window}"),
+                2 => format!("SELECT AVG(value) WHERE {window}"),
+                _ => format!("SELECT MAX(value) WHERE {window}"),
             }
         })
         .collect()
+}
+
+/// Whole-domain queries that warm each tenant before a replay: they
+/// build its cells and warm its chains, and share no memo key with a
+/// replayed line, each of which restricts `region`.
+const NET_WARMUP: &[&str] = &[
+    "SELECT SUM(value)",
+    "SELECT COUNT(*)",
+    "SELECT AVG(value)",
+    "SELECT MAX(value)",
+];
+
+/// The sum of one `stats` field over `tenants`.
+fn stat_sum(
+    write: &mut std::net::TcpStream,
+    read: &mut std::io::BufReader<std::net::TcpStream>,
+    tenants: &[&str],
+    key: &str,
+) -> u64 {
+    tenants
+        .iter()
+        .map(|tenant| {
+            let header = sync_request(write, read, &format!("stats {tenant}"));
+            assert!(header.starts_with("OK"), "{header}");
+            pc_serve::proto::field(&header, key)
+                .and_then(|v| v.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("`stats` carries {key}: {header}"))
+        })
+        .sum()
 }
 
 /// Replay [`NET_MUTATIONS`] against a local shadow session and record
@@ -989,7 +1088,8 @@ fn sleep_until(t: Instant) {
 /// `@sat-cap=2` work cap, so the degraded/shed machinery is exercised
 /// through the wire, not just the in-process API. When `mutate` is set,
 /// every tenant concurrently receives [`NET_MUTATIONS`] spread across
-/// the replay span — the mutation mix the MVCC stamps are for.
+/// the replay span — the mutation mix the MVCC stamps are for. Arrival
+/// `k` asks `sqls[k % sqls.len()]`.
 fn replay_open_loop(
     addr: std::net::SocketAddr,
     tenants: &[&str],
@@ -1024,14 +1124,6 @@ fn replay_open_loop(
             let mut read = BufReader::new(write.try_clone().unwrap());
             let header = sync_request(&mut write, &mut read, &format!("use {tenant}"));
             assert!(header.starts_with("OK"), "{header}");
-            // Warm this tenant's decomposition/cell caches outside the
-            // timed replay — otherwise the first query's cold decompose
-            // backs up every connection and the replay measures one
-            // cold start instead of the steady serving path.
-            for sql in &sqls {
-                let header = sync_request(&mut write, &mut read, &format!("bound {sql}"));
-                assert!(header.starts_with("OK"), "{header}");
-            }
             ready.wait();
             go.wait();
             let start = start_cell
@@ -1174,7 +1266,12 @@ fn bench_serve_net(_c: &mut Criterion) {
     let set = serving_set(14);
     let schema = Schema::new(vec![("region", AttrType::Int), ("value", AttrType::Float)]);
     let table = pc_storage::table_from_csv(schema, "region,value\n1,5.0\n20,40.0\n").unwrap();
-    let sqls = net_sqls();
+    // steady: arrivals well under capacity (epoch 0 everywhere), then
+    // overload: ~1.7x the serial drain rate with mutations racing. Each
+    // scenario replays its own lines, so neither re-asks the other's.
+    const STEADY: usize = 240;
+    const OVERLOAD: usize = 480;
+    let sqls = net_sqls(STEADY + OVERLOAD);
     let oracle = net_oracle(&set, &table, &sqls);
 
     // service-time probe, as in the burst bench: the replay rates are
@@ -1189,12 +1286,15 @@ fn bench_serve_net(_c: &mut Criterion) {
     }
     let mut service = Duration::MAX;
     for _ in 0..5 {
+        // A fresh epoch per pass: the probe times runs, not memo hits.
+        fresh_epoch(&probe);
         let t0 = Instant::now();
         for q in &queries {
             probe.bound(q).expect("service probe");
         }
         service = service.min(t0.elapsed() / queries.len() as u32);
     }
+    assert_eq!(probe.memo_stats().hits, 0, "the probe must time runs");
     let service = service.max(Duration::from_micros(40));
 
     let server = Server::bind("127.0.0.1:0", table, set, ServeConfig::default()).unwrap();
@@ -1202,31 +1302,57 @@ fn bench_serve_net(_c: &mut Criterion) {
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
     let tenants = ["default", "t1", "t2"];
-    {
-        let mut admin = TcpStream::connect(addr).unwrap();
-        admin.set_nodelay(true).unwrap();
-        let mut read = BufReader::new(admin.try_clone().unwrap());
-        for tenant in &tenants[1..] {
-            let header = sync_request(&mut admin, &mut read, &format!("tenant create {tenant}"));
+    let mut admin = TcpStream::connect(addr).unwrap();
+    admin.set_nodelay(true).unwrap();
+    let mut read = BufReader::new(admin.try_clone().unwrap());
+    for tenant in &tenants[1..] {
+        let header = sync_request(&mut admin, &mut read, &format!("tenant create {tenant}"));
+        assert!(header.starts_with("OK"), "{header}");
+    }
+    // Warm every tenant's decomposition/cell caches outside the timed
+    // replay — otherwise the first query's cold decompose backs up every
+    // connection and the replay measures one cold start instead of the
+    // steady serving path.
+    for tenant in &tenants {
+        let header = sync_request(&mut admin, &mut read, &format!("use {tenant}"));
+        assert!(header.starts_with("OK"), "{header}");
+        for sql in NET_WARMUP {
+            let header = sync_request(&mut admin, &mut read, &format!("bound {sql}"));
             assert!(header.starts_with("OK"), "{header}");
         }
     }
 
-    // steady: arrivals well under capacity (epoch 0 everywhere), then
-    // overload: ~1.7x the serial drain rate with mutations racing
     let scenarios = [
-        ("steady", 240usize, service * 3, false),
-        ("overload", 480usize, service * 3 / 5, true),
+        ("steady", 0..STEADY, service * 3, false),
+        ("overload", STEADY..STEADY + OVERLOAD, service * 3 / 5, true),
     ];
-    for (name, arrivals, interval, mutate) in scenarios {
-        let rows = replay_open_loop(addr, &tenants, 2, &sqls, arrivals, interval, mutate);
+    for (name, lines, interval, mutate) in scenarios {
+        let arrivals = lines.len();
+        let hits = stat_sum(&mut admin, &mut read, &tenants, "memo-hits");
+        let rows = replay_open_loop(
+            addr,
+            &tenants,
+            2,
+            &sqls[lines.clone()],
+            arrivals,
+            interval,
+            mutate,
+        );
         assert_eq!(rows.len(), arrivals, "every arrival must be answered");
+        // Guards the scenario itself: an arrival that took a stored
+        // answer would skip admission, its budget and the run.
+        assert_eq!(
+            stat_sum(&mut admin, &mut read, &tenants, "memo-hits"),
+            hits,
+            "serve_net/{name}: no arrival may be a memo hit"
+        );
         let mut epochs = std::collections::BTreeMap::<u64, usize>::new();
         for row in &rows {
             *epochs.entry(row.epoch).or_insert(0) += 1;
             let want = oracle
                 .get(row.epoch as usize)
-                .unwrap_or_else(|| panic!("response stamped unknown epoch {}", row.epoch))[row.qi];
+                .unwrap_or_else(|| panic!("response stamped unknown epoch {}", row.epoch))
+                [lines.start + row.qi];
             match (want, row.range) {
                 (None, got) => assert!(got.is_none(), "oracle says empty, wire said {got:?}"),
                 (Some((lo, hi)), None) => panic!("wire said empty, oracle [{lo},{hi}]"),
@@ -1288,20 +1414,8 @@ fn bench_serve_net(_c: &mut Criterion) {
 
     // satellite: the shed-cache counters surfaced by the `stats` verb,
     // summed over tenants — the same counters `pc batch --stats` prints
-    let mut admin = TcpStream::connect(addr).unwrap();
-    admin.set_nodelay(true).unwrap();
-    let mut read = BufReader::new(admin.try_clone().unwrap());
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for tenant in &tenants {
-        let header = sync_request(&mut admin, &mut read, &format!("stats {tenant}"));
-        assert!(header.starts_with("OK"), "{header}");
-        hits += pc_serve::proto::field(&header, "shed-cache-hits")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap();
-        misses += pc_serve::proto::field(&header, "shed-cache-misses")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap();
-    }
+    let hits = stat_sum(&mut admin, &mut read, &tenants, "shed-cache-hits");
+    let misses = stat_sum(&mut admin, &mut read, &tenants, "shed-cache-misses");
     emit_bench_json_line(&format!(
         "{{\"id\": \"serve_net/shed_cache\", \"hits\": {hits}, \"misses\": {misses}}}"
     ));

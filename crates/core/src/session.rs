@@ -108,7 +108,8 @@
 //!   or batch item with the same key takes that answer before
 //!   admission, as long as its budget can still proceed (a cancelled or
 //!   expired query degrades as it would have), and does no work: no
-//!   ticket is judged, nothing is specialized or solved, and the report
+//!   ticket is judged ([`Session::admit`] issues none for an answer the
+//!   epoch holds), nothing is specialized or solved, and the report
 //!   carries a [`SchedReport::bypass`] and no work counters. A shed
 //!   entry holds the pre-tripped one-granule walk's answer and serves
 //!   only later shed-rung runs of its key (under overload, rejections
@@ -840,9 +841,21 @@ impl Session {
     /// runs. Under sustained overload the queue is where deadlines die;
     /// judging at run start would admit every arrival into a queue none
     /// of them can survive. `None` when the query bypasses admission (no
-    /// deadline, or admission off) — pass it through either way.
+    /// deadline, or admission off) or when the current epoch's memo
+    /// already holds its exact answer: a lookup is no backlog, so it
+    /// charges none. Pass the result through either way; should the run
+    /// land on a newer epoch and miss, it is judged when it starts.
     pub fn admit(&self, query: &AggQuery, budget: &QueryBudget) -> Option<SchedTicket> {
-        self.judge(budget, || self.cost_factor(&self.pin(), query))
+        self.admission_deadline(budget)?;
+        let epoch = self.pin();
+        let target = target_region(&epoch.set, query);
+        if self
+            .memo_key(query, &target)
+            .is_some_and(|key| epoch.exact_answer(&key).is_some())
+        {
+            return None;
+        }
+        self.judge(budget, || self.cost_factor(&epoch, &target))
     }
 
     /// [`Session::bound`] under a [`QueryBudget`], on the verdict of
@@ -857,8 +870,9 @@ impl Session {
     /// scheduling outcome is stamped on [`BoundReport::sched`], and the
     /// ticket is settled however the run ends, a panic included. A query
     /// the epoch has already answered exactly takes that answer from the
-    /// memo before admission (module docs): its ticket is settled with
-    /// no run time, so it never calibrates the gauge.
+    /// memo before admission (module docs): a ticket issued before the
+    /// answer was stored is settled with no run time, so a hit never
+    /// calibrates the gauge.
     ///
     /// The budget meters the whole serve path — epoch build (cold epochs
     /// only), per-query specialization, closure checks, and the
@@ -877,17 +891,22 @@ impl Session {
         (epoch.number, result)
     }
 
+    /// The deadline admission judges `budget` by: `None` when admission
+    /// does not apply (no armed deadline, or admission off).
+    fn admission_deadline(&self, budget: &QueryBudget) -> Option<Instant> {
+        budget.deadline().filter(|_| self.options.admission)
+    }
+
     /// Judge an arrival against the pressure gauge at `cost_factor()`:
-    /// `None` when admission does not apply (no armed deadline, or
-    /// admission off), and the query then runs exact.
+    /// `None` when admission does not apply, and the query then runs
+    /// exact.
     fn judge(
         &self,
         budget: &QueryBudget,
         cost_factor: impl FnOnce() -> f64,
     ) -> Option<SchedTicket> {
-        let deadline = budget.deadline();
-        (self.options.admission && deadline.is_some())
-            .then(|| self.pressure.admit_ticket(cost_factor(), deadline))
+        let deadline = self.admission_deadline(budget)?;
+        Some(self.pressure.admit_ticket(cost_factor(), Some(deadline)))
     }
 
     /// The deadline a query's pool tasks are tagged with: the budget's,
@@ -905,7 +924,8 @@ impl Session {
         budget: &QueryBudget,
         ticket: Option<SchedTicket>,
     ) -> Result<BoundReport, BoundError> {
-        let key = self.memo_key(epoch, query);
+        let target = target_region(&epoch.set, query);
+        let key = self.memo_key(query, &target);
         if let Some(report) = key
             .as_ref()
             .and_then(|key| self.recall_exact(epoch, key, budget))
@@ -920,18 +940,19 @@ impl Session {
         self.run_admitted(
             budget,
             ticket,
-            || self.cost_factor(epoch, query),
+            || self.cost_factor(epoch, &target),
             Result::is_ok,
-            |sched| self.run_rung(epoch, query, key, budget, sched),
+            |sched| self.run_rung(epoch, query, &target, key, budget, sched),
         )
     }
 
-    /// `query`'s memo key against `epoch`, or `None` when the session
-    /// keeps no memo ([`SessionOptions::cache_cells`] off).
-    fn memo_key(&self, epoch: &Epoch, query: &AggQuery) -> Option<MemoKey> {
+    /// The memo key of `query`, whose region ∩ the catalog domain is
+    /// `target`, or `None` when the session keeps no memo
+    /// ([`SessionOptions::cache_cells`] off).
+    fn memo_key(&self, query: &AggQuery, target: &Region) -> Option<MemoKey> {
         self.options
             .cache_cells
-            .then(|| MemoKey::new(query, &target_region(&epoch.set, query)))
+            .then(|| MemoKey::new(query, target))
     }
 
     /// The epoch's exact answer for `key`, reported with no work and a
@@ -1053,6 +1074,7 @@ impl Session {
         &self,
         epoch: &Epoch,
         query: &AggQuery,
+        target: &Region,
         key: Option<MemoKey>,
         budget: &QueryBudget,
         sched: SchedReport,
@@ -1086,7 +1108,7 @@ impl Session {
                 &shed_budget
             }
         };
-        let mut result = self.bound_serve(epoch, query, run_budget, opts);
+        let mut result = self.bound_serve(epoch, query, target, run_budget, opts);
         if let Ok(report) = &mut result {
             report.degraded |= verdict != AdmissionVerdict::Exact;
             report.sched = Some(sched);
@@ -1117,16 +1139,15 @@ impl Session {
     /// (the engine's reach test, [`crate::specialize::overlaps_region`]),
     /// over the whole catalog's. A query touching about half the
     /// catalog's mass scores ~1.0; the gauge multiplies this into its
-    /// learned per-query service-time EWMA.
-    fn cost_factor(&self, epoch: &Epoch, query: &AggQuery) -> f64 {
-        let set = &*epoch.set;
-        let target = target_region(set, query);
+    /// learned per-query service-time EWMA. `target` is the query's
+    /// region ∩ the catalog domain ([`target_region`]).
+    fn cost_factor(&self, epoch: &Epoch, target: &Region) -> f64 {
         let mut total = 0.0;
         let mut touched = 0.0;
-        for (i, pc) in set.constraints().iter().enumerate() {
+        for (i, pc) in epoch.set.constraints().iter().enumerate() {
             let score = epoch.estimates.score(i).max(0.0);
             total += score;
-            if crate::specialize::overlaps_region(pc, &target) {
+            if crate::specialize::overlaps_region(pc, target) {
                 touched += score;
             }
         }
@@ -1137,13 +1158,15 @@ impl Session {
         }
     }
 
-    /// The serve body: specialize the pinned epoch's cells to the query
-    /// and bound. `opts` is the admission layer's (possibly downgraded)
-    /// engine configuration.
+    /// The serve body: specialize the pinned epoch's cells to the query,
+    /// whose region ∩ the catalog domain is `target`, and bound. `opts`
+    /// is the admission layer's (possibly downgraded) engine
+    /// configuration.
     fn bound_serve(
         &self,
         epoch: &Epoch,
         query: &AggQuery,
+        target: &Region,
         budget: &QueryBudget,
         opts: BoundOptions,
     ) -> Result<BoundReport, BoundError> {
@@ -1157,7 +1180,6 @@ impl Session {
             return engine.bound_with_warm(query, warm, budget);
         }
         let sharded = self.cells_of_budgeted(epoch, budget)?;
-        let target = target_region(set, query);
 
         // One slice per epoch shard: only shards whose boxes the query
         // region touches pay specialization; an untouched shard
@@ -1174,16 +1196,16 @@ impl Session {
             let whole = members.iter().copied().eq(0..set.len());
             let part = (!whole).then(|| (&**shard.set(), members));
             let mut stats = DecomposeStats::default();
-            let (cells, cache) = if !shard.touches(&target) {
+            let (cells, cache) = if !shard.touches(target) {
                 (Vec::new(), None)
-            } else if shard.contained_in(&target) {
+            } else if shard.contained_in(target) {
                 // every member box ⊆ target ⇒ every cell region ⊆ target:
                 // specialization is the identity, share without the scan
                 (shard.cells().cells().to_vec(), Some(&**shard))
             } else {
                 let cells = shard.cells().specialize_budgeted(
                     shard.set(),
-                    &target,
+                    target,
                     &mut stats,
                     engine.par_witness(),
                     budget,
@@ -1197,16 +1219,8 @@ impl Session {
                 cache,
             });
         }
-        let closed = engine.closure(&target, Some(&sharded), budget);
-        engine.bound_slices(
-            query,
-            &target,
-            closed,
-            slices,
-            sharded.stats(),
-            warm,
-            budget,
-        )
+        let closed = engine.closure(target, Some(&sharded), budget);
+        engine.bound_slices(query, target, closed, slices, sharded.stats(), warm, budget)
     }
 
     /// Bound a batch of queries, each as its own stealable pool task;
@@ -1295,11 +1309,16 @@ impl Session {
         let groups = self.run_admitted(
             budget,
             None,
-            || self.cost_factor(&epoch, base) * keys.len().max(1) as f64,
+            || {
+                let target = target_region(&epoch.set, base);
+                self.cost_factor(&epoch, &target) * keys.len().max(1) as f64
+            },
             |_| true,
             |sched| {
                 bound_keys(base, group_attr, &keys, threads, &|query| {
-                    self.run_rung(&epoch, query, self.memo_key(&epoch, query), budget, sched)
+                    let target = target_region(&epoch.set, query);
+                    let key = self.memo_key(query, &target);
+                    self.run_rung(&epoch, query, &target, key, budget, sched)
                 })
             },
         );
@@ -2184,12 +2203,22 @@ mod tests {
         assert!(calibrated.ewma_exact > Duration::ZERO);
         assert_eq!(session.pressure().backlog(), Duration::ZERO);
 
+        // An arrival the epoch already answers is not charged at all…
+        let budget = QueryBudget::armed().with_timeout(Duration::from_secs(3600));
+        assert!(session.admit(&q, &budget).is_none(), "a stored answer");
+        assert_eq!(session.pressure().backlog(), Duration::ZERO);
+        let r = session.bound_ticketed_stamped(&q, &budget, None).1.unwrap();
+        assert_eq!(r.solver, LpWork::default(), "…and its run is a hit");
+
+        // A ticket issued before its answer was stored settles on the hit.
+        let q = AggQuery::new(AggKind::Max, 1, Predicate::always());
         let budget = QueryBudget::armed().with_timeout(Duration::from_secs(3600));
         let ticket = session.admit(&q, &budget);
         assert!(
             session.pressure().backlog() > Duration::ZERO,
             "the ticket is charged"
         );
+        session.bound(&q).unwrap();
         let hits = session.memo_stats().hits;
         let r = session
             .bound_ticketed_stamped(&q, &budget, ticket)
