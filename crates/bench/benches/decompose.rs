@@ -246,7 +246,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Estimate-guided split ordering on the adversarial skewed catalog
+/// Box-volume split ordering on the adversarial skewed catalog
 /// (selective constraints declared last) vs a uniform control: ordering
 /// on (the default) against the declaration-order oracle. The emitted
 /// cell set and every bound are identical; the SAT-check and ordered-split

@@ -176,9 +176,9 @@ fn bench_milp(c: &mut Criterion) {
     group.finish();
 }
 
-/// Estimate-scored branch-variable selection, measured from the engine
+/// Volume-scored branch-variable selection, measured from the engine
 /// side: the skewed ordering catalog's allocation MILPs branch on the
-/// selective cells' variables first (weights = `2 − volume`), against the
+/// selective cells' variables first (weights = `2 − Π volume`), against the
 /// classic most-fractional rule (`ordering: false`). Node and
 /// incumbent-first counts ride next to the timing rows; the uniform
 /// control shows the weights are a no-op when nothing is selective.

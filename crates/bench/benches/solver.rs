@@ -66,7 +66,6 @@ fn bench_solvers(c: &mut Criterion) {
                         p,
                         MilpOptions {
                             node_limit: 20_000,
-                            best_effort: true,
                             ..MilpOptions::default()
                         },
                     )

@@ -90,7 +90,7 @@ fn ordering_schema_and_domain() -> (pc_predicate::Schema, pc_predicate::Region) 
     (schema, domain)
 }
 
-/// The adversarial catalog for estimate-guided ordering (the shape of the
+/// The adversarial catalog for box-volume ordering (the shape of the
 /// `prop_ordering.rs` skewed regression): wide, uninformative constraints
 /// declared first, the selective ones last.
 ///
@@ -101,7 +101,7 @@ fn ordering_schema_and_domain() -> (pc_predicate::Schema, pc_predicate::Region) 
 /// * two pentagon "rings" (only cyclic neighbours overlap) sharing one
 ///   value band: an odd cycle's covering LP is fractional, so the
 ///   allocation MILP genuinely branches;
-/// * three tiny slivers declared last — the cells estimate order decides
+/// * three tiny slivers declared last — the cells volume order decides
 ///   (and the MILP branches) first.
 pub fn skewed_ordering_set() -> PcSet {
     let (schema, domain) = ordering_schema_and_domain();
@@ -137,7 +137,7 @@ pub fn skewed_ordering_set() -> PcSet {
 
 /// The control for [`skewed_ordering_set`]: the same constraint count on
 /// the same domain, but every box a mid-size random rectangle — near-equal
-/// volumes, so the estimate order is close to a no-op and ordering on/off
+/// volumes, so the volume order is close to a no-op and ordering on/off
 /// should measure the same work.
 pub fn uniform_ordering_set(seed: u64) -> PcSet {
     let (schema, domain) = ordering_schema_and_domain();

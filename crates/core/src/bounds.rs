@@ -25,20 +25,19 @@
 //! so the whole pipeline — closure probe, interaction components,
 //! decomposition, frequency rows, allocation — runs on the reached
 //! sub-catalog, and its cost follows what the query touches, not the
-//! catalog size. So does the estimate table behind
-//! [`BoundOptions::ordering`]: an engine that holds none yet estimates
-//! only the reached constraints, while one that holds a table (injected
-//! by a session, or built by an earlier call that reached every
-//! constraint) restricts it, so split survival still publishes into its
-//! shared counters. Reached constraints that form one component are one
-//! slice of that sub-catalog, with no further copy. An unreached
-//! constraint can still change one verdict: a frequency floor whose
-//! allowed region misses the domain has nowhere to put its rows, so the
-//! call fails [`BoundError::Infeasible`] exactly as the full-catalog path
-//! does. On the reached sub-catalog the closure probe runs first: when it
-//! finds the region open and no reached constraint keeps a frequency
-//! floor in it, the closure rule below fixes the range, and the call
-//! returns before interaction components or any cell are built.
+//! catalog size. So does the box-volume order behind
+//! [`BoundOptions::ordering`], computed over the reached constraints
+//! alone: a sub-catalog keeps the catalog's domain, so its members keep
+//! their volumes and their relative order. Reached constraints that form
+//! one component are one slice of that sub-catalog, with no further
+//! copy. An unreached constraint can still change one verdict: a
+//! frequency floor whose allowed region misses the domain has nowhere to
+//! put its rows, so the call fails [`BoundError::Infeasible`] exactly as
+//! the full-catalog path does. On the reached sub-catalog the closure
+//! probe runs first: when it finds the region open and no reached
+//! constraint keeps a frequency floor in it, the closure rule below fixes
+//! the range, and the call returns before interaction components or any
+//! cell are built.
 //!
 //! Soundness details the paper leaves implicit, made explicit here:
 //!
@@ -62,7 +61,7 @@
 //!   when a frequency lower bound has nowhere to go).
 
 use crate::decompose::{decompose_ordered_budgeted, Parallelism, NAIVE_LIMIT};
-use crate::estimate::{Estimates, SplitOrdering};
+use crate::estimate;
 use crate::shard::ShardedCellSet;
 use crate::{ActiveSet, BoundError, Cell, DecomposeStats, PcSet, PredicateConstraint, Strategy};
 use pc_budget::{QueryBudget, WorkGate};
@@ -75,7 +74,7 @@ use pc_storage::{AggKind, AggQuery};
 use std::cell::Cell as StdCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -144,18 +143,19 @@ pub struct BoundOptions {
     /// this (module docs): such a cell-free answer reports zero cells and
     /// zero shards.
     pub shard: bool,
-    /// Estimate-guided search ordering (on by default; see
+    /// Box-volume search ordering (on by default; see
     /// [`crate::estimate`]): the decomposition decides include/exclude
-    /// splits most-selective-constraint-first (smallest box-volume ×
-    /// split-survival score next, so unsatisfiable branches die early and
-    /// budget-tripped frontiers cover the least-determined constraints),
-    /// and the allocation MILP branches on estimate-weighted
-    /// fractionality instead of raw most-fractional. Semantics-free:
-    /// the produced cell *set*, every verdict, and every bound are
-    /// identical with the knob off (property-tested) — only the visit
-    /// order, the SAT-check/node counts, and witness identity change.
-    /// Disable to A/B declaration-order search, or to pin the historical
-    /// cell order exactly.
+    /// splits smallest-normalized-box-volume first, ties by index (so
+    /// unsatisfiable branches die early and budget-tripped frontiers
+    /// cover the least-determined constraints), and the allocation MILP
+    /// branches on volume-weighted fractionality instead of raw
+    /// most-fractional. The order is a pure function of the set searched,
+    /// so repeated bounds do identical work. Semantics-free: the produced
+    /// cell *set*, every verdict, and every bound are identical with the
+    /// knob off (property-tested) — only the visit order, the
+    /// SAT-check/node counts, and witness identity change. Off is the
+    /// declaration-order oracle, and pins the historical cell order
+    /// exactly.
     pub ordering: bool,
 }
 
@@ -468,13 +468,13 @@ pub(crate) struct CellProblem {
     cap: Vec<f64>,
     /// Per constraint: `(kl_eff, ku, member cell indices)`.
     pc_rows: Vec<(f64, f64, Vec<usize>)>,
-    /// Per-cell branch weights for the allocation MILP's
-    /// estimate-guided branching ([`BoundOptions::ordering`]), in
-    /// `[1, 2]`: a *selective* cell (small product of its active
-    /// constraints' volume × survival scores) weighs ~2 and gets its
-    /// fractional variable decided first — its allocation is the most
-    /// constrained, so fixing it prunes fastest. `None` when ordering
-    /// is off (the classic most-fractional rule).
+    /// Per-cell branch weights for the allocation MILP's volume-guided
+    /// branching ([`BoundOptions::ordering`]), `2 − Π volume` over the
+    /// cell's active constraints, in `[1, 2]`: a *selective* cell (small
+    /// product of its active constraints' normalized box volumes) weighs
+    /// ~2 and gets its fractional variable decided first — its allocation
+    /// is the most constrained, so fixing it prunes fastest. `None` when
+    /// ordering is off (the classic most-fractional rule).
     branch_weights: Option<Vec<f64>>,
     closed: bool,
     stats: DecomposeStats,
@@ -539,16 +539,6 @@ impl CellProblem {
 pub struct BoundEngine<'a> {
     pub(crate) set: &'a PcSet,
     pub(crate) options: BoundOptions,
-    /// Per-constraint selectivity estimates driving the search ordering
-    /// ([`BoundOptions::ordering`]). Injected by the owning
-    /// [`crate::Session`] (whose epochs maintain them incrementally per
-    /// delta) or by a component's slice (restricted to its members,
-    /// sharing the catalog-wide survival counters); a standalone engine
-    /// computes them lazily on first use. A one-shot bound that drops
-    /// constraints leaves an unbuilt table unbuilt and estimates only the
-    /// reached ones, so a standalone engine reused for such bounds keeps
-    /// no survival history from one to the next.
-    estimates: OnceLock<Arc<Estimates>>,
 }
 
 impl<'a> BoundEngine<'a> {
@@ -559,25 +549,7 @@ impl<'a> BoundEngine<'a> {
 
     /// Engine with explicit options.
     pub fn with_options(set: &'a PcSet, options: BoundOptions) -> Self {
-        BoundEngine {
-            set,
-            options,
-            estimates: OnceLock::new(),
-        }
-    }
-
-    /// Inject externally maintained estimates (session epochs, shard
-    /// restrictions). No-op if the engine already resolved its own.
-    pub(crate) fn set_estimates(&self, estimates: Arc<Estimates>) {
-        let _ = self.estimates.set(estimates);
-    }
-
-    /// The engine's estimate table, computing it from the set on first
-    /// use when nothing was injected. A reach-scoped one-shot bound never
-    /// builds it: it estimates only the reached constraints (module docs).
-    pub(crate) fn estimates(&self) -> &Arc<Estimates> {
-        self.estimates
-            .get_or_init(|| Arc::new(Estimates::for_set(self.set)))
+        BoundEngine { set, options }
     }
 
     /// The engine's configuration.
@@ -643,14 +615,7 @@ impl<'a> BoundEngine<'a> {
             return self.bound_factored(query, &base, warm, budget);
         }
         let sub = crate::shard::sub_set(self.set, &reached);
-        let engine = match self.estimates.get() {
-            Some(_) => self.sub_engine(&sub, &reached),
-            // No table yet: estimate only the reached constraints. A fresh
-            // table has no survival history, so its volumes (same domain)
-            // order the splits exactly as the restricted table would.
-            None => BoundEngine::with_options(&sub, self.options),
-        };
-        engine.bound_factored(query, &base, warm, budget)
+        BoundEngine::with_options(&sub, self.options).bound_factored(query, &base, warm, budget)
     }
 
     /// The constraints whose predicate meets `base` (ascending), decided
@@ -669,19 +634,6 @@ impl<'a> BoundEngine<'a> {
             }
         }
         Ok(reached)
-    }
-
-    /// An engine over `sub` = this engine's constraints `members` (in
-    /// that order), with the same options and — under
-    /// [`BoundOptions::ordering`] — this engine's estimates restricted to
-    /// the members, so survival learned on the sub-set publishes into the
-    /// shared counters.
-    fn sub_engine<'s>(&self, sub: &'s PcSet, members: &[usize]) -> BoundEngine<'s> {
-        let engine = BoundEngine::with_options(sub, self.options);
-        if self.options.ordering {
-            engine.set_estimates(Arc::new(self.estimates().restrict(members)));
-        }
-        engine
     }
 
     /// Bound over this engine's whole set. With [`BoundOptions::shard`]
@@ -713,15 +665,8 @@ impl<'a> BoundEngine<'a> {
             let slices = vec![ShardSlice::whole(cells, stats)];
             return self.bound_slices(query, base, closed, slices, no_stats, warm, budget);
         }
-        let estimates = self.options.ordering.then(|| &**self.estimates());
-        let mut parts = crate::shard::decompose_components(
-            self.set,
-            &self.options,
-            base,
-            &components,
-            estimates,
-            budget,
-        )?;
+        let mut parts =
+            crate::shard::decompose_components(self.set, &self.options, base, &components, budget)?;
         let slices = parts
             .iter_mut()
             .map(|c| ShardSlice {
@@ -855,14 +800,13 @@ impl<'a> BoundEngine<'a> {
         }
         let attr = query.attr;
         // A slice's problem, built by an engine over the slice's own
-        // constraints (this engine's estimates restricted to its members),
-        // or by this engine for a slice of its whole set.
+        // constraints, or by this engine for a slice of its whole set.
         let problem = |slice: ShardSlice<'_>, stats, warm| {
             let sub_engine;
             let engine = match slice.part {
                 None => self,
-                Some((sub, members)) => {
-                    sub_engine = self.sub_engine(sub, members);
+                Some((sub, _)) => {
+                    sub_engine = BoundEngine::with_options(sub, self.options);
                     &sub_engine
                 }
             };
@@ -1003,29 +947,17 @@ impl<'a> BoundEngine<'a> {
         if self.set.disjoint_hint() {
             return Ok(self.disjoint_cells(base));
         }
-        // Estimate-guided split order: freeze a permutation from the
-        // current estimate snapshot (so sequential and parallel runs stay
-        // bit-identical), stage this run's split survivals on it, and
-        // publish them back into the live counters only when the run
-        // finished untripped — a budget-tripped decomposition observed a
-        // biased prefix of its splits and must not poison the history
-        // (the unpublished-epoch rule, applied to estimates).
-        let ordering = (self.options.ordering && self.set.len() > 1)
-            .then(|| SplitOrdering::from_estimates(self.estimates()));
-        let result = decompose_ordered_budgeted(
+        let order =
+            (self.options.ordering && self.set.len() > 1).then(|| estimate::volume_order(self.set));
+        decompose_ordered_budgeted(
             self.set,
             base,
             self.options.strategy,
             self.decompose_policy(),
             budget,
-            ordering.as_ref(),
-        );
-        if let (Some(ord), Ok(_)) = (&ordering, &result) {
-            if !budget.is_tripped() {
-                self.estimates().publish(ord);
-            }
-        }
-        result.map_err(BoundError::from)
+            order.as_deref(),
+        )
+        .map_err(BoundError::from)
     }
 
     /// Assemble the allocation problem from an explicit cell list (either
@@ -1046,20 +978,18 @@ impl<'a> BoundEngine<'a> {
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<CellProblem, BoundError> {
-        let estimates = self.options.ordering.then(|| self.estimates());
+        let volumes =
+            (self.options.ordering && !cells.is_empty()).then(|| estimate::volumes(self.set));
         let mut u = Vec::with_capacity(cells.len());
         let mut l = Vec::with_capacity(cells.len());
         let mut cap = Vec::with_capacity(cells.len());
-        let mut weights = estimates.map(|_| Vec::with_capacity(cells.len()));
+        let mut weights = volumes.as_ref().map(|_| Vec::with_capacity(cells.len()));
         for cell in &cells {
-            if let (Some(w), Some(est)) = (&mut weights, estimates) {
+            if let (Some(w), Some(volumes)) = (&mut weights, &volumes) {
                 // Selectivity of the cell = product of its active
-                // constraints' scores (each in [0, 1]); mapped to a
+                // constraints' volumes (each in [0, 1]); mapped to a
                 // bounded weight so fractionality still matters.
-                let mut vol = 1.0f64;
-                for j in cell.active.iter() {
-                    vol *= est.score(j).clamp(0.0, 1.0);
-                }
+                let vol: f64 = cell.active.iter().map(|j| volumes[j]).product();
                 w.push(2.0 - vol);
             }
             // Only *active* constraints narrow a cell's value interval and
@@ -1352,7 +1282,7 @@ impl<'a> BoundEngine<'a> {
         });
         let mut milp_problem = MilpProblem::all_integer(lp.clone());
         if let Some(w) = &p.branch_weights {
-            // Estimate-guided branching: the solver decides the most
+            // Volume-guided branching: the solver decides the most
             // selective cells' variables first (weights ride the live
             // variable mapping).
             milp_problem = milp_problem.with_branch_scores(live.iter().map(|&i| w[i]).collect());
@@ -2149,44 +2079,6 @@ mod tests {
         assert!(r.range.lo <= exact.range.lo && r.range.hi >= exact.range.hi);
     }
 
-    /// A budget-tripped decomposition observed a biased prefix of its
-    /// splits, so it must not publish survival counters — the
-    /// unpublished-epoch rule applied to estimates. An untripped run on
-    /// the same engine must publish (the counters exist to learn).
-    #[test]
-    fn tripped_decomposition_publishes_no_survival_counters() {
-        let set = overlapping_set();
-        let engine = BoundEngine::new(&set);
-        let snapshot = |e: &BoundEngine| -> Vec<(u64, u64)> {
-            e.estimates()
-                .entries()
-                .iter()
-                .map(|c| (c.survival.splits(), c.survival.survivals()))
-                .collect()
-        };
-        let before = snapshot(&engine);
-        let base = set.domain().clone();
-        let budget = QueryBudget::armed().with_sat_cap(1);
-        engine
-            .cells_for_base_budgeted(&base, &budget)
-            .expect("tripped decomposition still yields frontier cells");
-        assert!(budget.is_tripped(), "cap 1 must trip on this catalog");
-        assert_eq!(
-            snapshot(&engine),
-            before,
-            "tripped run must not move survival history"
-        );
-        engine
-            .cells_for_base_budgeted(&base, &QueryBudget::unlimited())
-            .expect("untripped decomposition");
-        let after = snapshot(&engine);
-        assert!(
-            after.iter().map(|&(s, _)| s).sum::<u64>()
-                > before.iter().map(|&(s, _)| s).sum::<u64>(),
-            "untripped run must publish split history: {after:?}"
-        );
-    }
-
     /// Twenty overlapping `utc` buckets of unequal widths and a SUM query
     /// over `utc ∈ [50, 70)`, which reaches buckets 4, 5 and 6 only.
     fn reach_fixture() -> (PcSet, AggQuery) {
@@ -2221,34 +2113,7 @@ mod tests {
         base.intersect(set.domain());
         assert_eq!(fresh.reached(&base).unwrap(), REACHED);
         let r = fresh.bound(&q).unwrap();
-        assert!(
-            fresh.estimates.get().is_none(),
-            "the whole catalog's table stays unbuilt"
-        );
-        let built = BoundEngine::new(&set);
-        built.estimates();
-        let b = built.bound(&q).unwrap();
-        assert_eq!(r.range, b.range);
         assert!(r.stats.ordered_splits > 0, "the reached constraints split");
-        let work = |r: &BoundReport| (r.stats.cells, r.stats.sat_checks, r.stats.ordered_splits);
-        assert_eq!(work(&r), work(&b));
-    }
-
-    #[test]
-    fn injected_table_learns_only_on_the_reached_constraints() {
-        let (set, q) = reach_fixture();
-        let engine = BoundEngine::new(&set);
-        let table = Arc::new(Estimates::for_set(&set));
-        engine.set_estimates(Arc::clone(&table));
-        engine.bound(&q).unwrap();
-        for (j, entry) in table.entries().iter().enumerate() {
-            let splits = entry.survival.splits();
-            if REACHED.contains(&j) {
-                assert!(splits > 0, "reached constraint {j} learned nothing");
-            } else {
-                assert_eq!(splits, 0, "unreached constraint {j} learned");
-            }
-        }
     }
 
     /// An unclosed closure check skipped under a tripped budget must

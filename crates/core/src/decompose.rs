@@ -99,7 +99,6 @@
 //! [`DecomposeStats::shards`] / [`DecomposeStats::max_shard_constraints`]
 //! report the factoring.
 
-use crate::estimate::SplitOrdering;
 use crate::{ActiveSet, Cell, PcSet};
 use pc_budget::{QueryBudget, WorkGate};
 use pc_predicate::sat::SatOutcome;
@@ -196,7 +195,7 @@ pub struct DecomposeStats {
     /// other value marks the cell set as *degraded* — sound, but with
     /// bounds possibly looser than the exact decomposition's.
     pub frontier_cells: u64,
-    /// Include/exclude splits decided under an estimate-guided order
+    /// Include/exclude splits decided under the box-volume order
     /// ([`crate::estimate`]) instead of declaration order. `0` when
     /// ordering was off (or the search never split).
     pub ordered_splits: u64,
@@ -353,17 +352,16 @@ pub fn decompose_budgeted(
     decompose_ordered_budgeted(set, base, strategy, par, budget, None)
 }
 
-/// [`decompose_budgeted`] with an optional estimate-guided decision order
-/// ([`crate::estimate::SplitOrdering`]): the DFS decides constraint
-/// `ordering.constraint_at(depth)` at depth `depth` instead of constraint
-/// `depth` — most-selective-first, so unsatisfiable branches die near the
-/// root and frontier cells left by a budget trip are the least-determined
-/// ones. Cell signatures still use catalog indices, so the emitted cell
-/// *set* (signatures, regions, satisfiability) is identical to the
-/// declaration-order run — only the DFS visit order, the per-cell witness
-/// identity, and the work counters change (see [`crate::estimate`] for
-/// the argument). Split survival is staged on `ordering` for the caller
-/// to publish after an untripped run. [`Strategy::Naive`] ignores the
+/// [`decompose_budgeted`] with an optional decision order (a permutation
+/// of the set's indices, such as [`crate::estimate::volume_order`]): the
+/// DFS decides constraint `order[depth]` at depth `depth` instead of
+/// constraint `depth` — most-selective-first, so unsatisfiable branches
+/// die near the root and frontier cells left by a budget trip are the
+/// least-determined ones. Cell signatures still use catalog indices, so
+/// the emitted cell *set* (signatures, regions, satisfiability) is
+/// identical to the declaration-order run — only the DFS visit order, the
+/// per-cell witness identity, and the work counters change (see
+/// [`crate::estimate`] for the argument). [`Strategy::Naive`] ignores the
 /// order (mask enumeration has no prefix structure to help).
 pub fn decompose_ordered_budgeted(
     set: &PcSet,
@@ -371,14 +369,14 @@ pub fn decompose_ordered_budgeted(
     strategy: Strategy,
     par: Parallelism,
     budget: &QueryBudget,
-    ordering: Option<&SplitOrdering>,
+    order: Option<&[usize]>,
 ) -> Result<(Vec<Cell>, DecomposeStats), DecomposeError> {
     let mut stats = DecomposeStats::default();
     let mut cells = Vec::new();
     let n = set.len();
     debug_assert!(
-        ordering.is_none_or(|o| o.order().len() == n),
-        "ordering must cover the whole set"
+        order.is_none_or(|o| o.len() == n),
+        "the order must cover the whole set"
     );
     if base.is_empty() {
         return Ok((cells, stats));
@@ -459,7 +457,7 @@ pub fn decompose_ordered_budgeted(
                 gate: par.gate(),
                 eager: par.eager,
                 budget,
-                ordering,
+                order,
             };
             let root = Node {
                 region: Arc::new(base.clone()),
@@ -479,7 +477,7 @@ pub fn decompose_ordered_budgeted(
 
 /// Emit the frontier cell covering the unexplored subtree rooted at a
 /// node: `undecided` lists every constraint the prefix never split on
-/// (under an estimate-guided order, the *remaining order entries* — not a
+/// (under a decision order, the *remaining order entries* — not a
 /// contiguous index range).
 fn push_frontier(
     region: Arc<Region>,
@@ -519,10 +517,9 @@ struct Frame<'a> {
     /// satisfiability probe. [`QueryBudget::unlimited`] in the classic
     /// entry points.
     budget: &'a QueryBudget,
-    /// Estimate-guided decision order: depth `d` decides constraint
-    /// `ordering.constraint_at(d)` instead of constraint `d`. `None` =
-    /// declaration order. Also the staging area for survival updates.
-    ordering: Option<&'a SplitOrdering>,
+    /// Decision order: depth `d` decides constraint `order[d]` instead
+    /// of constraint `d`. `None` = declaration order.
+    order: Option<&'a [usize]>,
 }
 
 /// One DFS node: the prefix box, the constraints included so far, and a
@@ -550,15 +547,15 @@ impl<'a> Frame<'a> {
 
     /// The catalog index of the constraint decided at DFS depth `idx`.
     fn constraint_at(&self, idx: usize) -> usize {
-        self.ordering.map_or(idx, |o| o.constraint_at(idx))
+        self.order.map_or(idx, |o| o[idx])
     }
 
     /// The undecided set of a frontier cut at depth `idx`: every
     /// constraint the prefix has not yet split on, in whatever order the
     /// run decides them.
     fn frontier_undecided(&self, idx: usize) -> ActiveSet {
-        match self.ordering {
-            Some(o) => o.order()[idx..].iter().copied().collect(),
+        match self.order {
+            Some(o) => o[idx..].iter().copied().collect(),
             None => (idx..self.set.len()).collect(),
         }
     }
@@ -648,7 +645,7 @@ fn dfs<'a>(
         push_frontier(region, active, frame.frontier_undecided(idx), cells, stats);
         return;
     }
-    // Under an estimate-guided order, depth `idx` decides the idx-th most
+    // Under the volume order, depth `idx` decides the idx-th most
     // selective constraint; signatures always use the catalog index.
     let ci = frame.constraint_at(idx);
     let psi = &set.constraints()[ci].predicate;
@@ -689,10 +686,7 @@ fn dfs<'a>(
             return;
         };
         stats.pruned_subtrees += u64::from(inc.is_none()) + u64::from(exc.is_none());
-        // Stage the split's survival for the estimate layer (published by
-        // the caller only if the whole run finishes untripped).
-        if let Some(ordering) = frame.ordering {
-            ordering.record_split(ci, u64::from(inc.is_some()) + u64::from(exc.is_some()));
+        if frame.order.is_some() {
             stats.ordered_splits += 1;
         }
         (inc, exc)
@@ -920,7 +914,7 @@ mod tests {
             gate: WorkGate::start(true),
             eager: true,
             budget: Box::leak(Box::new(QueryBudget::unlimited())),
-            ordering: None,
+            order: None,
         };
         let f = frame(PAR_SEQ_CUTOFF);
         assert!(!f.should_fork(0), "tiny tree stays sequential");

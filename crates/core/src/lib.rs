@@ -58,9 +58,7 @@
 //!    one component are one slice of its own set; a session keeps every
 //!    shard of its epoch, a query region only specializes the shards it
 //!    geometrically touches, and a shard fully inside the region answers
-//!    `COUNT`/`SUM` from its cached domain-wide interval. Heavy session
-//!    shards re-order their constraints along quantile boundaries before
-//!    decomposing (skew-aware re-splitting).
+//!    `COUNT`/`SUM` from its cached domain-wide interval.
 //! 6. A **versioned session layer** ([`Session`]) for serving query
 //!    traffic under constraint churn: the session owns a catalog of
 //!    stable [`ConstraintId`]s, each mutation
@@ -82,25 +80,20 @@
 //!    has already answered exactly takes that answer before admission,
 //!    with no work ([`Session::memo_stats`]); a mutation starts an empty
 //!    memo.
-//! 7. **Estimate-guided search ordering** ([`estimate`]): per-constraint
-//!    selectivity estimates on the catalog — normalized box volume and
-//!    a live split-survival counter — maintained incrementally with the
-//!    session's epoch deltas and restricted per shard (and per reached
-//!    sub-catalog) with shared counters. A one-shot engine that holds no
-//!    table yet estimates only the constraints its query reaches. All
-//!    three searches consume
-//!    them: the decomposition decides the most selective constraint
-//!    first (DFS prefix pruning kills subtrees before the uninformative
-//!    splits multiply them), the allocation MILP branches on the most
-//!    selective cells' variables (fractionality × weight), and the
-//!    witness search tries the most satisfiable-looking disjunct first.
-//!    Ordering is a visit-order permutation only — cells, verdicts,
-//!    bounds, and closure flags are bit-identical with it on or off
-//!    ([`BoundOptions::ordering`]); the win is counted in SAT checks
-//!    and branch & bound nodes ([`DecomposeStats::ordered_splits`],
-//!    [`LpWork::incumbent_first`]). A budget-tripped run stages but
-//!    never publishes its survival history — the unpublished-epoch rule
-//!    applied to estimates.
+//! 7. **Box-volume search ordering** ([`estimate`]): each constraint's
+//!    normalized box volume over the domain, computed where it is used
+//!    from the set being searched — nothing is learned or kept from one
+//!    run to the next, so a repeated bound does identical work. The
+//!    decomposition decides the smallest-volume constraint first, ties
+//!    by index (DFS prefix pruning kills subtrees before the
+//!    uninformative splits multiply them), the allocation MILP branches
+//!    on the most selective cells' variables (fractionality ×
+//!    `2 − Π volume`), and a session's admission scales its cost
+//!    estimate by the volume a query reaches. Ordering is a visit-order
+//!    permutation only — cells, verdicts, bounds, and closure flags are
+//!    bit-identical with it on or off ([`BoundOptions::ordering`]); the
+//!    win is counted in SAT checks and branch & bound nodes
+//!    ([`DecomposeStats::ordered_splits`], [`LpWork::incumbent_first`]).
 //! 8. **Budgets and graceful degradation** ([`QueryBudget`], re-exported
 //!    from [`budget`]): every engine entry point takes a budget — a
 //!    deadline / SAT-check cap / branch & bound node cap /
@@ -224,7 +217,6 @@ pub use decompose::{
 };
 pub use dsl::{parse_constraint, parse_pcset};
 pub use error::BoundError;
-pub use estimate::{ConstraintEstimate, Estimates, SplitOrdering, SurvivalCounter};
 pub use groupby::GroupBound;
 pub use pc_budget as budget;
 pub use pc_budget::pressure::{AdmissionVerdict, PressureGauge, PressureStats, SchedReport};
@@ -235,5 +227,5 @@ pub use session::{
     ConstraintId, MemoStats, QueryGuard, Session, SessionOptions, SessionRegistry, TenantExists,
     UnknownConstraint,
 };
-pub use shard::{interaction_components, Shard, ShardedCellSet, SHARD_RESPLIT_THRESHOLD};
+pub use shard::{interaction_components, Shard, ShardedCellSet};
 pub use specialize::CellSet;

@@ -166,7 +166,6 @@
 
 use crate::bounds::{pooled_map_catch, ShardSlice, WarmCaches};
 use crate::decompose::DecomposeStats;
-use crate::estimate::Estimates;
 use crate::groupby::bound_keys;
 use crate::shard::ShardedCellSet;
 use crate::specialize::CellSet;
@@ -281,12 +280,6 @@ struct Epoch {
     set: Arc<PcSet>,
     ids: Vec<ConstraintId>,
     cells: OnceLock<Result<Arc<ShardedCellSet>, BoundError>>,
-    /// Per-constraint selectivity estimates, maintained **per delta**: an
-    /// add appends one entry, a retire drops one, a replace chains the
-    /// two — every carried entry shares its live split-survival counter
-    /// with the previous epoch by `Arc`, so ordering history accumulates
-    /// across the session instead of restarting per epoch.
-    estimates: Arc<Estimates>,
     /// The answer memo (module docs): exact and shed answers by query
     /// key. Both are deterministic per epoch — the catalog is fixed, and
     /// a shed run's budget is born tripped — and the memo dies with the
@@ -343,7 +336,6 @@ impl Epoch {
         number: u64,
         set: Arc<PcSet>,
         ids: Vec<ConstraintId>,
-        estimates: Arc<Estimates>,
         cells: Option<Arc<ShardedCellSet>>,
     ) -> Epoch {
         let built = OnceLock::new();
@@ -355,7 +347,6 @@ impl Epoch {
             set,
             ids,
             cells: built,
-            estimates,
             memo: Mutex::new(HashMap::new()),
         }
     }
@@ -470,10 +461,9 @@ impl Session {
     pub fn with_options(set: PcSet, options: SessionOptions) -> Self {
         let seeded = set.len() as u64;
         let ids = (0..seeded).map(ConstraintId).collect();
-        let estimates = Arc::new(Estimates::for_set(&set));
         Session {
             options,
-            current: Mutex::new(Arc::new(Epoch::new(0, Arc::new(set), ids, estimates, None))),
+            current: Mutex::new(Arc::new(Epoch::new(0, Arc::new(set), ids, None))),
             mutations: Mutex::new(()),
             next_id: AtomicU64::new(seeded),
             warm: WarmCaches::new(options.bound.milp.warmth != Warmth::Cold),
@@ -606,13 +596,8 @@ impl Session {
         budget: &QueryBudget,
     ) -> Result<Arc<ShardedCellSet>, BoundError> {
         let base = epoch.set.domain().clone();
-        let mut sharded = ShardedCellSet::build(
-            &epoch.set,
-            &self.options.bound,
-            base.clone(),
-            self.options.bound.ordering.then_some(&*epoch.estimates),
-            budget,
-        )?;
+        let mut sharded =
+            ShardedCellSet::build(&epoch.set, &self.options.bound, base.clone(), budget)?;
         // Cache the closure *counterexample*, not just the verdict: a
         // non-closed epoch would otherwise re-prove non-closure with the
         // widest SAT query on every bound. Closure is a global question,
@@ -722,7 +707,6 @@ impl Session {
             _lock: lock,
             ids: prev.ids.clone(),
             set: Arc::clone(&prev.set),
-            estimates: Arc::clone(&prev.estimates),
             cells: self.derivable(&prev),
             work: DecomposeStats::default(),
             prev,
@@ -742,7 +726,6 @@ impl Session {
         prev_cells: &ShardedCellSet,
         pc: &PredicateConstraint,
         set: &PcSet,
-        estimates: &Arc<Estimates>,
         budget: &QueryBudget,
     ) -> Result<ShardedCellSet, BoundError> {
         let parallel = self.par_witness();
@@ -775,7 +758,6 @@ impl Session {
             &self.options.bound,
             uncovered,
             base_known_closed,
-            self.options.bound.ordering.then_some(&**estimates),
             budget,
         )
     }
@@ -1133,22 +1115,22 @@ impl Session {
         result
     }
 
-    /// Estimated relative cost of `query` against this epoch, from the
-    /// estimate layer: the split-ordering scores (normalized box volume ×
-    /// split-survival rate) of the constraints the query region reaches
-    /// (the engine's reach test, [`crate::specialize::overlaps_region`]),
-    /// over the whole catalog's. A query touching about half the
-    /// catalog's mass scores ~1.0; the gauge multiplies this into its
-    /// learned per-query service-time EWMA. `target` is the query's
-    /// region ∩ the catalog domain ([`target_region`]).
+    /// Estimated relative cost of `query` against this epoch: the
+    /// normalized box volumes ([`crate::estimate::volume`]) of the
+    /// constraints the query region reaches (the engine's reach test,
+    /// [`crate::specialize::overlaps_region`]), over the whole catalog's.
+    /// A query touching about half the catalog's mass scores ~1.0; the
+    /// gauge multiplies this into its learned per-query service-time
+    /// EWMA. `target` is the query's region ∩ the catalog domain
+    /// ([`target_region`]).
     fn cost_factor(&self, epoch: &Epoch, target: &Region) -> f64 {
         let mut total = 0.0;
         let mut touched = 0.0;
-        for (i, pc) in epoch.set.constraints().iter().enumerate() {
-            let score = epoch.estimates.score(i).max(0.0);
-            total += score;
+        for pc in epoch.set.constraints() {
+            let volume = crate::estimate::volume(&epoch.set, pc);
+            total += volume;
             if crate::specialize::overlaps_region(pc, target) {
-                touched += score;
+                touched += volume;
             }
         }
         if total <= 0.0 {
@@ -1173,7 +1155,6 @@ impl Session {
         let warm = self.warm.for_current_worker();
         let set = &*epoch.set;
         let engine = BoundEngine::with_options(set, opts);
-        engine.set_estimates(Arc::clone(&epoch.estimates));
         if !self.options.cache_cells {
             // Cold cells, warm chains: the honest baseline for the cache
             // knob still benefits from cross-query basis reuse.
@@ -1340,9 +1321,8 @@ impl Session {
 
 /// One catalog mutation in progress. It holds the session's mutation
 /// lock and drafts the next epoch one delta at a time: an add or a retire
-/// moves the drafted catalog, its estimates and, when the previous
-/// epoch's cells were built, its incrementally derived cells by one
-/// constraint; a replace chains a retire and an add. Nothing is visible
+/// moves the drafted catalog and, when the previous epoch's cells were
+/// built, its incrementally derived cells by one constraint; a replace chains a retire and an add. Nothing is visible
 /// to queries before [`Mutation::install`]: a mutation dropped without it
 /// (an unknown id, or an unwind) leaves the current epoch as it was.
 struct Mutation<'s> {
@@ -1351,11 +1331,6 @@ struct Mutation<'s> {
     prev: Arc<Epoch>,
     ids: Vec<ConstraintId>,
     set: Arc<PcSet>,
-    /// Per-constraint selectivity estimates, moved per delta: an add
-    /// appends one entry, a retire drops one, and every carried entry
-    /// shares its live split-survival counter with the previous epoch by
-    /// `Arc`, so ordering history accumulates across the session.
-    estimates: Arc<Estimates>,
     /// The drafted catalog's cells; `None` when the new epoch builds its
     /// cells lazily (none to derive from, or a derivation that failed or
     /// tripped its budget).
@@ -1377,15 +1352,13 @@ impl Mutation<'_> {
         set.set_disjoint_hint(false);
         set.push(pc.clone());
         self.set = Arc::new(set);
-        self.estimates = Arc::new(self.estimates.derive_add(&self.set));
         // A failed shard re-decomposition (e.g. a merge overflowing the
         // naive strategy) stays unpublished; the error replays from the
         // lazy rebuild instead.
-        let derived = self.cells.take().and_then(|prev| {
-            session
-                .derived_add(&prev, &pc, &self.set, &self.estimates, budget)
-                .ok()
-        });
+        let derived = self
+            .cells
+            .take()
+            .and_then(|prev| session.derived_add(&prev, &pc, &self.set, budget).ok());
         if let Some(cells) = derived.filter(|_| !budget.is_tripped()) {
             self.adopt(cells);
         }
@@ -1402,7 +1375,6 @@ impl Mutation<'_> {
         let mut set = (*self.set).clone();
         let removed = set.remove_constraint(index);
         self.set = Arc::new(set);
-        self.estimates = Arc::new(self.estimates.derive_retire(index));
         if let Some(prev) = self.cells.take() {
             let session = self.session;
             let uncovered = session.retired_uncovered(&prev, &removed, &self.set);
@@ -1424,7 +1396,7 @@ impl Mutation<'_> {
     /// number.
     fn install(self) -> u64 {
         let number = self.prev.number + 1;
-        let epoch = Epoch::new(number, self.set, self.ids, self.estimates, self.cells);
+        let epoch = Epoch::new(number, self.set, self.ids, self.cells);
         let mut current = self.session.current.lock().unwrap();
         debug_assert!(
             Arc::ptr_eq(&current, &self.prev),

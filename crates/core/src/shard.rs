@@ -51,37 +51,28 @@
 //! constraints that form one component are one slice of the engine's own
 //! set, with no sub-set copied.
 //!
-//! # Skew-aware re-splitting
+//! # Member order
 //!
 //! A connected component admits no geometric cut — any candidate boundary
 //! is straddled by an overlapping pair, which is exactly why it is one
-//! component. What *can* be steered is the DFS visit order: for a shard
-//! whose interacting-constraint count exceeds
-//! [`SHARD_RESPLIT_THRESHOLD`], members are re-ordered along
-//! equi-cardinality quantile boundaries of their box midpoints
-//! ([`pc_storage::quantile_boundaries`], Corr-PC §6.1.4), so
-//! spatially clustered constraints sit adjacently in the DFS and
-//! prefix-unsatisfiability pruning fires as early as possible. Ordering
-//! never changes the emitted cells' signatures-as-sets, regions, or any
-//! bound — it is purely a work heuristic (unit-tested in
-//! `tests/prop_shard.rs`).
+//! component. What *can* be steered is the DFS visit order, and one rule
+//! steers it for every shard, heavy or light: a shard lists its members
+//! in ascending catalog order, and its own engine decides them by
+//! ascending box volume ([`crate::estimate::volume_order`]), ties by that
+//! member order. Ordering never changes the emitted cells'
+//! signatures-as-sets, regions, or any bound — it is purely a work
+//! heuristic (property-tested in `tests/prop_ordering.rs`, with a heavy
+//! single-shard case in `tests/prop_shard.rs`).
 
 use crate::bounds::{pooled_map_catch, BoundEngine, BoundOptions};
 use crate::decompose::DecomposeStats;
 use crate::error::BoundError;
-use crate::estimate::Estimates;
 use crate::specialize::CellSet;
 use crate::{ActiveSet, Cell, PcSet};
 use pc_budget::QueryBudget;
 use pc_predicate::Region;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Member count past which a shard's constraints are re-ordered along
-/// quantile boundaries before decomposition (see the module docs — a
-/// connected component cannot be geometrically cut, so the quantiles steer
-/// DFS order instead).
-pub const SHARD_RESPLIT_THRESHOLD: usize = 24;
 
 /// Plain union-find with path halving.
 struct UnionFind {
@@ -278,74 +269,6 @@ pub(crate) fn sub_set(set: &PcSet, members: &[usize]) -> PcSet {
     sub
 }
 
-/// Re-order a heavy shard's members along quantile boundaries of their
-/// box midpoints on the widest-spread attribute, so the decomposition DFS
-/// visits spatially clustered constraints adjacently (earliest possible
-/// prefix pruning). No-op below [`SHARD_RESPLIT_THRESHOLD`].
-fn skew_reorder(members: &mut [usize], all_boxes: &[Region]) {
-    if members.len() <= SHARD_RESPLIT_THRESHOLD {
-        return;
-    }
-    let width = match all_boxes.first() {
-        Some(b) => b.width(),
-        None => return,
-    };
-    let mid = |iv: &pc_predicate::Interval| -> f64 {
-        let (lo, hi) = (iv.inf(), iv.sup());
-        if lo.is_finite() && hi.is_finite() {
-            (lo + hi) / 2.0
-        } else if lo.is_finite() {
-            lo
-        } else if hi.is_finite() {
-            hi
-        } else {
-            0.0
-        }
-    };
-    // The attribute whose member-box midpoints spread the widest is the
-    // one whose ordering discriminates best.
-    let mut best: Option<(usize, f64)> = None;
-    for attr in 0..width {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &m in members.iter() {
-            let v = mid(all_boxes[m].interval(attr));
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let spread = hi - lo;
-        if spread.is_finite() && best.is_none_or(|(_, s)| spread > s) {
-            best = Some((attr, spread));
-        }
-    }
-    let Some((attr, spread)) = best else { return };
-    if spread <= 0.0 {
-        return;
-    }
-    let mids: Vec<f64> = members
-        .iter()
-        .map(|&m| mid(all_boxes[m].interval(attr)))
-        .collect();
-    let buckets = members.len().div_ceil(SHARD_RESPLIT_THRESHOLD);
-    let bounds = pc_storage::quantile_boundaries(&mids, buckets);
-    if bounds.is_empty() {
-        return;
-    }
-    let mut keyed: Vec<(usize, usize, f64)> = members
-        .iter()
-        .zip(&mids)
-        .map(|(&m, &v)| (m, bounds.partition_point(|&b| b <= v), v))
-        .collect();
-    keyed.sort_by(|a, b| {
-        (a.1, a.2)
-            .partial_cmp(&(b.1, b.2))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for (slot, (m, _, _)) in members.iter_mut().zip(keyed) {
-        *slot = m;
-    }
-}
-
 /// The sharded counterpart of [`CellSet`]: one independently decomposed
 /// [`CellSet`] per connected component of the constraint-interaction
 /// graph, plus the global closure verdict. See the module docs for why
@@ -382,25 +305,21 @@ impl ShardedCellSet {
         set: &PcSet,
         options: &BoundOptions,
         base: Region,
-        estimates: Option<&Estimates>,
         budget: &QueryBudget,
     ) -> Result<ShardedCellSet, BoundError> {
         let boxes = constraint_boxes(set);
-        let mut components: Vec<Vec<usize>> =
-            if !options.shard || set.disjoint_hint() || set.len() < 2 {
-                if set.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![(0..set.len()).collect()]
-                }
+        let components: Vec<Vec<usize>> = if !options.shard || set.disjoint_hint() || set.len() < 2
+        {
+            if set.is_empty() {
+                Vec::new()
             } else {
-                components_of(&boxes)
-            };
-        for members in &mut components {
-            skew_reorder(members, &boxes);
-        }
+                vec![(0..set.len()).collect()]
+            }
+        } else {
+            components_of(&boxes)
+        };
         let shards: Vec<Arc<Shard>> =
-            decompose_components(set, options, &base, &components, estimates, budget)?
+            decompose_components(set, options, &base, &components, budget)?
                 .into_iter()
                 .map(|c| c.into_shard(&base, &boxes))
                 .collect();
@@ -536,7 +455,6 @@ impl ShardedCellSet {
         options: &BoundOptions,
         uncovered: Option<Vec<f64>>,
         base_known_closed: bool,
-        estimates: Option<&Estimates>,
         budget: &QueryBudget,
     ) -> Result<ShardedCellSet, BoundError> {
         let n = new_set.len() - 1;
@@ -629,10 +547,8 @@ impl ShardedCellSet {
                 members.sort_unstable();
                 members.push(n);
                 let boxes = constraint_boxes(new_set);
-                skew_reorder(&mut members, &boxes);
-                let merged =
-                    decompose_component(new_set, options, &self.base, members, estimates, budget)?
-                        .into_shard(&self.base, &boxes);
+                let merged = decompose_component(new_set, options, &self.base, members, budget)?
+                    .into_shard(&self.base, &boxes);
                 stats = merged.cells.stats();
                 for (s, shard) in self.shards.iter().enumerate() {
                     if !overlapping.contains(&s) {
@@ -810,24 +726,17 @@ impl Component {
     }
 }
 
-/// Decompose `members` of `set` over `base` as their own set. When the
-/// caller holds [`Estimates`] for `set`, the component's engine works from
-/// their restriction to the member list, so split-survival history flows
-/// through the shared counters instead of restarting cold.
+/// Decompose `members` of `set` over `base` as their own set.
 fn decompose_component(
     set: &PcSet,
     options: &BoundOptions,
     base: &Region,
     members: Vec<usize>,
-    estimates: Option<&Estimates>,
     budget: &QueryBudget,
 ) -> Result<Component, BoundError> {
     let sub = sub_set(set, &members);
-    let engine = BoundEngine::with_options(&sub, *options);
-    if let Some(est) = estimates {
-        engine.set_estimates(Arc::new(est.restrict(&members)));
-    }
-    let (cells, stats) = engine.cells_for_base_budgeted(base, budget)?;
+    let (cells, stats) =
+        BoundEngine::with_options(&sub, *options).cells_for_base_budgeted(base, budget)?;
     Ok(Component {
         members,
         sub,
@@ -844,12 +753,11 @@ pub(crate) fn decompose_components(
     options: &BoundOptions,
     base: &Region,
     components: &[Vec<usize>],
-    estimates: Option<&Estimates>,
     budget: &QueryBudget,
 ) -> Result<Vec<Component>, BoundError> {
     let threads = BoundEngine::with_options(set, *options).task_threads(components.len());
     pooled_map_catch(components, threads, &|members: &Vec<usize>| {
-        decompose_component(set, options, base, members.clone(), estimates, budget)
+        decompose_component(set, options, base, members.clone(), budget)
     })
     .into_iter()
     .map(|built| built.ok_or(BoundError::Panicked)?)

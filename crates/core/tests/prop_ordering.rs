@@ -1,4 +1,4 @@
-//! Property tests for estimate-guided search ordering (`pc_core::estimate`):
+//! Property tests for box-volume search ordering (`pc_core::estimate`):
 //! over random catalogs mixing tile-local and cross-cutting constraints,
 //! every bound computed with ordering on (the default) must equal the
 //! declaration-order oracle (`BoundOptions { ordering: false }`) — for all
@@ -6,10 +6,12 @@
 //! catalogs, and sessions under random churn sequences. Ordering is a
 //! visit-order permutation: the cell set, every verdict, every bound, and
 //! the closure flag are invariant; only work counters and witness identity
-//! may move. A deterministic skewed-catalog regression then checks the
-//! point of the whole layer: with selective constraints declared *last*
-//! (the adversarial order), ordering strictly reduces both the SAT-check
-//! count of the decomposition and the branch & bound node count of the
+//! may move. The order is a pure function of the set searched, so one
+//! engine bounding one query again and again does identical work. A
+//! deterministic skewed-catalog regression then checks the point of the
+//! whole layer: with selective constraints declared *last* (the
+//! adversarial order), ordering strictly reduces both the SAT-check count
+//! of the decomposition and the branch & bound node count of the
 //! allocation MILP.
 
 use pc_core::{
@@ -62,7 +64,7 @@ fn pc_on(xlo: f64, xhi: f64, vlo: f64, vhi: f64, forced: bool, ku: u64) -> Predi
 prop_compose! {
     /// Boxes of very different selectivity: some span whole tiles (wide,
     /// uninformative), some are slivers (selective) — the skew the
-    /// estimate layer exists to exploit.
+    /// volume order exists to exploit.
     fn arb_pc()(
         tile in 0..TILES,
         a in 0..TILE, b in 0..TILE,
@@ -113,6 +115,27 @@ fn unordered() -> BoundOptions {
     }
 }
 
+/// `options` pinned to one thread, so the work counters are exact.
+fn sequential(options: BoundOptions) -> BoundOptions {
+    BoundOptions {
+        threads: 1,
+        ..options
+    }
+}
+
+/// The work counters that the search order moves: SAT checks, ordered
+/// splits, branch & bound nodes and simplex pivots (`None` for an error).
+fn work(report: &Result<BoundReport, BoundError>) -> Option<(u64, u64, u64, u64)> {
+    report.as_ref().ok().map(|r| {
+        (
+            r.stats.sat_checks,
+            r.stats.ordered_splits,
+            r.solver.nodes,
+            r.solver.pivots,
+        )
+    })
+}
+
 fn results_equal(
     label: &str,
     off: &Result<BoundReport, BoundError>,
@@ -126,7 +149,7 @@ fn results_equal(
                 || (x.range.hi.is_infinite() && x.range.hi == y.range.hi);
             if !lo_ok || !hi_ok {
                 return Err(format!(
-                    "{label}: declaration order [{}, {}] vs estimate order [{}, {}]",
+                    "{label}: declaration order [{}, {}] vs volume order [{}, {}]",
                     x.range.lo, x.range.hi, y.range.lo, y.range.hi
                 ));
             }
@@ -137,7 +160,7 @@ fn results_equal(
         }
         (Err(x), Err(y)) if x == y => Ok(()),
         (x, y) => Err(format!(
-            "{label}: declaration order {x:?} vs estimate order {y:?}"
+            "{label}: declaration order {x:?} vs volume order {y:?}"
         )),
     }
 }
@@ -191,10 +214,10 @@ fn apply(session: &Session, op: &Op) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One-shot engine: estimate-ordered bounds equal the
+    /// One-shot engine: volume-ordered bounds equal the
     /// declaration-order oracle for every aggregate and query region —
     /// including catalogs that factor over the interaction graph, where
-    /// each shard orders from restricted estimates.
+    /// each shard's own engine orders its members by volume.
     #[test]
     fn ordering_never_moves_a_bound(
         pcs in prop::collection::vec(arb_pc(), 1..7),
@@ -210,22 +233,25 @@ proptest! {
         }
     }
 
-    /// Repeated queries against one engine: the split-survival counters
-    /// accumulate (the permutation may drift run to run) — bounds must
-    /// not.
+    /// Repeated queries against one sequential engine: the volume order
+    /// is a pure function of the set searched, so every round answers
+    /// the declaration-order oracle's bound with the first round's work.
     #[test]
-    fn survival_learning_never_moves_a_bound(
-        pcs in prop::collection::vec(arb_pc(), 1..6),
+    fn repeated_bounds_do_identical_work(
+        pcs in prop::collection::vec(arb_pc(), 1..7),
         q in arb_query(),
     ) {
         let set = build_set(pcs);
-        let on = BoundEngine::new(&set);
+        let on = BoundEngine::with_options(&set, sequential(BoundOptions::default()));
         let off = BoundEngine::with_options(&set, unordered());
         let oracle = off.bound(&q);
-        for round in 0..3 {
-            if let Err(msg) = results_equal(&format!("round {round}"), &oracle, &on.bound(&q)) {
+        let first = on.bound(&q);
+        for round in 0..4 {
+            let again = if round == 0 { first.clone() } else { on.bound(&q) };
+            if let Err(msg) = results_equal(&format!("round {round}"), &oracle, &again) {
                 return Err(TestCaseError::fail(msg));
             }
+            prop_assert_eq!(work(&first), work(&again), "round {}", round);
         }
     }
 
@@ -251,10 +277,10 @@ proptest! {
         }
     }
 
-    /// Sessions under churn: per-delta estimate maintenance (add appends,
-    /// retire drops, replace chains; shard merges recombine restricted
-    /// stats) never moves a served bound off the declaration-order
-    /// session — or off a fresh engine of the final catalog.
+    /// Sessions under churn: the volume order of each epoch's shards
+    /// (added, retired, replaced and merged members alike) never moves a
+    /// served bound off the declaration-order session — or off a fresh
+    /// engine of the final catalog.
     #[test]
     fn churned_sessions_match_declaration_order(
         pcs in prop::collection::vec(arb_pc(), 1..5),
@@ -342,9 +368,9 @@ fn pc_xy(
     )
 }
 
-/// The adversarial declaration order the estimate layer exists to fix:
+/// The adversarial declaration order the volume order exists to fix:
 /// wide, overlapping, uninformative boxes declared first; tiny selective
-/// boxes declared last. Estimate order decides the selective constraints
+/// boxes declared last. Volume order decides the selective constraints
 /// early, so the DFS prunes whole subtrees the declaration order pays SAT
 /// checks to explore — and the allocation MILP branches on the
 /// selective-cell variables first, collapsing the fractional tail the
@@ -363,7 +389,7 @@ fn pc_xy(
 ///   branch-variable choice decides how much of the product tree is
 ///   explored;
 /// * three tiny slivers declared last: maximally selective, the cells the
-///   estimate order decides (and the MILP branches) first.
+///   volume order decides (and the MILP branches) first.
 fn skewed_catalog() -> PcSet {
     let mut set = PcSet::new(Schema::new(vec![
         ("x", AttrType::Int),
@@ -409,21 +435,17 @@ fn skewed_catalog() -> PcSet {
     set
 }
 
-/// Deterministic regression: on the skewed catalog, estimate-guided
-/// ordering must *strictly* reduce both SAT checks (decomposition) and
-/// branch & bound nodes (allocation MILP) — and still answer identically.
+/// Deterministic regression: on the skewed catalog, volume ordering
+/// must *strictly* reduce both SAT checks (decomposition) and branch &
+/// bound nodes (allocation MILP) — and still answer identically.
 #[test]
 fn skewed_catalog_orders_strictly_fewer_sat_checks_and_nodes() {
     let set = skewed_catalog();
     let q = AggQuery::new(AggKind::Sum, 2, Predicate::always());
-    let seq = |options: BoundOptions| BoundOptions {
-        threads: 1,
-        ..options
-    };
-    let on = BoundEngine::with_options(&set, seq(BoundOptions::default()))
+    let on = BoundEngine::with_options(&set, sequential(BoundOptions::default()))
         .bound(&q)
         .expect("skewed catalog bounds");
-    let off = BoundEngine::with_options(&set, seq(unordered()))
+    let off = BoundEngine::with_options(&set, sequential(unordered()))
         .bound(&q)
         .expect("skewed catalog bounds");
     assert!((on.range.lo - off.range.lo).abs() < 1e-5, "lo moved");
@@ -444,4 +466,21 @@ fn skewed_catalog_orders_strictly_fewer_sat_checks_and_nodes() {
         on.stats.ordered_splits > 0,
         "ordered splits must be counted"
     );
+}
+
+/// Deterministic case of `repeated_bounds_do_identical_work`: one
+/// sequential engine bounds the skewed catalog's whole domain four times,
+/// and every round answers with the first round's range and work.
+#[test]
+fn skewed_catalog_repeats_identical_work() {
+    let set = skewed_catalog();
+    let q = AggQuery::new(AggKind::Sum, 2, Predicate::always());
+    let engine = BoundEngine::with_options(&set, sequential(BoundOptions::default()));
+    let first = engine.bound(&q);
+    assert!(first.is_ok(), "skewed catalog bounds");
+    for round in 1..4 {
+        let again = engine.bound(&q);
+        results_equal(&format!("round {round}"), &first, &again).unwrap();
+        assert_eq!(work(&first), work(&again), "round {round}");
+    }
 }

@@ -7,14 +7,13 @@
 //! graph decompose and allocate independently. Some generated constraints
 //! admit no row at all, so `Infeasible` verdicts are compared too. A
 //! fault-feature test checks the isolation story: a budget trip inside
-//! one shard's build degrades only that shard's contribution, and a skew
-//! unit test checks the quantile re-ordering of heavy shards never moves
-//! a bound.
+//! one shard's build degrades only that shard's contribution, and a
+//! heavy single-shard case checks that a 26-member component bounds
+//! exactly like the flat engine.
 
 use pc_core::{
     BoundEngine, BoundError, BoundOptions, ConstraintId, FrequencyConstraint, PcSet,
     PredicateConstraint, QueryBudget, Session, SessionOptions, ValueConstraint,
-    SHARD_RESPLIT_THRESHOLD,
 };
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
 use pc_storage::{AggKind, AggQuery};
@@ -305,14 +304,14 @@ proptest! {
     }
 }
 
-/// Quantile re-ordering of a heavy shard is purely a work heuristic: a
-/// single connected component past [`SHARD_RESPLIT_THRESHOLD`] members
-/// must bound exactly like the unsharded engine (which never re-orders).
+/// A heavy shard: a single connected component of 26 members, decided in
+/// the volume order by its own engine, must bound exactly like the
+/// unsharded engine.
 #[test]
-fn skew_reorder_never_moves_a_bound() {
-    // a chain of overlapping boxes: one component, > threshold members,
-    // skewed toward the low end of the axis
-    let n = SHARD_RESPLIT_THRESHOLD + 2;
+fn heavy_single_shard_never_moves_a_bound() {
+    // a chain of overlapping boxes: one component of 26 members, skewed
+    // toward the low end of the axis
+    let n = 26;
     let mut set = PcSet::new(schema());
     let mut domain = Region::full(set.schema());
     domain.set_interval(0, Interval::closed(0.0, (2 * n) as f64));

@@ -153,11 +153,9 @@ impl MilpProblem {
 /// Knobs for the branch & bound search.
 #[derive(Debug, Clone, Copy)]
 pub struct MilpOptions {
-    /// Maximum number of branch & bound nodes to explore.
+    /// Maximum number of branch & bound nodes to explore; past it the
+    /// search fails [`SolverError::LimitExceeded`].
     pub node_limit: usize,
-    /// If true, return the best incumbent when the node limit is reached
-    /// instead of an error (the bound is then *approximate but feasible*).
-    pub best_effort: bool,
     /// Worker threads for the search: `1` (the default) runs the
     /// deterministic sequential DFS; `0` or `≥ 2` explores children as
     /// stealable tasks on the global work-stealing pool once the search
@@ -191,7 +189,6 @@ impl Default for MilpOptions {
     fn default() -> Self {
         MilpOptions {
             node_limit: 50_000,
-            best_effort: false,
             threads: 1,
             warmth: Warmth::Carry,
         }
@@ -230,16 +227,13 @@ impl SearchStats {
     }
 }
 
-/// An optimal (or best-effort) MILP solution.
+/// A proven-optimal MILP solution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MilpSolution {
     /// Objective value at the returned point.
     pub objective: f64,
     /// Variable assignment (integral on the flagged variables).
     pub x: Vec<f64>,
-    /// Whether optimality was proven (false only with
-    /// [`MilpOptions::best_effort`] hitting the node limit).
-    pub proven_optimal: bool,
     /// Number of branch & bound nodes explored.
     pub nodes: usize,
     /// Per-node pivot/rebuild counters (see [`SearchStats`]).
@@ -794,20 +788,7 @@ impl<'a> Search<'a> {
             return Err(SolverError::BudgetExhausted(reason));
         }
         if self.limit_hit.into_inner() {
-            if self.options.best_effort {
-                if let Some((objective, x)) = incumbent {
-                    return Ok((
-                        MilpSolution {
-                            objective,
-                            x,
-                            proven_optimal: false,
-                            nodes,
-                            search,
-                        },
-                        root,
-                    ));
-                }
-            }
+            // The incumbent is an inner bound here, not the optimum.
             return Err(SolverError::LimitExceeded(self.options.node_limit));
         }
         match incumbent {
@@ -815,7 +796,6 @@ impl<'a> Search<'a> {
                 MilpSolution {
                     objective,
                     x,
-                    proven_optimal: true,
                     nodes,
                     search,
                 },
@@ -879,7 +859,6 @@ mod tests {
         for options in all_modes() {
             let sol = solve_milp(&MilpProblem::all_integer(lp.clone()), options).unwrap();
             assert_close(sol.objective, 21.0);
-            assert!(sol.proven_optimal);
             assert_eq!(
                 sol.x.iter().map(|v| v.round() as i64).collect::<Vec<_>>(),
                 vec![0, 1, 1, 1],
@@ -1041,55 +1020,20 @@ mod tests {
         )
         .unwrap();
         assert_close(plain.objective, budgeted.objective);
-        assert!(budgeted.proven_optimal);
     }
 
     #[test]
-    fn node_limit_errors_without_best_effort() {
+    fn node_limit_errors() {
         let mut lp = LinearProgram::maximize(vec![1.0, 1.0]);
         lp.add_constraint(vec![(0, 2.0), (1, 2.0)], Le, 3.0);
         let r = solve_milp(
             &MilpProblem::all_integer(lp),
             MilpOptions {
                 node_limit: 1,
-                best_effort: false,
                 ..MilpOptions::default()
             },
         );
         assert_eq!(r, Err(SolverError::LimitExceeded(1)));
-    }
-
-    #[test]
-    fn node_limit_best_effort_returns_incumbent() {
-        // enough nodes to find *an* integral point, not enough to prove
-        // optimality everywhere: the result must be feasible and flagged
-        let mut lp = LinearProgram::maximize(vec![3.0, 5.0, 7.0]);
-        lp.add_constraint(vec![(0, 2.0), (1, 3.0), (2, 5.0)], Le, 11.5);
-        for i in 0..3 {
-            lp.set_bounds(i, 0.0, 3.0);
-        }
-        let problem = MilpProblem::all_integer(lp.clone());
-        let full = solve_milp(&problem, MilpOptions::default()).unwrap();
-        let mut clipped = None;
-        for limit in 2..20 {
-            let r = solve_milp(
-                &problem,
-                MilpOptions {
-                    node_limit: limit,
-                    best_effort: true,
-                    ..MilpOptions::default()
-                },
-            );
-            if let Ok(sol) = r {
-                if !sol.proven_optimal {
-                    clipped = Some(sol);
-                    break;
-                }
-            }
-        }
-        let sol = clipped.expect("some limit clips the search with an incumbent");
-        assert!(lp.is_feasible(&sol.x, 1e-5));
-        assert!(sol.objective <= full.objective + 1e-6);
     }
 
     #[test]
@@ -1142,7 +1086,6 @@ mod tests {
         for options in all_modes() {
             let sol = solve_milp(&scored, options).unwrap();
             assert_close(sol.objective, reference.objective);
-            assert!(sol.proven_optimal, "{options:?}");
         }
     }
 

@@ -72,7 +72,6 @@ fn build_lp(p: &AllocProblem) -> LinearProgram {
 
 const COLD: MilpOptions = MilpOptions {
     node_limit: 50_000,
-    best_effort: false,
     threads: 1,
     warmth: Warmth::Cold,
 };
@@ -96,7 +95,6 @@ fn assert_equivalent(
                 for v in &sol.x {
                     prop_assert!((v - v.round()).abs() < 1e-6, "{label}: fractional x");
                 }
-                prop_assert!(sol.proven_optimal, "{label}: not proven");
             }
         }
         (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb, "{}: errors differ", label),

@@ -85,7 +85,6 @@ fn assert_equivalent(
                 for v in &sol.x {
                     prop_assert!((v - v.round()).abs() < 1e-6, "{label}: fractional x");
                 }
-                prop_assert!(sol.proven_optimal, "{label}: not proven");
             }
         }
         (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb, "{}: errors differ", label),
