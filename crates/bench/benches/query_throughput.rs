@@ -643,12 +643,11 @@ struct BurstRow {
     qi: usize,
 }
 
-/// One arm of the burst comparison ([`bench_deadline_burst`]): its
-/// session, whether its spawns are EDF-tagged, what its bursts answered,
-/// and the answer-memo misses they paid.
+/// One arm of the burst scenario ([`bench_deadline_burst`]): its
+/// session, what its bursts answered, and the answer-memo misses they
+/// paid.
 struct BurstArm {
     mode: &'static str,
-    tagged: bool,
     session: Arc<Session>,
     rows: Vec<BurstRow>,
     memo_misses: u64,
@@ -656,16 +655,15 @@ struct BurstArm {
 
 /// Fire `arrivals` queries at a fixed `interval` (open loop: the driver
 /// never waits for completions), each with its own arrival-anchored
-/// deadline, and collect every answer. `tagged` routes the spawns through
-/// the pool's EDF lane (the session's own fan-out inherits the tag via
-/// `deadline_sched`); untagged spawns land in the plain FIFO injector.
+/// deadline, and collect every answer. Each arrival is spawned as a pool
+/// task, so it queues in the pool's FIFO injector behind the arrivals
+/// before it.
 fn run_burst(
     session: &Arc<Session>,
     queries: &[AggQuery],
     arrivals: usize,
     interval: Duration,
     deadlines: [Duration; 2],
-    tagged: bool,
 ) -> Vec<BurstRow> {
     let (tx, rx) = std::sync::mpsc::channel::<BurstRow>();
     let start = Instant::now() + Duration::from_micros(200);
@@ -676,10 +674,8 @@ fn run_burst(
         }
         let qi = i % queries.len();
         let q = queries[qi].clone();
-        // One urgent arrival in six: the tight class alone must fit in
-        // the pool's *contended* capacity (roughly 3x the uncontended
-        // probe), or no scheduler could save it and the comparison would
-        // only measure shedding.
+        // One urgent arrival in six, with a deadline a third of the loose
+        // one's: the rows report how many of them degrade.
         let tight = i % 6 == 0;
         let deadline = planned + deadlines[usize::from(!tight)];
         let session = Arc::clone(session);
@@ -691,11 +687,7 @@ fn run_burst(
         // wait, not after it — judging at task start would admit every
         // arrival into a queue none of them can survive.
         let ticket = session.admit(&q, &budget);
-        let shed_at_arrival = matches!(
-            ticket.as_ref().map(|t| t.verdict()),
-            Some(AdmissionVerdict::Shed)
-        );
-        let task = move || {
+        rayon::spawn(move || {
             let r = session
                 .bound_ticketed_stamped(&q, &budget, ticket)
                 .1
@@ -713,37 +705,25 @@ fn run_burst(
                 hi: r.range.hi,
                 qi,
             });
-        };
-        if tagged {
-            // A shed verdict is a rejection notice: it costs one serial
-            // granule and should reach the client immediately, not queue
-            // behind the very backlog it was shed to avoid — tag it
-            // "due now" so it pops ahead of everything.
-            let tag = if shed_at_arrival {
-                Instant::now()
-            } else {
-                deadline
-            };
-            rayon::with_task_deadline(Some(tag), || rayon::spawn(task));
-        } else {
-            rayon::spawn(task);
-        }
+        });
     }
     drop(tx);
     rx.iter().collect()
 }
 
-/// The overload scenario the scheduler PR exists for: an open-loop burst
-/// of arrivals (fixed inter-arrival gap, driver never backpressures)
-/// with **mixed urgency** — arrivals alternate a tight and a loose
-/// deadline, both anchored at the arrival instant. Served FIFO, tight
-/// queries queue behind loose ones and trip; served EDF with admission,
-/// the lane pops the most urgent task first and the gauge degrades or
-/// sheds only what provably cannot finish. Same offered load, same
-/// deadlines, same session configuration otherwise — the artifact rows
-/// (`deadline_stress/burst_fifo` vs `burst_edf`) report degraded-rate
-/// and latency percentiles, and every answer (degraded, shed, or exact)
-/// is asserted to contain the exact range before anything is recorded.
+/// The overload scenario admission control exists for: an open-loop
+/// burst of arrivals (fixed inter-arrival gap, driver never
+/// backpressures) with **mixed urgency** — arrivals alternate a tight
+/// and a loose deadline, both anchored at the arrival instant, and queue
+/// in arrival order. Without admission every arrival runs the exact rung
+/// and trips once its deadline passes; with admission the gauge degrades
+/// or sheds at arrival what it predicts cannot finish. Same offered
+/// load, same deadlines, same session configuration otherwise — the
+/// artifact rows (`deadline_stress/burst_no_admission` and
+/// `burst_admission`) record degraded-rate and latency percentiles, and
+/// every answer (degraded, shed, or exact) is asserted to contain the
+/// exact range before anything is recorded. Nothing compares the two
+/// rows.
 /// Every arrival asks a query its epoch has not answered (asserted: no
 /// burst arrival is an answer-memo hit), so each one meets admission.
 fn bench_deadline_burst(_c: &mut Criterion) {
@@ -762,9 +742,8 @@ fn bench_deadline_burst(_c: &mut Criterion) {
     // drain, so the queue by burst end (~40 services deep) reaches the
     // loose deadline (42 services): early loose arrivals survive, the
     // late tail is marginal or hopeless and worth rejecting early, and
-    // tight ones (14 services) only survive if served first — the
-    // regime where scheduling, not capacity, decides who meets a
-    // deadline.
+    // tight ones (14 services) survive only while the queue ahead of
+    // them is short.
     let probe = Session::with_options(set.clone(), SessionOptions::default());
     for q in &queries {
         probe.bound(q).expect("probe warm-up");
@@ -799,27 +778,24 @@ fn bench_deadline_burst(_c: &mut Criterion) {
         .collect();
 
     let mut arms: Vec<BurstArm> = Vec::new();
-    for (mode, tagged, options) in [
+    for (mode, options) in [
         (
-            "fifo",
-            false,
+            "no_admission",
             SessionOptions {
-                deadline_sched: false,
                 admission: false,
                 ..SessionOptions::default()
             },
         ),
-        ("edf", true, SessionOptions::default()),
+        ("admission", SessionOptions::default()),
     ] {
         let session = Arc::new(Session::with_options(set.clone(), options));
         // Warm the cell cache and worker warm-starts outside the burst:
-        // this benchmarks the scheduler under load, not a cold session.
+        // this benchmarks a session under load, not a cold one.
         for q in &queries {
             session.bound(q).expect("warm-up");
         }
         arms.push(BurstArm {
             mode,
-            tagged,
             session,
             rows: Vec::new(),
             memo_misses: 0,
@@ -827,7 +803,7 @@ fn bench_deadline_burst(_c: &mut Criterion) {
     }
     // Pool several bursts: one 96-arrival burst's p99 is its max, so a
     // single unlucky steal would dominate the row. Rounds alternate the
-    // FIFO and EDF arms so slow machine drift hits both equally, run on
+    // two arms so slow machine drift hits both equally, run on
     // the same per-arm session — the gauge stays calibrated, as in
     // steady serving — with a settle gap so each burst starts
     // queue-empty.
@@ -840,7 +816,7 @@ fn bench_deadline_burst(_c: &mut Criterion) {
             // epoch (generous deadline: admits exact, completes,
             // calibrates). A burst against an uncalibrated gauge admits
             // everything — that measures the cold-start transient, not
-            // the scheduler — and settles from inside a burst measure
+            // admission — and settles from inside a burst measure
             // contention, not service, and drift the EWMA up; in steady
             // serving the calm traffic between bursts pulls it back down.
             fresh_epoch(session);
@@ -854,9 +830,8 @@ fn bench_deadline_burst(_c: &mut Criterion) {
             // The calibration stored every answer: burst on a new epoch.
             fresh_epoch(session);
             let before = session.memo_stats();
-            arm.rows.extend(run_burst(
-                session, &queries, ARRIVALS, interval, deadlines, arm.tagged,
-            ));
+            arm.rows
+                .extend(run_burst(session, &queries, ARRIVALS, interval, deadlines));
             let after = session.memo_stats();
             // Guards the scenario itself: an arrival that took a stored
             // answer would skip admission and the run the burst measures.

@@ -5,19 +5,24 @@
 //!
 //! A [`PressureGauge`] tracks the engine's **aggregate queued deadline
 //! pressure**: the estimated service times of every admitted,
-//! not-yet-finished query, keyed by that query's deadline. The expected
-//! wait a new arrival sees is the sum of charges *at least as urgent as
-//! its own deadline* — under EDF scheduling, work with a later deadline
-//! will yield to this arrival, so only more-urgent work queues ahead of
-//! it, and each queued query's fan-out gets the whole pool in turn, so
-//! their wall times add serially. A scalar backlog would charge an
-//! urgent arrival for every lax query parked behind it and shed exactly
-//! the queries the deadline lane exists to save. Per-query service time
-//! is learned online — an EWMA of observed run times, calibrated
-//! separately for exact and degraded executions — and scaled by a
-//! per-query **cost factor** the caller derives from the estimate layer
-//! (a query touching most of the constraint set costs more than one
-//! touching a corner).
+//! not-yet-finished query, keyed by that query's deadline. It predicts
+//! the wait a new arrival sees as the sum of the unexpired charges due
+//! no later than the arrival's own deadline, drained *serially* (a query
+//! that reaches the pool forks over every worker, so queued queries are
+//! modeled as running one after another, not side by side), and scaled
+//! by a learned **drain multiplier**. Nothing orders the pool by
+//! deadline: queued pool tasks run in arrival order, and `pc serve` runs
+//! each request on its connection's own thread. So work due later that
+//! arrived earlier can still delay an arrival; the deadline cut is a
+//! prediction, not a schedule, and the multiplier corrects it against
+//! the waits admitted queries actually observe
+//! ([`PressureGauge::settle_waited`]). Whether an arrival should instead
+//! be charged every unexpired charge is an open question for an
+//! under-load test to decide. Per-query service time is learned online
+//! — an EWMA of observed run times, calibrated separately for exact and
+//! degraded executions — and scaled by a per-query **cost factor** the
+//! caller derives from the estimate layer (a query touching most of the
+//! constraint set costs more than one touching a corner).
 //!
 //! Admission judges once per query, in one form:
 //! [`PressureGauge::admit_ticket`] charges the gauge and returns a
@@ -97,8 +102,9 @@ pub struct SchedReport {
     pub queue_wait: Duration,
     /// The admission decision.
     pub verdict: AdmissionVerdict,
-    /// Expected wait (serial drain of the at-least-as-urgent queued
-    /// charges) at the moment of admission.
+    /// The expected wait predicted at admission: the unexpired charges
+    /// due no later than this query's deadline, drained serially and
+    /// scaled by the learned drain multiplier.
     pub backlog: Duration,
     /// The service-time estimate this query was charged against the
     /// gauge (zero while uncalibrated).
@@ -163,28 +169,33 @@ pub struct PressureGauge {
     ewma_degraded_us: AtomicU64,
     /// Feedback multiplier (milli-units, 1000 = 1.0) applied to the
     /// serial-drain wait prediction. The pool's *effective* drain rate
-    /// swings with contention, thermal state, and co-tenancy — no fixed
-    /// charging constant survives that — so the gauge learns the ratio
-    /// of observed queue waits to its own predictions and scales future
-    /// predictions by it. Over-admission raises observed waits, which
-    /// raises the multiplier, which sheds more; over-shedding empties
-    /// the queue and lets it fall back. Clamped to [1/4, 3]: the ceiling
-    /// matters, because long waits are observed mostly by *loose*
-    /// queries (urgent ones drain first by construction), and an
-    /// unbounded multiplier learned from the loose majority would shed
-    /// tight arrivals whose own expected wait is a fraction of theirs.
+    /// swings with contention, thermal state, and co-tenancy, and the
+    /// prediction leaves out queued work due after the arrival although
+    /// nothing runs queued work in deadline order. No fixed charging
+    /// constant survives either, so the gauge learns the ratio of
+    /// observed queue waits to its own predictions and scales future
+    /// predictions by it. Over-admission raises
+    /// observed waits, which raises the multiplier, which sheds more;
+    /// over-shedding empties the queue and lets it fall back. Clamped to
+    /// [1/4, 3]: only admitted queries with a predicted wait of at least
+    /// 200 µs feed it, so it learns nothing while the gauge sheds
+    /// everything or the queue stays short, and the clamps bound how far
+    /// a value learned in one burst can misjudge the next.
     drain_mult_milli: AtomicU64,
     admitted_exact: AtomicU64,
     admitted_degraded: AtomicU64,
     shed: AtomicU64,
 }
 
+impl Default for PressureGauge {
+    fn default() -> Self {
+        PressureGauge::new()
+    }
+}
+
 impl PressureGauge {
-    /// A fresh, uncalibrated gauge. `_workers` is accepted for call-site
-    /// context but unused: queued queries drain serially under the
-    /// deadline lane (each fan-out gets the whole pool), so the expected
-    /// wait does not divide by the worker count.
-    pub fn new(_workers: usize) -> PressureGauge {
+    /// A fresh, uncalibrated gauge.
+    pub fn new() -> PressureGauge {
         PressureGauge {
             epoch: Instant::now(),
             queued: Mutex::new(BTreeMap::new()),
@@ -202,8 +213,9 @@ impl PressureGauge {
     /// a detached ticket. `cost_factor` scales the learned service-time
     /// EWMAs to this query's estimated size (1.0 = average; from the
     /// estimate layer). A query with no deadline is always admitted
-    /// exactly (but still charged, so timed arrivals see it in the
-    /// backlog). The runner must eventually
+    /// exactly, and still charged: its charge, due after every deadline,
+    /// shows in [`Self::backlog`] but in no timed arrival's expected
+    /// wait. The runner must eventually
     /// [`settle_waited`](Self::settle_waited) the ticket or the charge
     /// leaks.
     pub fn admit_ticket(&self, cost_factor: f64, deadline: Option<Instant>) -> SchedTicket {
@@ -226,14 +238,14 @@ impl PressureGauge {
                 .min(u64::MAX as u128) as u64,
         };
 
-        // Expected wait: only charges at least as urgent as this arrival
-        // queue ahead of it under the deadline lane — and they drain
-        // *serially*: the lane hands the earliest-deadline query's whole
-        // fan-out to the pool, so queued queries run one after another,
-        // each at full parallelism. Summing wall estimates (no division
-        // by workers) is the drain time of everything ahead. Charge the
-        // arrival inside the same lock hold so concurrent admits see
-        // each other.
+        // Expected wait: the charges due no later than this arrival's
+        // deadline, drained *serially* — a query that reaches the pool
+        // forks over every worker, so queued queries are modeled as
+        // running one after another, and summing their wall estimates
+        // (no division by workers) is the drain time. Nothing runs queued
+        // work in deadline order; the learned multiplier corrects the
+        // prediction against observed waits. Charge the arrival inside
+        // the same lock hold so concurrent admits see each other.
         let (verdict, charge_us, wait_us);
         {
             // Charges whose deadline has already passed don't count as
@@ -247,11 +259,10 @@ impl PressureGauge {
             } else {
                 queued.range(now_key..=key).map(|(_, c)| c).sum()
             };
-            // Serial drain, feedback-corrected: each queued query's own
-            // fan-out saturates the pool in turn, so the urgent charges
-            // ahead add up as wall time; the learned multiplier then
-            // scales that by how fast the pool has actually been
-            // draining relative to the estimates.
+            // Serial drain, feedback-corrected: the counted charges add
+            // up as wall time, and the learned multiplier scales that by
+            // how fast the pool has actually been draining relative to
+            // the estimates.
             let mult = self.drain_mult_milli.load(Ordering::Relaxed);
             wait_us = urgent_us.saturating_mul(mult) / 1000;
             (verdict, charge_us) = if wait_us.saturating_add(est_exact_us) <= slack_us {
@@ -286,9 +297,9 @@ impl PressureGauge {
     /// `observed_wait`, the queue wait the query actually saw between
     /// admission and run start: against the ticket's *predicted* wait
     /// this is the gauge's own forecast error, and it feeds the
-    /// drain-rate multiplier. Shed tickets are excluded from that: a
-    /// rejection pops out of deadline order (immediately), so its wait
-    /// says nothing about how fast the queue drains.
+    /// drain-rate multiplier. Shed tickets are excluded from that: the
+    /// multiplier learns only from the queries the gauge admitted, so
+    /// shedding cannot raise its own rate.
     pub fn settle_waited(
         &self,
         ticket: SchedTicket,
@@ -337,9 +348,11 @@ impl PressureGauge {
         }
     }
 
-    /// Expected wait implied by the current backlog: the serial drain
-    /// time of every outstanding charge (see [`Self::admit_ticket`] for
-    /// why queued queries drain serially under the deadline lane).
+    /// The sum of every outstanding charge, whatever its deadline: the
+    /// serial drain time of all admitted, unfinished work, without the
+    /// drain multiplier. An arrival's expected wait counts only the
+    /// unexpired charges due no later than its own deadline (see
+    /// [`Self::admit_ticket`]).
     pub fn backlog(&self) -> Duration {
         Duration::from_micros(self.backlog_us.load(Ordering::Relaxed))
     }
@@ -381,8 +394,8 @@ impl PressureGauge {
     fn calibrate(&self, slot: &AtomicU64, observed_us: u64) {
         // Lossy racy asymmetric EWMA: fast down (new = (old+obs)/2), slow
         // up (new = old + (obs-old)/8). Under overload a query's observed
-        // wall time includes whatever more-urgent work the pool nested
-        // into its blocked frames, so high observations mostly measure
+        // wall time includes whatever other queries' tasks its blocked
+        // frames stole and ran, so high observations mostly measure
         // *contention*, not this query class's service demand; chasing
         // them would spiral the estimate up and shed queries the pool
         // could still serve. Low observations are genuine — a query
@@ -422,8 +435,8 @@ impl SchedTicket {
         Duration::from_micros(self.charged_us)
     }
 
-    /// The expected wait (serial drain of charges at least as urgent as
-    /// this arrival) observed at admission.
+    /// The expected wait predicted at admission (see
+    /// [`SchedReport::backlog`]).
     pub fn backlog_at_admission(&self) -> Duration {
         Duration::from_micros(self.wait_us)
     }
@@ -433,8 +446,8 @@ impl SchedTicket {
 mod tests {
     use super::*;
 
-    fn calibrated(workers: usize, exact_us: u64, degraded_us: u64) -> PressureGauge {
-        let g = PressureGauge::new(workers);
+    fn calibrated(exact_us: u64, degraded_us: u64) -> PressureGauge {
+        let g = PressureGauge::new();
         g.ewma_exact_us.store(exact_us, Ordering::Relaxed);
         g.ewma_degraded_us.store(degraded_us, Ordering::Relaxed);
         g
@@ -442,7 +455,7 @@ mod tests {
 
     #[test]
     fn uncalibrated_gauge_admits_everything_exact() {
-        let g = PressureGauge::new(4);
+        let g = PressureGauge::new();
         let deadline = Instant::now() + Duration::from_micros(1);
         let t = g.admit_ticket(1.0, Some(deadline));
         assert_eq!(t.verdict(), AdmissionVerdict::Exact);
@@ -451,7 +464,7 @@ mod tests {
 
     #[test]
     fn no_deadline_is_always_exact_but_charged() {
-        let g = calibrated(1, 10_000, 2_000);
+        let g = calibrated(10_000, 2_000);
         let t = g.admit_ticket(1.0, None);
         assert_eq!(t.verdict(), AdmissionVerdict::Exact);
         assert!(g.backlog() >= Duration::from_micros(10_000));
@@ -461,7 +474,7 @@ mod tests {
 
     #[test]
     fn ladder_exact_degraded_shed() {
-        let g = calibrated(1, 10_000, 2_000);
+        let g = calibrated(10_000, 2_000);
         // plenty of slack: exact
         let t = g.admit_ticket(1.0, Some(Instant::now() + Duration::from_millis(100)));
         assert_eq!(t.verdict(), AdmissionVerdict::Exact);
@@ -480,7 +493,7 @@ mod tests {
 
     #[test]
     fn backlog_pushes_later_arrivals_down_the_ladder() {
-        let g = calibrated(1, 10_000, 100);
+        let g = calibrated(10_000, 100);
         let deadline = Instant::now() + Duration::from_millis(15);
         let first = g.admit_ticket(1.0, Some(deadline));
         assert_eq!(first.verdict(), AdmissionVerdict::Exact);
@@ -493,7 +506,7 @@ mod tests {
 
     #[test]
     fn cost_factor_scales_the_estimate() {
-        let g = calibrated(1, 1_000, 100);
+        let g = calibrated(1_000, 100);
         // a 10× query does not fit where a 1× query would
         let t = g.admit_ticket(10.0, Some(Instant::now() + Duration::from_micros(2_000)));
         assert_ne!(t.verdict(), AdmissionVerdict::Exact);
@@ -505,7 +518,7 @@ mod tests {
 
     #[test]
     fn complete_calibrates_and_releases() {
-        let g = PressureGauge::new(2);
+        let g = PressureGauge::new();
         let t = g.admit_ticket(1.0, None);
         g.settle_waited(t, Some(Duration::from_millis(2)), None);
         let s = g.stats();
@@ -515,7 +528,7 @@ mod tests {
 
     #[test]
     fn degenerate_cost_factors_are_clamped() {
-        let g = calibrated(1, 1_000, 100);
+        let g = calibrated(1_000, 100);
         for f in [f64::NAN, f64::INFINITY, -3.0, 0.0, 1e300] {
             let t = g.admit_ticket(f, Some(Instant::now() + Duration::from_secs(60)));
             g.settle_waited(t, None, None);

@@ -579,12 +579,8 @@ impl<'a> BoundEngine<'a> {
         // warm-start chain.
         let warm = (self.options.milp.warmth != Warmth::Cold)
             .then(|| Arc::new(Mutex::new(HashMap::new())));
-        // Tag the call's pool tasks (decomposition forks, B&B fan-out)
-        // with the budget's deadline so they ride the EDF lane; stamp the
-        // trip reason on degraded reports.
-        let mut result = rayon::with_task_deadline(budget.deadline(), || {
-            self.bound_with_warm(query, warm, budget)
-        });
+        // Stamp the trip reason on degraded reports.
+        let mut result = self.bound_with_warm(query, warm, budget);
         if let Ok(report) = &mut result {
             if report.degraded && report.trip.is_none() {
                 report.trip = budget.trip_reason();

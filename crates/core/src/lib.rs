@@ -109,31 +109,30 @@
 //!    unwind boundaries, and a degraded or interrupted epoch build is
 //!    never published to the session's cell cache. See [`budget`] for
 //!    the granularity guarantee and the degradation ladder.
-//! 9. **Deadline-aware scheduling, admission control, and load
-//!    shedding** ([`SessionOptions::deadline_sched`] /
-//!    [`SessionOptions::admission`]): armed deadlines drive task order —
-//!    a session fan-out tags its pool jobs with the query deadline and
-//!    the vendored pool serves tagged work earliest-deadline-first
-//!    (stealing respects priority: a worker blocked in a join only takes
-//!    external work at least as urgent as what it is waiting on). In
-//!    front of the pool, a **pressure gauge** ([`Session::pressure`],
-//!    [`pc_budget::pressure`]) tracks per-verdict cost EWMAs and the
-//!    aggregate deadline-keyed backlog, corrected by a learned
-//!    drain-rate multiplier; each arrival is admitted **exact**,
-//!    admitted **early-degraded** (LP-relaxation rung — closure checks
-//!    are never skipped), or **shed** when even the degraded estimate
-//!    cannot meet the deadline. A shed query still answers — it runs the
-//!    pre-tripped one-granule walk (kept in the epoch's answer memo), so
-//!    its wider range stays sound and its latency stays flat. A pop-time
-//!    feasibility re-check demotes stale admissions, and every query
-//!    carries a [`SchedReport`] (verdict, queue wait, estimate) surfaced
-//!    by `pc batch --stats`. Every admitted unit — a query, each batch
+//! 9. **Admission control and load shedding**
+//!    ([`SessionOptions::admission`]): armed deadlines decide how much
+//!    work a query gets, never when its pool tasks run — the vendored
+//!    pool has one discipline for every task (owner LIFO, a FIFO
+//!    injector, stealing from the other end). A **pressure gauge**
+//!    ([`Session::pressure`], [`pc_budget::pressure`]) tracks
+//!    per-verdict cost EWMAs and the aggregate deadline-keyed backlog,
+//!    corrected by a learned drain-rate multiplier; each arrival is
+//!    admitted **exact**, admitted **early-degraded** (LP-relaxation
+//!    rung — closure checks are never skipped), or **shed** when even
+//!    the degraded estimate cannot meet the deadline. A shed query still
+//!    answers — it runs the pre-tripped one-granule walk (kept in the
+//!    epoch's answer memo), so its wider range stays sound and its
+//!    latency stays flat. A pop-time feasibility re-check demotes stale
+//!    admissions, and every query carries a [`SchedReport`] (verdict,
+//!    queue wait, estimate) surfaced by `pc batch --stats`. Every
+//!    admitted unit — a query, each batch
 //!    item, one GROUP-BY call — runs through one session path, judged at
 //!    arrival ([`Session::admit`]) or at run start, and its admission
 //!    ticket is settled however the run ends, a panic included.
-//!    Scheduling never moves an answer: EDF and
-//!    FIFO orders are property-tested bit-identical, and shed/degraded
-//!    ranges always contain the exact range.
+//!    Scheduling never moves an answer: a batch armed with a far-off
+//!    deadline returns bounds bit-identical to the same batch unarmed
+//!    (property-tested), and shed/degraded ranges always contain the
+//!    exact range.
 //! 10. A **multi-tenant serving front-end** (`pc serve`, the `pc-serve`
 //!     crate): a std-only TCP listener speaking a line-oriented text
 //!     protocol over a [`SessionRegistry`] — one versioned [`Session`]

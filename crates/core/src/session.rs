@@ -153,7 +153,9 @@
 //! ticket (issuing one at run start when there is none), turns it into
 //! the report's [`SchedReport`], re-checks the verdict against the slack
 //! left, runs the rung, and settles the ticket through one guard on
-//! every exit, an unwind included. Mutations likewise share one shape:
+//! every exit, an unwind included. A deadline picks the rung, never the
+//! order in which the pool runs the unit's tasks: the pool schedules
+//! every task alike. Mutations likewise share one shape:
 //! an add and a retire are each one delta on a draft of the next epoch,
 //! a replace chains the two, and nothing is installed before the last
 //! delta is done — so a mutation that panics leaves the current epoch,
@@ -243,21 +245,14 @@ pub struct SessionOptions {
     /// `constraint_churn` bench ablates against. Never affects results,
     /// only [`crate::DecomposeStats`] work.
     pub incremental: bool,
-    /// Tag every budgeted query's pool tasks with its deadline so the
-    /// work-stealing pool serves them earliest-deadline-first (the
-    /// default). Purely a scheduling hint — answers are unchanged
-    /// (property-tested in `tests/prop_sched.rs`); queries with no
-    /// deadline are untagged and scheduling is plain FIFO/LIFO either
-    /// way. Off = the FIFO baseline the `deadline_stress/burst_*` bench
-    /// rows ablate against.
-    pub deadline_sched: bool,
     /// Admission control + load shedding (the default; engages only for
     /// queries with an armed deadline): the session's [`PressureGauge`]
     /// judges each arrival against the queued backlog, re-routing
     /// queries that cannot finish exactly down the degradation ladder at
     /// admission, and answering hopeless ones from the cheapest sound
     /// path immediately (see [`pc_budget::pressure`]). Every answer
-    /// remains a superset of the exact range.
+    /// remains a superset of the exact range. Off = the baseline the
+    /// `deadline_stress/burst_no_admission` bench row records.
     pub admission: bool,
 }
 
@@ -267,7 +262,6 @@ impl Default for SessionOptions {
             bound: BoundOptions::default(),
             cache_cells: true,
             incremental: true,
-            deadline_sched: true,
             admission: true,
         }
     }
@@ -467,7 +461,7 @@ impl Session {
             mutations: Mutex::new(()),
             next_id: AtomicU64::new(seeded),
             warm: WarmCaches::new(options.bound.milp.warmth != Warmth::Cold),
-            pressure: PressureGauge::new(rayon::current_num_threads()),
+            pressure: PressureGauge::new(),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
             shed_hits: AtomicU64::new(0),
@@ -891,12 +885,6 @@ impl Session {
         Some(self.pressure.admit_ticket(cost_factor(), Some(deadline)))
     }
 
-    /// The deadline a query's pool tasks are tagged with: the budget's,
-    /// when [`SessionOptions::deadline_sched`] is on.
-    fn task_deadline(&self, budget: &QueryBudget) -> Option<Instant> {
-        budget.deadline().filter(|_| self.options.deadline_sched)
-    }
-
     /// One query against `epoch`: from the memo when the epoch holds its
     /// exact answer, otherwise through [`Session::run_admitted`].
     fn bound_admitted(
@@ -980,8 +968,7 @@ impl Session {
     ///   burn pool work on an answer that will degrade mid-run anyway, so
     ///   it is demoted to the cheapest sound path (the shed rung)
     ///   instead. Expired deadlines are the zero-slack special case.
-    /// * `run` executes the rung, its pool tasks tagged with the budget's
-    ///   deadline ([`Session::task_deadline`]).
+    /// * `run` executes the rung.
     /// * One guard settles the ticket on every exit path, unwinding
     ///   included. The run time calibrates the gauge's service estimates
     ///   only when `calibrates` accepts the outcome of the rung the ticket
@@ -1026,7 +1013,7 @@ impl Session {
             settle.observed_wait = arrived.then_some(sched.queue_wait);
             settle.ticket = Some(ticket);
         }
-        let out = rayon::with_task_deadline(self.task_deadline(budget), || run(sched));
+        let out = run(sched);
         // A demoted run took the shed path, not the rung the ticket was
         // charged for: its (near-zero) elapsed time says nothing about
         // that rung's service cost.
@@ -1073,10 +1060,10 @@ impl Session {
             AdmissionVerdict::Shed => {
                 opts.lp_relax_cell_limit = 0;
                 // Serial on the caller's worker: a shed query is a
-                // *rejection* — spawning its (budget-tripped, trivial)
-                // per-cell tasks through the pool would still cost every
-                // queued job a trip through the contended deadline lane,
-                // delaying the admitted queries the shed exists to protect.
+                // *rejection* — forking its (budget-tripped, trivial)
+                // per-cell tasks would hand other workers steals that
+                // compete with the admitted queries the shed exists to
+                // protect, for tasks of one granule each.
                 opts.threads = 1;
                 if let Some(key) = &key {
                     if let Some(mut report) = epoch.shed_answer(key) {
@@ -1237,13 +1224,8 @@ impl Session {
     ) -> (u64, Vec<Result<BoundReport, BoundError>>) {
         let epoch = self.pin();
         let threads = self.fan_out(&epoch, budget, queries.len());
-        // Tag the fan-out with the batch's deadline: the *spawns*
-        // themselves must carry the stamp for the pool to serve them by
-        // urgency against other batches' tasks.
-        let results = rayon::with_task_deadline(self.task_deadline(budget), || {
-            pooled_map_catch(queries, threads, &|query| {
-                self.bound_admitted(&epoch, query, budget, None)
-            })
+        let results = pooled_map_catch(queries, threads, &|query| {
+            self.bound_admitted(&epoch, query, budget, None)
         })
         .into_iter()
         .map(|result| result.unwrap_or(Err(BoundError::Panicked)))

@@ -261,9 +261,9 @@ fn stalled_worker_mid_steal_does_not_hang_a_deadline_batch() {
     assert!(oracle.iter().all(|r| r.is_ok()), "fixture must be clean");
 
     // A worker reaches the steal path and sleeps 250ms on the spot,
-    // against a 50ms batch deadline. EDF cannot preempt a sleeping
+    // against a 50ms batch deadline. Nothing can preempt a sleeping
     // worker; the recovery story is that the *other* workers keep
-    // draining the deadline lane: the batch still answers, every result
+    // draining the batch's tasks: the batch still answers, every result
     // is sound, and the call is bounded by roughly one stall — never a
     // hang, never a per-task re-payment of the stall.
     rayon::fault::set_steal_hook(Some(steal_hook));

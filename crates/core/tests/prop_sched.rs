@@ -1,16 +1,13 @@
 //! Scheduling must never move an answer.
 //!
-//! The deadline lane (EDF) and the admission ladder are *scheduling*
-//! features: they decide when a task runs and how much work a query is
-//! allowed, never what a given amount of work computes. Two properties
-//! pin that contract:
+//! Deadlines and the admission ladder are *scheduling* features: they
+//! decide how much work a query is allowed, never what a given amount
+//! of work computes. Two properties pin that contract:
 //!
-//! 1. **EDF/FIFO equivalence** — the same queries on the same set
-//!    produce bit-identical bounds whether the pool serves them through
-//!    the deadline lane (`deadline_sched: true`, far-future deadline) or
-//!    plain FIFO (`deadline_sched: false`), and whether a deadline is
-//!    armed at all. Re-ordering ready tasks must not move a bound by
-//!    even one bit.
+//! 1. **Armed/unarmed equivalence** — the same queries on the same set
+//!    produce bit-identical bounds whether a far-future deadline is
+//!    armed or no deadline at all. A deadline that never trips must not
+//!    move a bound by even one bit.
 //! 2. **Admission soundness** — a query the gauge degrades at admission
 //!    or sheds outright still answers, and its (wider) range contains
 //!    the exact range. The ladder only ever widens; see §4.3's
@@ -92,7 +89,7 @@ fn batch(q_lo: i64, q_hi: i64) -> Vec<AggQuery> {
         .collect()
 }
 
-fn session_with(set: &PcSet, deadline_sched: bool, admission: bool) -> Session {
+fn session_with(set: &PcSet, admission: bool) -> Session {
     Session::with_options(
         set.clone(),
         SessionOptions {
@@ -102,7 +99,6 @@ fn session_with(set: &PcSet, deadline_sched: bool, admission: bool) -> Session {
             },
             cache_cells: true,
             incremental: true,
-            deadline_sched,
             admission,
         },
     )
@@ -124,24 +120,21 @@ fn assert_contains(outer: (f64, f64), inner: (f64, f64), ctx: &str) -> Result<()
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Four schedulings of the same batch — EDF lane with a far-future
-    /// deadline, FIFO with the same deadline, and both with no deadline
-    /// at all — return bit-identical bounds, flags included. A far
-    /// deadline never trips, so any difference would be the scheduler
-    /// changing an answer, which it must never do.
+    /// The same batch with a far-future deadline and with no deadline at
+    /// all returns bit-identical bounds, flags included. A far deadline
+    /// never trips, so any difference would be the deadline changing an
+    /// answer, which it must never do.
     #[test]
-    fn edf_and_fifo_serve_bit_identical_bounds(
+    fn armed_and_unarmed_serve_bit_identical_bounds(
         raw in prop::collection::vec(arb_pc(), 1..4),
         q_lo in 0..=GMAX, q_hi in 0..=GMAX,
     ) {
         let set = build_set(&raw);
         let queries = batch(q_lo, q_hi);
-        // (deadline_sched, armed): admission off everywhere so only the
-        // pool lane differs between runs.
-        let runs = [(true, true), (true, false), (false, true), (false, false)];
+        // Admission off in both runs, so only the deadline differs.
         let mut oracle: Option<Vec<Result<_, _>>> = None;
-        for (edf, armed) in runs {
-            let session = session_with(&set, edf, false);
+        for armed in [true, false] {
+            let session = session_with(&set, false);
             let budget = if armed {
                 QueryBudget::armed().with_timeout(Duration::from_secs(3600))
             } else {
@@ -158,18 +151,18 @@ proptest! {
                                 prop_assert_eq!(
                                     (b.range.lo, b.range.hi, b.degraded, b.closed),
                                     (g.range.lo, g.range.hi, g.degraded, g.closed),
-                                    "query {} (edf={}, armed={}): scheduling moved a bound",
-                                    i, edf, armed
+                                    "query {} (armed={}): the deadline moved a bound",
+                                    i, armed
                                 );
                             }
                             (Err(b), Err(g)) => {
                                 prop_assert_eq!(
                                     b.to_string(), g.to_string(),
-                                    "query {}: error class must not depend on scheduling", i
+                                    "query {}: error class must not depend on the deadline", i
                                 );
                             }
                             _ => return Err(TestCaseError::fail(format!(
-                                "query {i} (edf={edf}, armed={armed}): Ok/Err disagreement"
+                                "query {i} (armed={armed}): Ok/Err disagreement"
                             ))),
                         }
                     }
@@ -188,14 +181,14 @@ proptest! {
         q_lo in 0..=GMAX, q_hi in 0..=GMAX,
     ) {
         let set = build_set(&raw);
-        let session = session_with(&set, true, true);
+        let session = session_with(&set, true);
         let queries = batch(q_lo, q_hi);
 
         // Unlimited calls bypass admission: this is the exact oracle. It
         // runs on a second session, so the calibration batches below run
         // their exact rung here instead of taking its answers from the
         // epoch's memo.
-        let oracle = session_with(&set, true, true).bound_many(&queries);
+        let oracle = session_with(&set, true).bound_many(&queries);
 
         // Calibrate the gauge's exact EWMA with generously-deadlined
         // batches (they admit exact and complete).
@@ -273,7 +266,7 @@ fn group_by_keys_carry_the_calls_admission_outcome() {
         pc(1, 3, 0, 5, 0, 9),
         pc(2, 4, 2, 4, 0, 5),
     ]);
-    let session = session_with(&set, true, true);
+    let session = session_with(&set, true);
     session.cell_set().expect("the epoch cache builds");
     let base = AggQuery::new(AggKind::Sum, 1, Predicate::always());
     let keys: Vec<f64> = (0..=GMAX).map(|k| k as f64).collect();

@@ -91,11 +91,11 @@
 //!   default) hands on whole canonical tableaux (O(1) pivots per branch
 //!   & bound child), `basis` only the optimal basis, `cold` nothing. An
 //!   A/B knob; never changes results.
-//! * `--fifo` / `--no-admission` — configure sessions only (`batch`,
-//!   `serve`; `bound` rejects them): serve pool tasks first-in first-out
-//!   instead of earliest-deadline-first, and answer every query on the
-//!   exact rung instead of letting the pressure gauge degrade or shed
-//!   queries whose deadlines it cannot meet (see `pc_budget::pressure`).
+//! * `--no-admission` — configures sessions only (`batch`, `serve`;
+//!   `bound` rejects it): answer every query on the exact rung instead of
+//!   letting the pressure gauge degrade or shed queries whose deadlines
+//!   it cannot meet (see `pc_budget::pressure`). A deadline never changes
+//!   the order in which the pool runs tasks, with or without admission.
 //! * `--timeout-ms N` / `--sat-cap N` / `--node-cap N` — arm a
 //!   [`QueryBudget`] (wall-clock deadline, SAT-probe cap, branch & bound
 //!   node cap). A tripped budget never errors: the engine degrades
@@ -159,7 +159,6 @@ struct Args {
     threads: usize,
     no_session_cache: bool,
     warmth: Warmth,
-    fifo: bool,
     no_admission: bool,
     stats: bool,
     caps: BudgetCaps,
@@ -187,7 +186,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 0,
         no_session_cache: false,
         warmth: BoundOptions::default().milp.warmth,
-        fifo: false,
         no_admission: false,
         stats: false,
         caps: BudgetCaps::default(),
@@ -244,7 +242,6 @@ fn parse_args() -> Result<Args, String> {
                     _ => return Err(format!("--warmth: `{v}` is not cold, basis or carry")),
                 };
             }
-            "--fifo" => args.fifo = true,
             "--no-admission" => args.no_admission = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -268,7 +265,6 @@ fn session_options(args: &Args) -> SessionOptions {
         bound: bound_options(args),
         cache_cells: !args.no_session_cache,
         incremental: true,
-        deadline_sched: !args.fifo,
         admission: !args.no_admission,
     }
 }
@@ -634,7 +630,6 @@ fn main() -> ExitCode {
             // `bound` answers without a session: reject the session-only
             // flags it would otherwise silently ignore.
             for (given, flag) in [
-                (args.fifo, "--fifo"),
                 (args.no_admission, "--no-admission"),
                 (args.no_session_cache, "--no-session-cache"),
             ] {

@@ -596,6 +596,17 @@ fn unsupported_flag_combinations_are_rejected() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+    // the pool has one scheduler: the removed FIFO switch is an unknown
+    // flag everywhere
+    for cmd in ["bound", "batch", "serve"] {
+        let out = base(cmd).arg("--fifo").output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd} must reject --fifo");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag `--fifo`"),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
     // and bound must not silently ignore --queries
     let out = base("bound")
         .args(["--queries", queries.to_str().unwrap()])
@@ -604,7 +615,7 @@ fn unsupported_flag_combinations_are_rejected() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--query"));
     // nor the session-only flags: bound answers without a session
-    for flag in ["--fifo", "--no-admission", "--no-session-cache"] {
+    for flag in ["--no-admission", "--no-session-cache"] {
         let out = base("bound")
             .args(["--query", "SELECT COUNT(*)", flag])
             .output()
