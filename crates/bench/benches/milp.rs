@@ -1,6 +1,5 @@
-//! Criterion bench for the branch & bound MILP solver: the three
-//! warm-start tiers (cold crash / basis restore / tableau carry) crossed
-//! with sequential vs work-stealing-parallel search.
+//! Criterion bench for the branch & bound MILP solver: its two
+//! warm-start tiers (cold / tableau carry) on the sequential search.
 //!
 //! The workload is a batch of PC-allocation-shaped problems — `max u·x`
 //! over random subset rows `Σ_{i∈S} xᵢ ≤ ku` with box bounds `0 ≤ xᵢ ≤ 4`
@@ -12,14 +11,9 @@
 //! solver's per-node counters ([`pc_solver::SearchStats`]) and emits them
 //! as `milp_pivots/...` JSON lines next to the timing rows: carried vs
 //! rebuilt node counts and their pivot totals — the measured
-//! O(m) → O(1) rebuild elimination of the tableau carry.
-//!
-//! Parallel ids carry the pool size (`…_par_4w` = 4 workers): the global
-//! pool is sized once per process from `RAYON_NUM_THREADS` / the
-//! machine, so "1 vs N threads" here is sequential mode vs the whole
-//! pool. On a single-core container the parallel rows only measure task
-//! overhead; the scaling signal needs the multi-core CI runner (see
-//! `BENCH_milp.json`'s host note).
+//! O(m) → O(1) rebuild elimination of the tableau carry. The ids keep
+//! their `_seq` suffix so the rows stay comparable with the recorded
+//! ones in `BENCH_milp.json`.
 //!
 //! Set `PC_BENCH_JSON=/path/file.json` to append machine-readable results
 //! (the repo's `BENCH_milp.json` is produced this way).
@@ -36,9 +30,8 @@ use rand::{Rng, SeedableRng};
 /// paper's §4.2 programs it mixes `Σ x ≤ ku` caps with `Σ x ≥ kl` floors
 /// (frequency lower bounds): the floors are what make phase 1 non-trivial
 /// at every node — an all-slack basis is infeasible, a cold solve pays
-/// artificial elimination, the basis tier's crash + dual restore skips
-/// phase 1 but still rebuilds the tableau, and the carry tier skips the
-/// rebuild too (one appended row + O(1) dual pivots per node).
+/// artificial elimination, and the carry tier skips the rebuild (one
+/// appended row + O(1) dual pivots per node).
 fn try_alloc_problem(nvars: usize, nrows: usize, seed: u64) -> MilpProblem {
     let mut rng = StdRng::seed_from_u64(seed);
     let u: Vec<f64> = (0..nvars)
@@ -85,35 +78,16 @@ fn alloc_problems(nvars: usize, nrows: usize, count: usize) -> Vec<(MilpProblem,
     out
 }
 
-fn modes() -> Vec<(String, MilpOptions)> {
-    let pool = rayon::current_num_threads();
-    let tiers = [
-        ("cold", Warmth::Cold),
-        ("basis", Warmth::Basis),
-        ("carry", Warmth::Carry),
-    ];
-    let mut out = Vec::new();
-    for (tier, warmth) in tiers {
-        out.push((
-            format!("{tier}_seq"),
+fn modes() -> [(&'static str, MilpOptions); 2] {
+    [("cold_seq", Warmth::Cold), ("carry_seq", Warmth::Carry)].map(|(name, warmth)| {
+        (
+            name,
             MilpOptions {
-                threads: 1,
                 warmth,
                 ..MilpOptions::default()
             },
-        ));
-    }
-    for (tier, warmth) in tiers {
-        out.push((
-            format!("{tier}_par_{pool}w"),
-            MilpOptions {
-                threads: 0,
-                warmth,
-                ..MilpOptions::default()
-            },
-        ));
-    }
-    out
+        )
+    })
 }
 
 /// The pivot-count columns that ride next to criterion's timing rows.

@@ -15,9 +15,6 @@
 //!   default tableau carry, so structurally repeating LPs re-price one
 //!   carried canonical tableau across queries. The serve path `pc batch`
 //!   uses.
-//! * `session_basis` — the full session at `Warmth::Basis`:
-//!   identical cell cache, but chained warm starts hand over bases only
-//!   (the pre-carry architecture). Isolates the carry's contribution.
 //!
 //! Every mode is asserted (outside the timed region) to produce
 //! identical ranges, so the bench only ever compares equal work; each
@@ -32,8 +29,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pc_bench::emit_bench_json_line;
 use pc_core::budget::pressure::AdmissionVerdict;
 use pc_core::{
-    BoundEngine, BoundOptions, FrequencyConstraint, LpWork, MilpOptions, PcSet,
-    PredicateConstraint, QueryBudget, Session, SessionOptions, ValueConstraint, Warmth,
+    BoundEngine, BoundOptions, FrequencyConstraint, LpWork, PcSet, PredicateConstraint,
+    QueryBudget, Session, SessionOptions, ValueConstraint,
 };
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
 use pc_storage::{AggKind, AggQuery};
@@ -103,7 +100,7 @@ fn close(a: f64, b: f64) -> bool {
 /// chain-carry showcase: each runs a binary search of up to ~80
 /// feasibility probes over the *same* constraint rows with shifting
 /// objectives, so at `Warmth::Carry` every probe after the first
-/// re-prices one carried tableau instead of rebuilding and crashing.
+/// re-prices one carried tableau instead of rebuilding.
 fn query_stream(count: usize) -> Vec<AggQuery> {
     (0..count)
         .map(|i| {
@@ -144,28 +141,14 @@ fn bench_query_throughput(c: &mut Criterion) {
         let set = serving_set(n_constraints);
         let queries = query_stream(24);
 
-        // sanity outside the timed region: all four modes agree — and
+        // sanity outside the timed region: all three modes agree — and
         // their aggregated solver-work counters become the pivot columns
         // of the artifact
-        let basis_opts = BoundOptions {
-            milp: MilpOptions {
-                warmth: Warmth::Basis,
-                ..opts.milp
-            },
-            ..opts
-        };
         let engine = BoundEngine::with_options(&set, opts);
         let session = Session::with_options(
             set.clone(),
             SessionOptions {
                 bound: opts,
-                ..SessionOptions::default()
-            },
-        );
-        let session_basis = Session::with_options(
-            set.clone(),
-            SessionOptions {
-                bound: basis_opts,
                 ..SessionOptions::default()
             },
         );
@@ -179,7 +162,6 @@ fn bench_query_throughput(c: &mut Criterion) {
         );
         let mut cold_work = LpWork::default();
         let mut session_work = LpWork::default();
-        let mut basis_work = LpWork::default();
         let absorb = |into: &mut LpWork, w: LpWork| {
             into.pivots += w.pivots;
             into.carried += w.carried;
@@ -189,19 +171,13 @@ fn bench_query_throughput(c: &mut Criterion) {
         for q in &queries {
             let cold = engine.bound(q).expect("bounded workload");
             let served = session.bound(q).expect("bounded workload");
-            let basis = session_basis.bound(q).expect("bounded workload");
             let chained = chain_only.bound(q).expect("bounded workload").range;
             absorb(&mut cold_work, cold.solver);
             absorb(&mut session_work, served.solver);
-            absorb(&mut basis_work, basis.solver);
-            let (cold, served, basis) = (cold.range, served.range, basis.range);
+            let (cold, served) = (cold.range, served.range);
             assert!(
                 close(cold.lo, served.lo) && close(cold.hi, served.hi),
                 "session mismatch on {q:?}: {cold:?} vs {served:?}"
-            );
-            assert!(
-                close(cold.lo, basis.lo) && close(cold.hi, basis.hi),
-                "session_basis mismatch on {q:?}: {cold:?} vs {basis:?}"
             );
             assert!(
                 close(cold.lo, chained.lo) && close(cold.hi, chained.hi),
@@ -211,7 +187,6 @@ fn bench_query_throughput(c: &mut Criterion) {
         let param = format!("{n_constraints}pc");
         emit_work_profile(&format!("serve_pivots/cold/{param}"), &cold_work);
         emit_work_profile(&format!("serve_pivots/session/{param}"), &session_work);
-        emit_work_profile(&format!("serve_pivots/session_basis/{param}"), &basis_work);
 
         group.bench_with_input(
             criterion::BenchmarkId::new("cold", &param),
@@ -256,25 +231,6 @@ fn bench_query_throughput(c: &mut Criterion) {
                     set.clone(),
                     SessionOptions {
                         bound: opts,
-                        ..SessionOptions::default()
-                    },
-                );
-                b.iter(|| {
-                    for q in qs {
-                        session.bound(q).expect("bounded workload");
-                    }
-                })
-            },
-        );
-        // carry-off ablation: same cache, bases-only warm chains
-        group.bench_with_input(
-            criterion::BenchmarkId::new("session_basis", &param),
-            &queries,
-            |b, qs| {
-                let session = Session::with_options(
-                    set.clone(),
-                    SessionOptions {
-                        bound: basis_opts,
                         ..SessionOptions::default()
                     },
                 );
@@ -359,24 +315,13 @@ fn run_churn(
 /// * `rebuild` — `SessionOptions::incremental` off: every mutation pays a
 ///   full re-decomposition (the pre-epoch architecture). Isolates the
 ///   derivation's SAT-check savings (`churn_work/.../sat_checks`).
-/// * `basis` — incremental epochs at `Warmth::Basis`: chained warm
-///   starts hand over bases only, so every cross-epoch LP falls back to
-///   a crash/cold start instead of a one-row adaptation. Isolates the
-///   carry's pivot savings (`churn_work/.../pivots`).
 ///
-/// All three modes are asserted to produce identical ranges (and to match
+/// Both modes are asserted to produce identical ranges (and to match
 /// a fresh engine on the final catalog), so the timings compare equal
 /// answers; per-mode work profiles are emitted as `churn_work/...` JSON
 /// lines next to criterion's timing rows.
 fn bench_constraint_churn(c: &mut Criterion) {
     let opts = BoundOptions::default();
-    let basis_opts = BoundOptions {
-        milp: MilpOptions {
-            warmth: Warmth::Basis,
-            ..opts.milp
-        },
-        ..opts
-    };
     let mut group = c.benchmark_group("constraint_churn");
     group.sample_size(10);
     for n_constraints in [10usize, 14] {
@@ -396,21 +341,13 @@ fn bench_constraint_churn(c: &mut Criterion) {
         // sanity + work profiles outside the timed region
         let incremental = make(opts, true);
         let rebuild = make(opts, false);
-        let basis = make(basis_opts, true);
         let (inc_ranges, inc_cells, inc_lp) = run_churn(&incremental, &queries);
         let (reb_ranges, reb_cells, reb_lp) = run_churn(&rebuild, &queries);
-        let (bas_ranges, bas_cells, bas_lp) = run_churn(&basis, &queries);
         assert_eq!(inc_ranges.len(), reb_ranges.len());
         for (i, (a, b)) in inc_ranges.iter().zip(&reb_ranges).enumerate() {
             assert!(
                 close(a.0, b.0) && close(a.1, b.1),
                 "rebuild mismatch at {i}: {a:?} vs {b:?}"
-            );
-        }
-        for (i, (a, b)) in inc_ranges.iter().zip(&bas_ranges).enumerate() {
-            assert!(
-                close(a.0, b.0) && close(a.1, b.1),
-                "basis mismatch at {i}: {a:?} vs {b:?}"
             );
         }
         // the final catalog answers like a fresh engine
@@ -426,7 +363,6 @@ fn bench_constraint_churn(c: &mut Criterion) {
         for (mode, cells, lp) in [
             ("incremental", &inc_cells, &inc_lp),
             ("rebuild", &reb_cells, &reb_lp),
-            ("basis", &bas_cells, &bas_lp),
         ] {
             emit_bench_json_line(&format!(
                 "{{\"id\": \"churn_work/{mode}/{param}\", \"sat_checks\": {}, \
@@ -457,16 +393,6 @@ fn bench_constraint_churn(c: &mut Criterion) {
             |b, qs| {
                 b.iter(|| {
                     let session = make(opts, false);
-                    run_churn(&session, qs)
-                })
-            },
-        );
-        group.bench_with_input(
-            criterion::BenchmarkId::new("basis", &param),
-            &queries,
-            |b, qs| {
-                b.iter(|| {
-                    let session = make(basis_opts, true);
                     run_churn(&session, qs)
                 })
             },

@@ -21,8 +21,12 @@
 //! under-load test to decide. Per-query service time is learned online
 //! — an EWMA of observed run times, calibrated separately for exact and
 //! degraded executions — and scaled by a per-query **cost factor** the
-//! caller derives from the estimate layer (a query touching most of the
-//! constraint set costs more than one touching a corner).
+//! caller supplies. A `pc-core` session derives it in
+//! `Session::cost_factor` from normalized box volumes, as
+//! `(1 + reached) / (1 + total / 2)`: `reached` sums the volumes of the
+//! constraints the query region reaches, `total` the whole catalog's. A
+//! query touching about half the catalog's volume scores about 1.0, and
+//! one touching a corner less.
 //!
 //! Admission judges once per query, in one form:
 //! [`PressureGauge::admit_ticket`] charges the gauge and returns a
@@ -211,8 +215,9 @@ impl PressureGauge {
 
     /// Judge one arrival and charge it against the gauge *now*, returning
     /// a detached ticket. `cost_factor` scales the learned service-time
-    /// EWMAs to this query's estimated size (1.0 = average; from the
-    /// estimate layer). A query with no deadline is always admitted
+    /// EWMAs to this query's estimated size (1.0 = average; a session
+    /// passes its box-volume share, `Session::cost_factor`). A query with
+    /// no deadline is always admitted
     /// exactly, and still charged: its charge, due after every deadline,
     /// shows in [`Self::backlog`] but in no timed arrival's expected
     /// wait. The runner must eventually

@@ -68,7 +68,7 @@ use pc_budget::{QueryBudget, WorkGate};
 use pc_predicate::Region;
 use pc_solver::{
     greedy, solve_lp_tableau, solve_milp_budgeted, CanonicalTableau, ConstraintOp, LinearProgram,
-    MilpOptions, MilpProblem, SearchStats, Sense, WarmStart, Warmth,
+    MilpOptions, MilpProblem, SearchStats, Sense, Warmth,
 };
 use pc_storage::{AggKind, AggQuery};
 use std::cell::Cell as StdCell;
@@ -86,10 +86,10 @@ pub struct BoundOptions {
     /// the probes of one AVG binary search, the root relaxations of
     /// consecutive allocation MILPs, and the queries one worker serves in
     /// a [`crate::Session`] (whose per-worker caches carry tableaux across
-    /// queries and epochs). [`Warmth::Cold`] turns every chain off;
-    /// structure mismatches demote a carried tableau to its basis
-    /// automatically. Never affects results, only work — see
-    /// [`BoundReport::solver`] for the counters.
+    /// queries and epochs). [`Warmth::Cold`] turns every chain off; a
+    /// carried tableau whose structure no longer fits the next program is
+    /// dropped and that program solves cold. Never affects results, only
+    /// work — see [`BoundReport::solver`] for the counters.
     pub milp: MilpOptions,
     /// Whether to run the closure check; when disabled the report assumes
     /// closure (callers that constructed provably-closed sets skip the
@@ -102,18 +102,19 @@ pub struct BoundOptions {
     /// overlapping sets (Rand-PC) where decomposition yields many cells.
     pub lp_relax_cell_limit: usize,
     /// Worker threads for decomposition fan-out, parallel GROUP-BY
-    /// groups, and the parallel witness search inside wide SAT checks.
-    /// `0` = auto-detect the machine's parallelism, `1` = strictly
-    /// sequential (also forcing the allocation MILP sequential — see
-    /// [`MilpOptions::threads`] for the solver-level knob, which inherits
-    /// this value unless set explicitly). Decomposed cell signatures,
-    /// regions, and order are bit-identical across thread counts and
-    /// bounds agree up to the branch & bound pruning tolerance (~1e-6 — a
-    /// parallel search may prune a node that would have improved the
-    /// incumbent by less than that, exactly as a sequential search may in
-    /// a different order). Cell *witnesses* may be different equally
-    /// genuine points when the first-hit-wins parallel witness search
-    /// engages, and `parallel_subtrees` in [`DecomposeStats`] may differ.
+    /// groups and shards, and the parallel witness search inside wide SAT
+    /// checks. `0` = auto-detect the machine's parallelism, `1` =
+    /// strictly sequential. Every allocation MILP is one sequential
+    /// branch & bound search whatever this value. Decomposed cell
+    /// signatures, regions, and order are bit-identical across thread
+    /// counts, and so are a one-shot engine's bounds
+    /// (`tests/pool_parallel.rs`). What can vary: cell *witnesses* may be
+    /// different equally genuine points when the first-hit-wins parallel
+    /// witness search engages, `parallel_subtrees` in [`DecomposeStats`]
+    /// may differ, and a [`crate::Session`]'s per-worker warm chains
+    /// depend on which worker ran which query earlier (a carried tableau
+    /// can land on another vertex of a degenerate optimum, within solver
+    /// tolerance).
     pub threads: usize,
     /// Fork the decomposition at every eligible split from the root
     /// instead of once it has run [`WorkGate::GRAIN`] inline (see
@@ -313,23 +314,14 @@ pub struct BoundReport {
 /// slots, so interleaved query shapes never evict each other's chains.
 type WarmKey = (Sense, bool, usize, usize);
 
-/// Take the warm entry for `key`: the exact slot first, else the closest
-/// slot with the same probe kind and variable count whose row count is
-/// within the solver's [`pc_solver::ADAPT_MAX_DELTA`] **and whose carried
-/// tableau verifies as reusable for `lp`** (exact re-price or in-ceiling
-/// row delta — the cross-epoch churn case). The reuse check is what keeps
-/// neighbor probing from *evicting*: stealing a tableau the solver would
-/// only demote-and-discard would destroy another query shape's chain for
-/// nothing, so incompatible neighbors (and basis entries, whose shape
-/// cannot fit a different row count anyway) stay put.
 /// Lock a warm-start cache, recovering from mutex poisoning. A panicked
 /// solve task can die between a cache `take` and the re-insert; whatever
 /// it left behind is suspect (a torn or half-repriced tableau would be
-/// *demoted* by the solver's reuse checks, but there is no reason to keep
+/// *dropped* by the solver's reuse checks, but there is no reason to keep
 /// gambling on it), so recovery clears the slot map — the next solves
 /// rebuild their chains cold. Correctness is unaffected either way; this
 /// only removes the poisoned-mutex panic from every later query.
-pub(crate) fn lock_warm(cache: &WarmCache) -> MutexGuard<'_, HashMap<WarmKey, CachedWarm>> {
+pub(crate) fn lock_warm(cache: &WarmCache) -> MutexGuard<'_, HashMap<WarmKey, CanonicalTableau>> {
     cache.lock().unwrap_or_else(|poisoned| {
         let mut map = poisoned.into_inner();
         map.clear();
@@ -337,7 +329,15 @@ pub(crate) fn lock_warm(cache: &WarmCache) -> MutexGuard<'_, HashMap<WarmKey, Ca
     })
 }
 
-fn take_cached(cache: &WarmCache, key: WarmKey, lp: &LinearProgram) -> Option<CachedWarm> {
+/// Take the warm entry for `key`: the exact slot first, else the closest
+/// slot with the same probe kind and variable count whose row count is
+/// within the solver's [`pc_solver::ADAPT_MAX_DELTA`] **and whose carried
+/// tableau verifies as reusable for `lp`** (exact re-price or in-ceiling
+/// row delta — the cross-epoch churn case). The reuse check is what keeps
+/// neighbor probing from *evicting*: stealing a tableau the solver would
+/// only discard would destroy another query shape's chain for nothing,
+/// so incompatible neighbors stay put.
+fn take_cached(cache: &WarmCache, key: WarmKey, lp: &LinearProgram) -> Option<CanonicalTableau> {
     let mut map = lock_warm(cache);
     if let Some(hit) = map.remove(&key) {
         return Some(hit);
@@ -350,20 +350,11 @@ fn take_cached(cache: &WarmCache, key: WarmKey, lp: &LinearProgram) -> Option<Ca
                 && e == extra
                 && v == nvars
                 && r.abs_diff(rows) <= pc_solver::ADAPT_MAX_DELTA
-                && matches!(entry, CachedWarm::Tableau(t) if t.can_reuse(lp))
+                && entry.can_reuse(lp)
         })
         .map(|(&k, _)| k)
         .min_by_key(|&(_, _, _, r)| r.abs_diff(rows));
     neighbor.and_then(|k| map.remove(&k))
-}
-
-/// What a chain slot holds between solves: the whole canonical tableau
-/// at [`Warmth::Carry`], or just the basis at [`Warmth::Basis`]. A
-/// carried tableau whose structure no longer matches the next program
-/// demotes itself to its basis inside the solver.
-pub(crate) enum CachedWarm {
-    Basis(WarmStart),
-    Tableau(Box<CanonicalTableau>),
 }
 
 /// Shared warm-start store for one chain of related bounding calls (a
@@ -372,15 +363,16 @@ pub(crate) enum CachedWarm {
 /// `Arc<Mutex>`: chains are *effectively* single-threaded — the drivers
 /// hand each worker its own store — but tasks are stealable, so the
 /// store must tolerate whichever thread ends up running them. The mutex
-/// is uncontended in that design; a stale or racing basis can cost a
-/// cold fallback, never correctness. Entries are *taken* (moved) for the
+/// is uncontended in that design; a stale or racing tableau can cost a
+/// cold rebuild, never correctness. Each slot holds the canonical tableau
+/// of the last solve of its shape; entries are *taken* (moved) for the
 /// duration of a solve and re-inserted after — carrying a tableau must
-/// not clone it.
-pub(crate) type WarmCache = Arc<Mutex<HashMap<WarmKey, CachedWarm>>>;
+/// not clone it. Only [`Warmth::Carry`] engines and sessions create one.
+pub(crate) type WarmCache = Arc<Mutex<HashMap<WarmKey, CanonicalTableau>>>;
 
 /// One warm-start cache per pool worker (plus one for the calling
-/// thread): tasks solved on the same worker chain their simplex bases
-/// from one LP to the next without cross-thread contention. A
+/// thread): tasks solved on the same worker chain their canonical
+/// tableaux from one LP to the next without cross-thread contention. A
 /// [`crate::Session`] keeps one long-lived set of chains across all of
 /// its queries.
 pub(crate) struct WarmCaches {
@@ -1264,18 +1256,11 @@ impl<'a> BoundEngine<'a> {
         // search foremost) share constraint structure and differ only in
         // objective, so each solve seeds the next solve's *root*
         // relaxation with its carried tableau. Same cache slots as the
-        // plain LP chain; a structural mismatch demotes inside the solver.
-        let milp_options = self.milp_options();
+        // plain LP chain (present only at `Warmth::Carry`); a tableau that
+        // does not fit rebuilds cold inside the solver.
         let key: WarmKey = (sense, extra_min_total, lp.num_vars(), lp.constraints.len());
-        let chain = (milp_options.warmth == Warmth::Carry)
-            .then_some(&p.warm)
-            .and_then(|w| w.as_ref());
-        let prior = chain.and_then(|cache| match take_cached(cache, key, &lp) {
-            Some(CachedWarm::Tableau(t)) => Some(*t),
-            // a basis entry under a carry-enabled engine cannot occur
-            // (carry-on chains always store tableaux); drop defensively
-            Some(CachedWarm::Basis(_)) | None => None,
-        });
+        let chain = p.warm.as_ref();
+        let prior = chain.and_then(|cache| take_cached(cache, key, &lp));
         let mut milp_problem = MilpProblem::all_integer(lp.clone());
         if let Some(w) = &p.branch_weights {
             // Volume-guided branching: the solver decides the most
@@ -1283,11 +1268,11 @@ impl<'a> BoundEngine<'a> {
             // variable mapping).
             milp_problem = milp_problem.with_branch_scores(live.iter().map(|&i| w[i]).collect());
         }
-        match solve_milp_budgeted(&milp_problem, milp_options, prior, &p.budget) {
+        match solve_milp_budgeted(&milp_problem, self.options.milp, prior, &p.budget) {
             Ok((sol, root)) => {
                 p.record_search(sol.nodes, sol.search);
                 if let (Some(cache), Some(root)) = (chain, root) {
-                    lock_warm(cache).insert(key, CachedWarm::Tableau(Box::new(root)));
+                    lock_warm(cache).insert(key, root);
                 }
                 Ok(sol.objective)
             }
@@ -1308,36 +1293,15 @@ impl<'a> BoundEngine<'a> {
         }
     }
 
-    /// The branch & bound configuration for this engine's allocation
-    /// MILPs: [`BoundOptions::milp`] with its thread count reconciled. A
-    /// strictly sequential engine (`threads: 1`) forces a sequential
-    /// search; otherwise `milp.threads` left at its sequential default
-    /// inherits the engine's fan-out (set it explicitly to decouple the
-    /// two).
-    fn milp_options(&self) -> MilpOptions {
-        let threads = if self.options.threads == 1 {
-            1
-        } else if self.options.milp.threads == 1 {
-            self.options.threads
-        } else {
-            self.options.milp.threads
-        };
-        MilpOptions {
-            threads,
-            ..self.options.milp
-        }
-    }
-
     /// Solve an LP, consulting and refreshing the problem's warm-start
     /// cache when a chain supplied one. The cache key pins the probe kind
-    /// and the tableau dimensions; the solver additionally verifies
-    /// structural/basis compatibility and falls back tier by tier (carry
-    /// → basis crash → cold), so a stale entry can cost time but never
-    /// correctness. At [`Warmth::Carry`] the slot holds
-    /// the whole canonical tableau — moved out for the solve and moved
-    /// back after — so an AVG binary search re-prices one tableau across
-    /// all its probes and a [`crate::Session`] carries tableaux across
-    /// queries, not just bases.
+    /// and the tableau dimensions; the solver additionally verifies that
+    /// the carried tableau fits and otherwise solves cold, so a stale
+    /// entry can cost time but never correctness. The slot holds the
+    /// whole canonical tableau — moved out for the solve and moved back
+    /// after — so an AVG binary search re-prices one tableau across all
+    /// its probes and a [`crate::Session`] carries tableaux across
+    /// queries.
     fn solve_lp_maybe_warm(
         &self,
         p: &CellProblem,
@@ -1348,24 +1312,15 @@ impl<'a> BoundEngine<'a> {
         // Cache creation is already gated on the warmth at both
         // construction sites (`bound_budgeted`, a session's `WarmCaches`).
         let Some(cache) = &p.warm else {
-            let (sol, ct) = solve_lp_tableau(lp, None, None)?;
+            let (sol, ct) = solve_lp_tableau(lp, None)?;
             p.record_lp(ct.stats());
             return Ok(sol.objective);
         };
         let key: WarmKey = (sense, extra_min_total, lp.num_vars(), lp.constraints.len());
-        let (prior, basis) = match take_cached(cache, key, lp) {
-            Some(CachedWarm::Tableau(t)) => (Some(*t), None),
-            Some(CachedWarm::Basis(b)) => (None, Some(b)),
-            None => (None, None),
-        };
-        let (sol, ct) = solve_lp_tableau(lp, prior, basis.as_ref())?;
+        let prior = take_cached(cache, key, lp);
+        let (sol, ct) = solve_lp_tableau(lp, prior)?;
         p.record_lp(ct.stats());
-        let entry = if self.options.milp.warmth == Warmth::Carry {
-            CachedWarm::Tableau(Box::new(ct))
-        } else {
-            CachedWarm::Basis(ct.warm_start())
-        };
-        lock_warm(cache).insert(key, entry);
+        lock_warm(cache).insert(key, ct);
         Ok(sol.objective)
     }
 
@@ -1912,7 +1867,7 @@ mod tests {
     #[test]
     fn tableau_carry_never_changes_ranges_and_counts_work() {
         // Floors force Ge rows (real phase 1) and an AVG binary search —
-        // the chain shape the carry accelerates. Carry on and off must
+        // the chain shape the carry accelerates. Carry and cold must
         // agree on every range; the carry run must actually carry.
         let mut set = PcSet::new(schema())
             .with(PredicateConstraint::new(
@@ -1935,9 +1890,9 @@ mod tests {
         set.set_domain(domain);
 
         let carry_engine = BoundEngine::new(&set);
-        let mut basis = BoundOptions::default();
-        basis.milp.warmth = Warmth::Basis;
-        let basis_engine = BoundEngine::with_options(&set, basis);
+        let mut cold = BoundOptions::default();
+        cold.milp.warmth = Warmth::Cold;
+        let cold_engine = BoundEngine::with_options(&set, cold);
         let mut carried_total = 0;
         for agg in [
             AggKind::Sum,
@@ -1948,11 +1903,11 @@ mod tests {
         ] {
             let q = AggQuery::new(agg, 1, Predicate::always());
             let with = carry_engine.bound(&q).unwrap();
-            let without = basis_engine.bound(&q).unwrap();
+            let without = cold_engine.bound(&q).unwrap();
             assert!(
                 (with.range.lo - without.range.lo).abs() < 1e-5
                     && (with.range.hi - without.range.hi).abs() < 1e-5,
-                "{agg:?}: carry [{}, {}] vs basis [{}, {}]",
+                "{agg:?}: carry [{}, {}] vs cold [{}, {}]",
                 with.range.lo,
                 with.range.hi,
                 without.range.lo,
@@ -1960,7 +1915,7 @@ mod tests {
             );
             assert_eq!(
                 without.solver.carried, 0,
-                "{agg:?}: basis run must not carry"
+                "{agg:?}: cold run must not carry"
             );
             carried_total += with.solver.carried;
         }

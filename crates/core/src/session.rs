@@ -94,9 +94,8 @@
 //!   **adapted in place**: the changed row is appended to / deleted from
 //!   the carried tableau with a dual restore (see
 //!   `pc_solver::solve_lp_tableau`), instead of falling all the way back
-//!   to a cold rebuild. A larger structural mismatch still demotes to
-//!   the basis tier and from there to cold, so churn can cost work but
-//!   never correctness;
+//!   to a cold rebuild. A larger structural mismatch still rebuilds
+//!   cold, so churn can cost work but never correctness;
 //! * each epoch keeps one **answer memo**. A range depends only on the
 //!   catalog and the query, and an epoch's catalog never changes, so an
 //!   exact answer stays exact for the epoch's whole life. The memo is
@@ -128,11 +127,14 @@
 //! identity is only stable for cells the churned box never touched —
 //! the same caveat as the parallel witness search
 //! ([`crate::decompose`]). A derived epoch's *cells* are exactly a fresh
-//! decomposition's, and its bounds equal a session freshly built on the
-//! mutated catalog up to solver tolerance (~1e-6 — the branch & bound
-//! pruning tolerance plus warm-start floating-point noise, the same
-//! caveat [`crate::BoundOptions::threads`] documents; a warm or adapted
-//! tableau can land on a different vertex of a degenerate optimum) —
+//! decomposition's. Its bounds equal a session freshly built on the
+//! mutated catalog up to solver tolerance (~1e-6), and the one thing that
+//! can still move them is the session's per-worker warm chains: a
+//! carried or adapted tableau depends on which queries the worker
+//! answered before, and can land on a different vertex of a degenerate
+//! optimum or round differently in the last bits than a cold solve (the
+//! caveat [`crate::BoundOptions::threads`] documents). Branch & bound
+//! itself is one sequential search and adds no variation. This is
 //! property-tested in `tests/prop_epoch.rs` over random add/retire
 //! sequences, sequentially and on the pinned multi-worker pool. Under the approximate [`crate::Strategy::EarlyStop`] derived
 //! epochs keep unverified cells admitted (bounds may stay wider than a
@@ -804,7 +806,8 @@ impl Session {
     /// the call, reusing its cached decomposition and the session's
     /// warm-start chains. Returns what [`BoundEngine::bound`] would
     /// against the same catalog snapshot, up to solver tolerance (see
-    /// the module docs' invalidation section for the ~1e-6 caveat).
+    /// the module docs' invalidation section: the warm chains are what
+    /// can move the last bits).
     pub fn bound(&self, query: &AggQuery) -> Result<BoundReport, BoundError> {
         self.bound_ticketed_stamped(query, &QueryBudget::unlimited(), None)
             .1
@@ -1144,7 +1147,7 @@ impl Session {
         let engine = BoundEngine::with_options(set, opts);
         if !self.options.cache_cells {
             // Cold cells, warm chains: the honest baseline for the cache
-            // knob still benefits from cross-query basis reuse.
+            // knob still benefits from cross-query tableau reuse.
             return engine.bound_with_warm(query, warm, budget);
         }
         let sharded = self.cells_of_budgeted(epoch, budget)?;

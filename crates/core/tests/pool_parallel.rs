@@ -6,12 +6,17 @@
 //! `RAYON_NUM_THREADS=4` before anything touches the pool (its own
 //! process, so the setting is race-free), making the decomposition under
 //! the eager gate (a fork at every eligible split), the per-group GROUP-BY
-//! tasks, and the parallel MILP genuinely concurrent, then checks the
-//! results are exactly the sequential ones.
+//! tasks and the per-shard tasks genuinely concurrent, then checks the
+//! results are exactly the sequential ones: the same bit patterns of
+//! every range end and the same closure verdict, for engines fanning out
+//! over 2 and 4 workers and over the whole pool. Only witness identity may
+//! differ (the parallel witness search is first-hit-wins); allocation
+//! MILPs are sequential searches and a one-shot engine's warm chains are
+//! per call, so nothing else depends on the schedule.
 
 use pc_core::{
-    decompose, decompose_with, BoundEngine, BoundOptions, FrequencyConstraint, Parallelism, PcSet,
-    PredicateConstraint, Strategy, ValueConstraint,
+    decompose, decompose_with, BoundEngine, BoundOptions, BoundReport, FrequencyConstraint,
+    Parallelism, PcSet, PredicateConstraint, Strategy, ValueConstraint,
 };
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
 use pc_storage::{AggKind, AggQuery};
@@ -81,10 +86,23 @@ fn forked_decomposition_is_bit_identical() {
     }
 }
 
-/// `a` and `b` equal within `tol`, treating equal infinities as equal
-/// (`∞ − ∞` is NaN, which would fail a plain difference check).
-fn close(a: f64, b: f64, tol: f64) -> bool {
-    a == b || (a - b).abs() < tol
+/// Engine fan-outs compared against the sequential (`threads: 1`)
+/// oracle: 2 and 4 workers, and `0` for the whole pinned pool.
+const FAN_OUTS: [usize; 3] = [2, 4, 0];
+
+/// Both reports carry the same bit patterns of `lo` and `hi` and the same
+/// closure verdict.
+fn assert_same(a: &BoundReport, b: &BoundReport, what: &str) {
+    assert!(
+        a.range.lo.to_bits() == b.range.lo.to_bits()
+            && a.range.hi.to_bits() == b.range.hi.to_bits(),
+        "{what}: [{:e}, {:e}] vs [{:e}, {:e}]",
+        a.range.lo,
+        a.range.hi,
+        b.range.lo,
+        b.range.hi
+    );
+    assert_eq!(a.closed, b.closed, "{what}");
 }
 
 #[test]
@@ -110,16 +128,18 @@ fn parallel_engine_bounds_match_sequential() {
         },
     );
     // the default gate, and the eager one that forks every eligible split
-    for eager_fork in [false, true] {
-        let parallel = BoundEngine::with_options(
-            &set,
-            BoundOptions {
-                threads: 0,
-                eager_fork,
-                ..BoundOptions::default()
-            },
-        );
-        bounds_match(&sequential, &parallel);
+    for threads in FAN_OUTS {
+        for eager_fork in [false, true] {
+            let parallel = BoundEngine::with_options(
+                &set,
+                BoundOptions {
+                    threads,
+                    eager_fork,
+                    ..BoundOptions::default()
+                },
+            );
+            bounds_match(&sequential, &parallel);
+        }
     }
 }
 
@@ -135,17 +155,7 @@ fn bounds_match(sequential: &BoundEngine, parallel: &BoundEngine) {
         let a = sequential.bound(&q);
         let b = parallel.bound(&q);
         match (a, b) {
-            (Ok(a), Ok(b)) => {
-                assert!(
-                    close(a.range.lo, b.range.lo, 1e-5) && close(a.range.hi, b.range.hi, 1e-5),
-                    "{agg:?}: [{}, {}] vs [{}, {}]",
-                    a.range.lo,
-                    a.range.hi,
-                    b.range.lo,
-                    b.range.hi
-                );
-                assert_eq!(a.closed, b.closed, "{agg:?}");
-            }
+            (Ok(a), Ok(b)) => assert_same(&a, &b, &format!("{agg:?}")),
             (a, b) => assert_eq!(
                 a.map(|r| (r.range.lo, r.range.hi)),
                 b.map(|r| (r.range.lo, r.range.hi)),
@@ -193,7 +203,7 @@ fn pooled_group_by_matches_sequential_and_per_key() {
             },
         )
         .bound_group_by(&base, 0, keys.clone());
-        for threads in [0usize, 4] {
+        for threads in FAN_OUTS {
             let got = BoundEngine::with_options(
                 &set,
                 BoundOptions {
@@ -207,16 +217,7 @@ fn pooled_group_by_matches_sequential_and_per_key() {
                 assert_eq!(o.key, g.key, "order must be key order");
                 match (&o.report, &g.report) {
                     (Ok(a), Ok(b)) => {
-                        assert!(
-                            close(a.range.lo, b.range.lo, 1e-5)
-                                && close(a.range.hi, b.range.hi, 1e-5),
-                            "{agg:?} key {} (threads={threads}): [{}, {}] vs [{}, {}]",
-                            o.key,
-                            a.range.lo,
-                            a.range.hi,
-                            b.range.lo,
-                            b.range.hi
-                        );
+                        assert_same(a, b, &format!("{agg:?} key {} (threads={threads})", o.key))
                     }
                     (Err(a), Err(b)) => assert_eq!(a, b, "key {}", o.key),
                     (a, b) => panic!("key {}: {a:?} vs {b:?}", o.key),
@@ -244,15 +245,8 @@ fn repeated_parallel_group_by_is_stable() {
         let again = engine.bound_group_by(&base, 0, keys.clone());
         for (a, b) in first.iter().zip(&again) {
             assert_eq!(a.key, b.key);
-            // run-to-run wobble is bounded by the branch & bound pruning
-            // tolerance (INT_TOL = 1e-6): a node whose bound beats the
-            // incumbent by less than that may be pruned or explored
-            // depending on which worker posted the incumbent first
             match (&a.report, &b.report) {
-                (Ok(x), Ok(y)) => {
-                    assert!(close(x.range.lo, y.range.lo, 2e-6));
-                    assert!(close(x.range.hi, y.range.hi, 2e-6));
-                }
+                (Ok(x), Ok(y)) => assert_same(x, y, &format!("key {}", a.key)),
                 (Err(x), Err(y)) => assert_eq!(x, y),
                 (x, y) => panic!("{x:?} vs {y:?}"),
             }

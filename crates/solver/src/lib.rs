@@ -8,9 +8,10 @@
 //! implements both from scratch:
 //!
 //! * [`simplex`] — a dense two-phase primal simplex solver with Bland's
-//!   anti-cycling rule.
-//! * [`milp`] — branch & bound over the LP relaxation with incumbent
-//!   pruning.
+//!   anti-cycling rule, whose canonical tableau can be carried to the
+//!   next related solve.
+//! * [`milp`] — sequential depth-first branch & bound over the LP
+//!   relaxation with incumbent pruning.
 //! * [`greedy`] — the paper's fast special case for *disjoint* predicate
 //!   constraints, where the MILP degenerates to per-variable choices.
 //!
@@ -29,10 +30,9 @@ pub mod simplex;
 pub use error::SolverError;
 pub use linprog::{Constraint, ConstraintOp, LinearProgram, Sense};
 pub use milp::{
-    solve_milp, solve_milp_budgeted, solve_milp_carried, MilpOptions, MilpProblem, MilpSolution,
-    SearchStats, Warmth,
+    solve_milp, solve_milp_budgeted, MilpOptions, MilpProblem, MilpSolution, SearchStats, Warmth,
 };
 pub use simplex::{
-    solve_lp, solve_lp_tableau, solve_lp_warm, BranchBound, CanonicalTableau, ChildSolve,
-    LpSolution, SolveStats, WarmStart, ADAPT_MAX_DELTA,
+    solve_lp, solve_lp_tableau, BranchBound, CanonicalTableau, ChildSolve, LpSolution, SolveStats,
+    ADAPT_MAX_DELTA,
 };

@@ -1,5 +1,5 @@
-//! Branch & bound mixed-integer linear programming — warm-started,
-//! tableau-carrying, and parallel.
+//! Branch & bound mixed-integer linear programming with tableau-carrying
+//! warm starts.
 //!
 //! The PC bounding problem (§4.2 of the paper) requires *integer* row
 //! allocations per cell. We solve it by branch & bound over the LP
@@ -8,32 +8,33 @@
 //! variable with `x ≤ ⌊v⌋` and `x ≥ ⌈v⌉` children. Nodes whose relaxation
 //! bound cannot beat the incumbent are pruned.
 //!
-//! # Warm starts down the tree: the three tiers
+//! The search is one sequential depth-first walk with an explicit stack:
+//! the child nearer the relaxation (the rounding direction closer to the
+//! fractional value) is explored first, so incumbents arrive on the first
+//! descent and far siblings are pruned instead of searched. Equal
+//! objectives resolve to the lexicographically smaller solution vector,
+//! and the node visit order is fixed, so a search returns the same
+//! solution on every run.
+//!
+//! # Warm starts down the tree: the two tiers
 //!
 //! A child node's LP differs from its parent's by a single tightened
-//! variable bound, which the engine exploits at three escalating levels:
+//! variable bound. [`MilpOptions::warmth`] picks how much of that the
+//! engine exploits:
 //!
-//! 1. **Cold crash** ([`Warmth::Cold`]) — every node standardizes its
-//!    LP, builds a tableau, and runs phase 1 from the slack/artificial
+//! 1. **Cold** ([`Warmth::Cold`]) — every node standardizes its LP,
+//!    builds a tableau, and runs phase 1 from the slack/artificial
 //!    basis. The property-tested oracle.
-//! 2. **Basis restore** ([`Warmth::Basis`]) — the parent's
-//!    optimal simplex *basis* is threaded into
-//!    [`solve_lp_tableau`]: the child still
-//!    rebuilds its tableau from scratch, then crashes the parent basis
-//!    in (O(m) pivots) and dual-restores feasibility, skipping phase 1.
-//!    Basis incompatibility silently degrades to a cold solve.
-//! 3. **Tableau carry** ([`Warmth::Carry`], the default) —
-//!    the parent's whole [`CanonicalTableau`] is carried: the child
-//!    appends its branch bound as one row, runs a single elimination
-//!    pass against the parent-optimal basis, and dual-restores — **O(1)
-//!    pivots per node** instead of the O(m) rebuild + crash of tier 2.
-//!    Parents hand the tableau to both children through an [`Arc`]
-//!    snapshot: the near child (explored first, on the same worker)
-//!    clones the core lazily, and the far child — which by then usually
-//!    holds the last reference, whether it ran locally or was stolen —
-//!    takes it by move. A carried solve that stalls (dual-restore
-//!    iteration cap, numerically degenerate re-optimization) falls back
-//!    to a fresh rebuild, and every
+//! 2. **Tableau carry** ([`Warmth::Carry`], the default) — the parent's
+//!    whole [`CanonicalTableau`] is carried: the child appends its branch
+//!    bound as one row, runs a single elimination pass against the
+//!    parent-optimal basis, and dual-restores — **O(1) pivots per node**
+//!    instead of an O(m) rebuild. Parents hand the tableau to both
+//!    children through an [`Arc`] snapshot: the near child (explored
+//!    first) clones the core lazily, and the far child — which by then
+//!    holds the last reference — takes it by move. A carried solve that
+//!    stalls (dual-restore iteration cap, numerically degenerate
+//!    re-optimization) falls back to a cold rebuild, and every
 //!    [`TABLEAU_REFRESH_DEPTH`] consecutive carries the node rebuilds
 //!    anyway, bounding floating-point drift down deep chains. Appended
 //!    branch rows are garbage-collected on the way down: a cut that
@@ -43,52 +44,17 @@
 //!    periodic refresh folds the survivors into the node's merged bounds
 //!    for free (the rebuild standardizes from bounds, not rows).
 //!
-//!    Each tier includes the ones below it: the carried tableau *is*
-//!    the warm start's deeper tier.
-//!
-//!    Interaction with the all-Le auto-disable: for a program whose rows
-//!    are all `≤` with nonnegative rhs, a cold phase 1 is free, so the
-//!    *basis-restore* tier is auto-disabled (crash + restore would be
-//!    pure overhead). The tableau carry stays active there — the work it
-//!    eliminates is the rebuild itself, which exists regardless of
-//!    phase-1 cost. (Branching only tightens variable bounds, so the
-//!    all-Le verdict holds for every node of the tree.)
-//!
-//!    Per-node pivot and rebuild counters ([`SearchStats`], on
-//!    [`MilpSolution::search`]) make the O(m) → O(1) claim measurable:
-//!    `benches/milp.rs` records them next to the wall-clock ablations,
-//!    and `tests/prop_milp_carry.rs` asserts carried nodes pivot
-//!    strictly less than rebuilt ones on Ge-bearing programs.
-//!
-//! * **Parallel search** ([`MilpOptions::threads`]): once the search has
-//!   run [`WorkGate::GRAIN`] inline (a cold pool hand-off costs about as
-//!   much as a whole small search), children are explored as stealable
-//!   tasks on the work-stealing pool (`rayon::join`), the branch nearer
-//!   the relaxation running hot on the current worker and the far branch
-//!   exposed for stealing. Before that the same recursion runs both
-//!   children inline, near first. The incumbent objective is
-//!   shared through an [`AtomicU64`] (bit-cast `f64`) read lock-free at
-//!   every prune test, so a bound proven on one worker prunes subtrees on
-//!   all of them. The full incumbent updates under a mutex with
-//!   deterministic tie-breaking — among the incumbents actually offered,
-//!   equal objectives resolve to the lexicographically smaller solution
-//!   vector rather than to whichever worker got there first. (Which
-//!   optima are *offered* can still vary: a subtree tying the incumbent
-//!   within the pruning tolerance may be pruned in one schedule and
-//!   explored in another, so the returned `x` — and the objective, by at
-//!   most that tolerance — can differ run to run.) Every mode proves an
-//!   optimal objective up to the 1e-6 pruning tolerance; `threads: 1`
-//!   additionally fixes the exact node visit order (the classic DFS
-//!   stack).
+//! Per-node pivot and rebuild counters ([`SearchStats`], on
+//! [`MilpSolution::search`]) make the O(m) → O(1) claim measurable:
+//! `benches/milp.rs` records them next to the wall-clock rows, and
+//! `tests/prop_milp_carry.rs` asserts carried nodes pivot strictly less
+//! than cold-rebuilt ones on Ge-bearing programs.
 
-use crate::simplex::{
-    solve_lp_tableau, BranchBound, CanonicalTableau, ChildSolve, SolveStats, WarmStart,
-};
+use crate::simplex::{solve_lp_tableau, BranchBound, CanonicalTableau, ChildSolve, SolveStats};
 use crate::{Sense, SolverError};
-use pc_budget::{QueryBudget, TripReason, WorkGate};
+use pc_budget::{QueryBudget, TripReason};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Tolerance within which a value counts as integral.
 const INT_TOL: f64 = 1e-6;
@@ -96,11 +62,6 @@ const INT_TOL: f64 = 1e-6;
 /// Objective difference below which two incumbents count as tied (and the
 /// lexicographically smaller solution vector wins).
 const TIE_TOL: f64 = 1e-12;
-
-/// Parallel recursion depth past which a subtree switches to the
-/// explicit-stack sequential search, bounding native stack growth on
-/// pathological branching chains.
-const PAR_DEPTH_LIMIT: usize = 64;
 
 /// Consecutive carried solves after which a node rebuilds its tableau
 /// from scratch even though the carry succeeded: each carried child
@@ -156,13 +117,6 @@ pub struct MilpOptions {
     /// Maximum number of branch & bound nodes to explore; past it the
     /// search fails [`SolverError::LimitExceeded`].
     pub node_limit: usize,
-    /// Worker threads for the search: `1` (the default) runs the
-    /// deterministic sequential DFS; `0` or `≥ 2` explores children as
-    /// stealable tasks on the global work-stealing pool once the search
-    /// has run [`WorkGate::GRAIN`] inline (the pool's size, not this
-    /// number, decides actual concurrency). Objective and feasibility are
-    /// identical in every mode.
-    pub threads: usize,
     /// How much of its parent's solve each node inherits (the tiers of
     /// the module docs; [`Warmth::Carry`] by default). Never affects
     /// results, only work.
@@ -171,17 +125,15 @@ pub struct MilpOptions {
 
 /// The warm-start tier of a chain of related LP solves: branch & bound
 /// parent-to-child here, and, in the PC engine, the LP and root-MILP
-/// chains across probes and queries. Each tier includes the one below.
+/// chains across probes and queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Warmth {
-    /// Every solve standardizes and runs phase 1 from scratch.
+    /// Every solve standardizes and runs phase 1 from scratch: the
+    /// oracle the carry is tested against.
     Cold,
-    /// Hand each solve the previous optimal simplex basis: the successor
-    /// rebuilds its tableau, crashes the basis in and dual-restores.
-    Basis,
     /// Hand each solve the previous whole canonical tableau (append a
-    /// branch row, re-price, or adapt by one row); a structural mismatch
-    /// demotes to the basis tier.
+    /// branch row, re-price, or adapt by a few rows); a tableau whose
+    /// structure does not fit rebuilds cold.
     Carry,
 }
 
@@ -189,18 +141,17 @@ impl Default for MilpOptions {
     fn default() -> Self {
         MilpOptions {
             node_limit: 50_000,
-            threads: 1,
             warmth: Warmth::Carry,
         }
     }
 }
 
 /// Work counters of one branch & bound search — the honest-measurement
-/// side of the warm-start tiers. "Carried" nodes were answered from the
-/// parent's canonical tableau (tier 3); "rebuilt" nodes standardized and
-/// built a tableau from scratch (tiers 1/2, including the root, carry
-/// stalls, and periodic refreshes). Nodes pruned before any LP solve
-/// (inconsistent branch bounds) appear in neither.
+/// side of the warm-start tiers. "Carried" nodes were answered from a
+/// carried canonical tableau; "rebuilt" nodes standardized and built a
+/// tableau from scratch (every node at [`Warmth::Cold`]; the root, carry
+/// stalls and periodic refreshes at [`Warmth::Carry`]). Nodes pruned
+/// before any LP solve (inconsistent branch bounds) appear in neither.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Nodes whose relaxation was solved on a carried tableau.
@@ -209,8 +160,7 @@ pub struct SearchStats {
     pub rebuilt_nodes: u64,
     /// Simplex pivots spent in carried node solves.
     pub carried_pivots: u64,
-    /// Simplex pivots spent in rebuilt node solves (crash + phase 1 +
-    /// dual restore + phase 2).
+    /// Simplex pivots spent in rebuilt node solves (phase 1 + phase 2).
     pub rebuilt_pivots: u64,
     /// Incumbent installs (improvements or tie-break replacements) made
     /// by a **near** child — the branch direction the best-first child
@@ -249,34 +199,26 @@ pub fn solve_milp(
     problem: &MilpProblem,
     options: MilpOptions,
 ) -> Result<MilpSolution, SolverError> {
-    solve_milp_carried(problem, options, None).map(|(solution, _)| solution)
+    solve_milp_budgeted(problem, options, None, &QueryBudget::unlimited())
+        .map(|(solution, _)| solution)
 }
 
-/// [`solve_milp`] with a carried *root* tableau: chains of MILPs whose
-/// LPs share constraint structure and differ only in the objective — the
-/// AVG binary search solves one such MILP per probe — hand each solve's
-/// root [`CanonicalTableau`] to the next, which re-prices it instead of
-/// rebuilding (a structural mismatch demotes to the basis tier inside
-/// [`solve_lp_tableau`], exactly like the LP chains). Returns the root
-/// tableau for the next solve in the chain when [`MilpOptions::warmth`]
-/// is [`Warmth::Carry`] and the search reached a root solve (`None`
-/// otherwise — e.g. `prior` arrived poisoned or the tier is lower);
-/// `prior` is ignored below the carry tier.
-pub fn solve_milp_carried(
-    problem: &MilpProblem,
-    options: MilpOptions,
-    prior: Option<CanonicalTableau>,
-) -> Result<(MilpSolution, Option<CanonicalTableau>), SolverError> {
-    solve_milp_budgeted(problem, options, prior, &QueryBudget::unlimited())
-}
-
-/// [`solve_milp_carried`] under a [`QueryBudget`]: every claimed node
-/// charges the budget, and a trip (deadline, node cap, explicit cancel)
-/// drains the search within one node granule — in-flight node tasks
-/// finish their single LP solve, no new nodes start. A tripped search
-/// reports [`SolverError::BudgetExhausted`]; callers that can degrade
-/// (the PC bounding engine) fall back to the root LP relaxation, an
-/// outer bound of the MILP optimum.
+/// [`solve_milp`] with a carried *root* tableau, under a [`QueryBudget`].
+///
+/// Chains of MILPs whose LPs share constraint structure and differ only
+/// in the objective — the AVG binary search solves one such MILP per
+/// probe — hand each solve's root [`CanonicalTableau`] to the next, which
+/// re-prices it instead of rebuilding (a tableau whose structure does not
+/// fit rebuilds cold inside [`solve_lp_tableau`], exactly like the LP
+/// chains). Returns the root tableau for the next solve in the chain when
+/// [`MilpOptions::warmth`] is [`Warmth::Carry`] and the search reached a
+/// root solve (`None` otherwise); `prior` is ignored at [`Warmth::Cold`].
+///
+/// Every claimed node charges the budget, and a trip (deadline, node cap,
+/// explicit cancel) stops the search before its next node. A tripped
+/// search reports [`SolverError::BudgetExhausted`]; callers that can
+/// degrade (the PC bounding engine) fall back to the root LP relaxation,
+/// an outer bound of the MILP optimum.
 pub fn solve_milp_budgeted(
     problem: &MilpProblem,
     options: MilpOptions,
@@ -300,171 +242,87 @@ pub fn solve_milp_budgeted(
             ));
         }
     }
-    // Node *basis* warm starts pay when a cold node solve has a real
-    // phase 1 — i.e. some row standardizes with an artificial (Ge/Eq, or
-    // a Le whose negative rhs flips). An all-Le program starts feasible
-    // on its slack basis for free, so there the crash-and-restore
-    // machinery is pure per-node overhead; skip it. (Branching only
-    // tightens variable bounds, so the verdict holds for every node of
-    // the tree.) The tableau carry is *not* auto-disabled: the rebuild it
-    // eliminates exists regardless of phase-1 cost.
-    let phase1_is_real = problem.lp.constraints.iter().any(|c| match c.op {
-        crate::ConstraintOp::Ge | crate::ConstraintOp::Eq => true,
-        crate::ConstraintOp::Le => c.rhs < 0.0,
-    });
-    let basis_restore = options.warmth != Warmth::Cold && phase1_is_real;
-    let search = Search::new(problem, options, basis_restore, budget);
+    let mut search = Search::new(problem, options, budget);
     if options.warmth == Warmth::Carry {
-        *search.root_prior.lock().unwrap() = prior;
+        search.root_prior = prior;
     }
-    if options.threads == 1 {
-        search.run_stack(Vec::new(), Inherited::Cold);
-    } else {
-        search.run_parallel(Vec::new(), Inherited::Cold, 0, false);
-    }
+    search.run_stack();
     search.finish()
 }
 
-/// What a node inherits from its parent to warm its relaxation solve.
-#[derive(Clone)]
-enum Inherited {
-    /// Nothing (the root, or the cold tier).
-    Cold,
-    /// The parent's optimal basis (tier 2).
-    Basis(Arc<WarmStart>),
-    /// The parent's canonical tableau plus the number of consecutive
-    /// carries since the last rebuild (tier 3).
-    Carried(Arc<CanonicalTableau>, u32),
-}
+/// What a node inherits from its parent to warm its relaxation solve: at
+/// [`Warmth::Carry`], the parent's canonical tableau plus the number of
+/// consecutive carries since the last rebuild; `None` at the root and at
+/// [`Warmth::Cold`].
+type Inherited = Option<(Arc<CanonicalTableau>, u32)>;
 
-/// Shared state of one branch & bound search, readable from every worker.
+/// The state of one branch & bound search.
 struct Search<'a> {
     problem: &'a MilpProblem,
     options: MilpOptions,
-    /// Whether rebuilt nodes crash their parent's basis in: the tier asks
-    /// for it and a cold phase 1 is not free (see `solve_milp_budgeted`).
-    basis_restore: bool,
     /// The caller's cooperative budget, charged once per claimed node.
     budget: &'a QueryBudget,
-    /// When [`Search::run_parallel`] may start forking children.
-    gate: WorkGate,
     maximizing: bool,
-    /// Best incumbent objective, bit-cast, for lock-free prune tests.
-    /// Initialized to the sense's identity (−∞ / +∞) so "no incumbent"
-    /// never prunes.
-    best_bits: AtomicU64,
-    /// The full incumbent `(objective, x)`; tie-broken deterministically.
-    incumbent: Mutex<Option<(f64, Vec<f64>)>>,
-    nodes: AtomicUsize,
-    carried_nodes: AtomicU64,
-    rebuilt_nodes: AtomicU64,
-    carried_pivots: AtomicU64,
-    rebuilt_pivots: AtomicU64,
-    incumbent_first: AtomicU64,
-    limit_hit: AtomicBool,
+    /// The incumbent `(objective, x)`; tie-broken deterministically.
+    incumbent: Option<(f64, Vec<f64>)>,
+    nodes: usize,
+    stats: SearchStats,
+    limit_hit: bool,
     /// Set when the budget tripped *during this search* (distinct from
     /// [`Search::limit_hit`], which is the solver's own node cap).
-    budget_hit: AtomicBool,
-    failed: AtomicBool,
-    error: Mutex<Option<SolverError>>,
+    budget_hit: bool,
+    /// The first solver error; it ends the search.
+    error: Option<SolverError>,
     /// A carried tableau for the *root* relaxation (chained in by
-    /// [`solve_milp_carried`]; taken exactly once).
-    root_prior: Mutex<Option<CanonicalTableau>>,
+    /// [`solve_milp_budgeted`]; taken exactly once).
+    root_prior: Option<CanonicalTableau>,
     /// The root's own canonical tableau, handed back to the chain.
-    root_out: Mutex<Option<Arc<CanonicalTableau>>>,
+    root_out: Option<Arc<CanonicalTableau>>,
 }
 
 impl<'a> Search<'a> {
-    fn new(
-        problem: &'a MilpProblem,
-        options: MilpOptions,
-        basis_restore: bool,
-        budget: &'a QueryBudget,
-    ) -> Self {
+    fn new(problem: &'a MilpProblem, options: MilpOptions, budget: &'a QueryBudget) -> Self {
         let maximizing = problem.lp.sense == Sense::Maximize;
-        let identity = if maximizing {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
         Search {
             problem,
             options,
-            basis_restore,
             budget,
-            gate: if options.threads == 1 {
-                WorkGate::INLINE
-            } else {
-                WorkGate::start(false)
-            },
             maximizing,
-            best_bits: AtomicU64::new(identity.to_bits()),
-            incumbent: Mutex::new(None),
-            nodes: AtomicUsize::new(0),
-            carried_nodes: AtomicU64::new(0),
-            rebuilt_nodes: AtomicU64::new(0),
-            carried_pivots: AtomicU64::new(0),
-            rebuilt_pivots: AtomicU64::new(0),
-            incumbent_first: AtomicU64::new(0),
-            limit_hit: AtomicBool::new(false),
-            budget_hit: AtomicBool::new(false),
-            failed: AtomicBool::new(false),
-            error: Mutex::new(None),
-            root_prior: Mutex::new(None),
-            root_out: Mutex::new(None),
+            incumbent: None,
+            nodes: 0,
+            stats: SearchStats::default(),
+            limit_hit: false,
+            budget_hit: false,
+            error: None,
+            root_prior: None,
+            root_out: None,
         }
     }
 
     /// Claim the right to process one node, or flag the limit. Charges
     /// the query budget first: a tripped budget refuses the claim — the
-    /// per-node granule at which a deadline/cancel drains the whole
-    /// search (all workers' claims fail from here on).
-    fn try_claim_node(&self) -> bool {
+    /// per-node granule at which a deadline/cancel stops the search.
+    fn try_claim_node(&mut self) -> bool {
         if !self.budget.charge_node() {
-            self.budget_hit.store(true, Ordering::SeqCst);
+            self.budget_hit = true;
             return false;
         }
-        loop {
-            let n = self.nodes.load(Ordering::SeqCst);
-            if n >= self.options.node_limit {
-                self.limit_hit.store(true, Ordering::SeqCst);
-                return false;
-            }
-            if self
-                .nodes
-                .compare_exchange(n, n + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return true;
-            }
+        if self.nodes >= self.options.node_limit {
+            self.limit_hit = true;
+            return false;
         }
+        self.nodes += 1;
+        true
     }
 
-    fn record_error(&self, e: SolverError) {
-        let mut slot = self.error.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        self.failed.store(true, Ordering::SeqCst);
+    fn record_carried(&mut self, pivots: u64) {
+        self.stats.carried_nodes += 1;
+        self.stats.carried_pivots += pivots;
     }
 
-    fn record_carried(&self, pivots: u64) {
-        self.carried_nodes.fetch_add(1, Ordering::Relaxed);
-        self.carried_pivots.fetch_add(pivots, Ordering::Relaxed);
-    }
-
-    fn record_rebuilt(&self, stats: SolveStats) {
-        self.rebuilt_nodes.fetch_add(1, Ordering::Relaxed);
-        self.rebuilt_pivots
-            .fetch_add(stats.pivots, Ordering::Relaxed);
-    }
-
-    fn aborted(&self) -> bool {
-        self.failed.load(Ordering::SeqCst)
-    }
-
-    fn best(&self) -> f64 {
-        f64::from_bits(self.best_bits.load(Ordering::Acquire))
+    fn record_rebuilt(&mut self, stats: SolveStats) {
+        self.stats.rebuilt_nodes += 1;
+        self.stats.rebuilt_pivots += stats.pivots;
     }
 
     /// `a` strictly better than `b` in the optimization direction.
@@ -478,11 +336,9 @@ impl<'a> Search<'a> {
 
     /// Install `(obj, x)` as the incumbent if it beats the current one —
     /// or ties it with a lexicographically smaller `x` (the deterministic
-    /// tie-break that makes the reported solution independent of worker
-    /// scheduling).
-    fn offer_incumbent(&self, obj: f64, x: Vec<f64>, is_near: bool) {
-        let mut slot = self.incumbent.lock().unwrap();
-        let replace = match &*slot {
+    /// tie-break).
+    fn offer_incumbent(&mut self, obj: f64, x: Vec<f64>, is_near: bool) {
+        let replace = match &self.incumbent {
             None => true,
             Some((best, best_x)) => {
                 if self.better(obj, *best) {
@@ -493,10 +349,9 @@ impl<'a> Search<'a> {
             }
         };
         if replace {
-            self.best_bits.store(obj.to_bits(), Ordering::Release);
-            *slot = Some((obj, x));
+            self.incumbent = Some((obj, x));
             if is_near {
-                self.incumbent_first.fetch_add(1, Ordering::Relaxed);
+                self.stats.incumbent_first_hits += 1;
             }
         }
     }
@@ -541,7 +396,7 @@ impl<'a> Search<'a> {
     /// children inherit)` — or `None` when the node was pruned,
     /// infeasible, integral, or errored.
     fn process_node(
-        &self,
+        &mut self,
         overrides: &Overrides,
         inherited: Inherited,
         is_near: bool,
@@ -550,23 +405,22 @@ impl<'a> Search<'a> {
             return None;
         }
 
-        // Tier 3: answer the node from the carried parent tableau. The
+        // Carry: answer the node from the carried parent tableau. The
         // node's *last* override is its own branch bound; everything
         // before it is already baked into the parent's tableau.
         let mut solved: Option<(crate::LpSolution, Inherited)> = None;
-        if let Inherited::Carried(parent, carries) = &inherited {
-            if *carries < TABLEAU_REFRESH_DEPTH {
+        if let Some((parent, carries)) = inherited {
+            if carries < TABLEAU_REFRESH_DEPTH {
                 let &(var, lo, hi) = overrides.last().expect("carried node has a branch");
                 let bound = if lo.is_finite() {
                     BranchBound::Lower(lo)
                 } else {
                     BranchBound::Upper(hi)
                 };
-                match CanonicalTableau::solve_child(Arc::clone(parent), var, bound) {
+                match CanonicalTableau::solve_child(parent, var, bound) {
                     ChildSolve::Solved { solution, tableau } => {
                         self.record_carried(tableau.stats().pivots);
-                        solved =
-                            Some((solution, Inherited::Carried(Arc::new(tableau), carries + 1)));
+                        solved = Some((solution, Some((Arc::new(tableau), carries + 1))));
                     }
                     ChildSolve::Infeasible { pivots } => {
                         self.record_carried(pivots);
@@ -578,74 +432,58 @@ impl<'a> Search<'a> {
             }
         }
 
-        // Tiers 2/1 (and the root, carry stalls, periodic refreshes):
-        // rebuild the node LP from scratch, crashing the parent basis in
-        // when tier 2 is on.
+        // Cold (and the root, carry stalls, periodic refreshes): rebuild
+        // the node LP from scratch.
         let (relax, child_inherited) = match solved {
             Some(pair) => pair,
             None => {
                 let lp = self.node_lp(overrides);
-                // A carried parent still donates its *basis* when the
-                // carry itself didn't run (stall, periodic refresh): the
-                // rebuild then costs the basis-crash tier, not a full
-                // cold phase 1. A branched parent's shape may no longer
-                // match the fresh standardization — crash_basis detects
-                // that and degrades cold, so offering it is free.
-                let basis = match (&inherited, self.basis_restore) {
-                    (Inherited::Basis(b), true) => Some((**b).clone()),
-                    (Inherited::Carried(p, _), true) => Some(p.warm_start()),
-                    _ => None,
-                };
-                // The root consults the *chain* prior (solve_milp_carried):
+                // The root consults the *chain* prior (solve_milp_budgeted):
                 // an AVG probe's root differs from the previous probe's
                 // only in the objective, so the carried tableau re-prices
                 // with zero rebuild — counted as a carried solve below.
                 let is_root = overrides.is_empty();
                 let prior = if is_root {
-                    self.root_prior.lock().unwrap().take()
+                    self.root_prior.take()
                 } else {
                     None
                 };
-                match solve_lp_tableau(&lp, prior, basis.as_ref()) {
+                match solve_lp_tableau(&lp, prior) {
                     Ok((solution, tableau)) => {
                         if tableau.stats().rebuilt {
                             self.record_rebuilt(tableau.stats());
                         } else {
                             self.record_carried(tableau.stats().pivots);
                         }
-                        let next = if self.options.warmth == Warmth::Carry {
+                        let next = (self.options.warmth == Warmth::Carry).then(|| {
                             let tableau = Arc::new(tableau);
                             if is_root {
-                                *self.root_out.lock().unwrap() = Some(Arc::clone(&tableau));
+                                self.root_out = Some(Arc::clone(&tableau));
                             }
-                            Inherited::Carried(tableau, 0)
-                        } else if self.basis_restore {
-                            Inherited::Basis(Arc::new(tableau.warm_start()))
-                        } else {
-                            Inherited::Cold
-                        };
+                            (tableau, 0)
+                        });
                         (solution, next)
                     }
                     Err(SolverError::Infeasible) => return None,
                     Err(e) => {
-                        self.record_error(e);
+                        self.error = Some(e);
                         return None;
                     }
                 }
             }
         };
 
-        // Prune by bound against the (possibly slightly stale) shared
-        // incumbent: staleness can only delay a prune, never cause one.
-        let best = self.best();
-        let bound = relax.objective;
-        let no_better = if self.maximizing {
-            bound <= best + INT_TOL
-        } else {
-            bound >= best - INT_TOL
-        };
-        if no_better {
-            return None;
+        // Prune by bound against the incumbent.
+        if let Some((best, _)) = &self.incumbent {
+            let bound = relax.objective;
+            let no_better = if self.maximizing {
+                bound <= best + INT_TOL
+            } else {
+                bound >= best - INT_TOL
+            };
+            if no_better {
+                return None;
+            }
         }
 
         // Find the branch variable: among the fractional integral
@@ -705,12 +543,13 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Deterministic sequential DFS with an explicit stack (the near child
-    /// is pushed last, so it pops first — the pre-parallel visit order).
-    fn run_stack(&self, overrides: Overrides, inherited: Inherited) {
-        let mut stack: Vec<(Overrides, Inherited, bool)> = vec![(overrides, inherited, false)];
+    /// The depth-first search with an explicit stack: the near child is
+    /// pushed last, so it pops first and its whole subtree is searched
+    /// before the far child.
+    fn run_stack(&mut self) {
+        let mut stack: Vec<(Overrides, Inherited, bool)> = vec![(Vec::new(), None, false)];
         while let Some((overrides, inherited, is_near)) = stack.pop() {
-            if self.aborted() || !self.try_claim_node() {
+            if self.error.is_some() || !self.try_claim_node() {
                 return;
             }
             if let Some((var, v, child_inherited)) =
@@ -723,62 +562,17 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Parallel exploration: once the gate is open, the near child runs
-    /// hot on this worker and the far child becomes a stealable task;
-    /// before that both run inline, near first. Deep chains fall back to
-    /// the stack search to bound recursion.
-    fn run_parallel(
-        &self,
-        overrides: Overrides,
-        inherited: Inherited,
-        depth: usize,
-        is_near: bool,
-    ) {
-        if depth >= PAR_DEPTH_LIMIT {
-            return self.run_stack(overrides, inherited);
-        }
-        if self.aborted() || !self.try_claim_node() {
-            return;
-        }
-        let Some((var, v, child_inherited)) = self.process_node(&overrides, inherited, is_near)
-        else {
-            return;
-        };
-        let (near, far) = Self::children(overrides, var, v);
-        let far_inherited = child_inherited.clone();
-        if self.gate.is_open() {
-            rayon::join(
-                || self.run_parallel(near, child_inherited, depth + 1, true),
-                || self.run_parallel(far, far_inherited, depth + 1, false),
-            );
-        } else {
-            self.run_parallel(near, child_inherited, depth + 1, true);
-            self.run_parallel(far, far_inherited, depth + 1, false);
-        }
-    }
-
     fn finish(self) -> Result<(MilpSolution, Option<CanonicalTableau>), SolverError> {
-        // The root tableau for the caller's chain: by now every node task
-        // has finished, so the Arc is usually unique and the unwrap is a
+        // The root tableau for the caller's chain: by now every node has
+        // finished, so the Arc is usually unique and the unwrap is a
         // move, not a copy.
         let root = self
             .root_out
-            .into_inner()
-            .unwrap()
             .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()));
-        if let Some(e) = self.error.into_inner().unwrap() {
+        if let Some(e) = self.error {
             return Err(e);
         }
-        let nodes = self.nodes.into_inner();
-        let search = SearchStats {
-            carried_nodes: self.carried_nodes.into_inner(),
-            rebuilt_nodes: self.rebuilt_nodes.into_inner(),
-            carried_pivots: self.carried_pivots.into_inner(),
-            rebuilt_pivots: self.rebuilt_pivots.into_inner(),
-            incumbent_first_hits: self.incumbent_first.into_inner(),
-        };
-        let incumbent = self.incumbent.into_inner().unwrap();
-        if self.budget_hit.into_inner() {
+        if self.budget_hit {
             // A cooperative abort, surfaced explicitly so the caller can
             // degrade (the engine falls back to the LP relaxation — a
             // sound outer bound — and marks the report degraded). The
@@ -787,17 +581,17 @@ impl<'a> Search<'a> {
             let reason = self.budget.trip_reason().unwrap_or(TripReason::NodeCap);
             return Err(SolverError::BudgetExhausted(reason));
         }
-        if self.limit_hit.into_inner() {
+        if self.limit_hit {
             // The incumbent is an inner bound here, not the optimum.
             return Err(SolverError::LimitExceeded(self.options.node_limit));
         }
-        match incumbent {
+        match self.incumbent {
             Some((objective, x)) => Ok((
                 MilpSolution {
                     objective,
                     x,
-                    nodes,
-                    search,
+                    nodes: self.nodes,
+                    search: self.stats,
                 },
                 root,
             )),
@@ -807,7 +601,7 @@ impl<'a> Search<'a> {
 }
 
 /// Strict lexicographic order on solution vectors (`total_cmp`, so ties
-/// resolve identically on every platform and schedule).
+/// resolve identically on every platform).
 fn lex_less(a: &[f64], b: &[f64]) -> bool {
     for (x, y) in a.iter().zip(b) {
         match x.total_cmp(y) {
@@ -829,23 +623,12 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    /// Every (threads, warmth) combination the engine supports.
-    fn all_modes() -> [MilpOptions; 6] {
-        let base = MilpOptions::default();
-        let tiers = [Warmth::Cold, Warmth::Basis, Warmth::Carry];
-        let mut out = [base; 6];
-        let mut i = 0;
-        for threads in [1usize, 0] {
-            for warmth in tiers {
-                out[i] = MilpOptions {
-                    threads,
-                    warmth,
-                    ..base
-                };
-                i += 1;
-            }
-        }
-        out
+    /// Both warm-start tiers.
+    fn all_modes() -> [MilpOptions; 2] {
+        [Warmth::Cold, Warmth::Carry].map(|warmth| MilpOptions {
+            warmth,
+            ..MilpOptions::default()
+        })
     }
 
     #[test]
@@ -951,8 +734,8 @@ mod tests {
 
     #[test]
     fn all_le_program_still_carries_tableaux() {
-        // The all-Le auto-disable turns off the *basis* tier (phase 1 is
-        // free), not the carry tier: children must still be answered from
+        // An all-Le program's cold phase 1 is free, but the rebuild the
+        // carry skips is not: children must still be answered from
         // carried tableaux, and the objective must match the cold oracle.
         let mut lp = LinearProgram::maximize(vec![1.0, 1.0]);
         lp.add_constraint(vec![(0, 2.0), (1, 2.0)], Le, 3.0);
@@ -1058,7 +841,7 @@ mod tests {
         let warm = solve_milp(
             &problem,
             MilpOptions {
-                warmth: Warmth::Basis,
+                warmth: Warmth::Carry,
                 ..MilpOptions::default()
             },
         )
@@ -1111,7 +894,7 @@ mod tests {
     fn carried_nodes_pivot_less_than_rebuilt_on_ge_programs() {
         // The measured O(m) → O(1): on a Ge-bearing allocation shape the
         // average pivots per carried node must be strictly below the
-        // average per rebuilt node of the basis-only run.
+        // average per rebuilt node of the cold run.
         let mut lp = LinearProgram::maximize(vec![5.9, 4.9, 3.9, 6.9, 2.9]);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Ge, 2.0);
         lp.add_constraint(vec![(2, 1.0), (3, 1.0), (4, 1.0)], Ge, 3.0);
@@ -1123,18 +906,18 @@ mod tests {
         }
         let problem = MilpProblem::all_integer(lp);
         let carry = solve_milp(&problem, MilpOptions::default()).unwrap();
-        let basis = solve_milp(
+        let cold = solve_milp(
             &problem,
             MilpOptions {
-                warmth: Warmth::Basis,
+                warmth: Warmth::Cold,
                 ..MilpOptions::default()
             },
         )
         .unwrap();
-        assert_close(carry.objective, basis.objective);
+        assert_close(carry.objective, cold.objective);
         assert!(carry.search.carried_nodes > 0, "{:?}", carry.search);
         let carried_avg = carry.search.carried_pivots as f64 / carry.search.carried_nodes as f64;
-        let rebuilt_avg = basis.search.rebuilt_pivots as f64 / basis.search.rebuilt_nodes as f64;
+        let rebuilt_avg = cold.search.rebuilt_pivots as f64 / cold.search.rebuilt_nodes as f64;
         assert!(
             carried_avg < rebuilt_avg,
             "carried {carried_avg:.2} pivots/node vs rebuilt {rebuilt_avg:.2}"

@@ -1,4 +1,4 @@
-//! Dense two-phase primal simplex with three tiers of warm starting.
+//! Dense two-phase primal simplex with a tableau-carrying warm start.
 //!
 //! The solver accepts the general [`LinearProgram`] model (arbitrary
 //! variable bounds, ≤ / ≥ / = rows, maximize or minimize) and reduces it to
@@ -9,24 +9,17 @@
 //! guarantees termination at the cost of some speed — the right trade-off
 //! for a bounding engine where correctness is the product.
 //!
-//! # The three warm-start tiers
+//! # The two warm-start tiers
 //!
-//! * **Cold crash** — [`solve_lp`]: standardize, build the tableau, run
-//!   phase 1 from the slack/artificial basis, then phase 2. This path is
-//!   the property-tested oracle every warmer tier must agree with.
-//! * **Basis restore** — [`solve_lp_warm`]: additionally accept the final
-//!   *basis* of a previous, structurally similar solve (a [`WarmStart`]).
-//!   The basis is pivoted into the fresh tableau (`crash_basis`, O(m)
-//!   pivots); if it lands primal-feasible — or a dual-simplex restore can
-//!   make it so — phase 1 is skipped. Any incompatibility silently falls
-//!   back to the cold path, so warm starting never affects the result,
-//!   only the work.
+//! * **Cold** — [`solve_lp`]: standardize, build the tableau, run phase 1
+//!   from the slack/artificial basis, then phase 2. This path is the
+//!   property-tested oracle the carry must agree with.
 //! * **Tableau carry** — [`solve_lp_tableau`] / [`CanonicalTableau`]: keep
-//!   the whole *canonical tableau*, not just the basis. The tableau is
-//!   split into an owned canonical core (the dense matrix in canonical
-//!   form with respect to the optimal basis, plus the standardization
-//!   metadata: variable maps, cost vector, a structural snapshot of the
-//!   constraints and bounds) and cheap child views built from it:
+//!   the whole *canonical tableau* of a solve. The tableau is split into
+//!   an owned canonical core (the dense matrix in canonical form with
+//!   respect to the optimal basis, plus the standardization metadata:
+//!   variable maps, cost vector, a structural snapshot of the constraints
+//!   and bounds) and cheap child views built from it:
 //!
 //!   * [`CanonicalTableau::solve_child`] answers a branch & bound child —
 //!     the parent LP with one variable bound tightened — by appending the
@@ -34,10 +27,9 @@
 //!     running **one elimination pass** against the parent-optimal basis
 //!     (a row operation, not a pivot), and dual-restoring primal
 //!     feasibility. Because the parent basis stays dual-feasible under a
-//!     bound cut, this costs O(1) pivots per node where the basis-restore
-//!     tier pays an O(m)-pivot rebuild + crash. Parents are shared with
-//!     both children via `Arc`; the first child to run clones the core
-//!     lazily, the second moves it.
+//!     bound cut, this costs O(1) pivots per node where a cold rebuild
+//!     pays O(m). Parents are shared with both children via `Arc`; the
+//!     first child to run clones the core lazily, the second moves it.
 //!   * [`solve_lp_tableau`] with a prior whose constraints and bounds
 //!     match the new program exactly re-optimizes the carried tableau
 //!     under the **new objective** with zero rebuild work — the shape of
@@ -49,8 +41,8 @@
 //!     is **adapted in place**: deleted rows leave through their slack
 //!     columns (`delete_row_of_slack`), new rows append exactly like
 //!     branch bounds, and one dual restore re-establishes feasibility. A
-//!     larger structural mismatch degrades to the basis-restore tier
-//!     (crashing the prior's basis), and from there to cold.
+//!     prior whose structure cannot be reused is dropped, and the program
+//!     rebuilds cold.
 //!
 //!   Branch-bound rows are garbage-collected as the descent deepens: a
 //!   non-redundant cut on a (variable, direction) pair strictly dominates
@@ -62,7 +54,7 @@
 //!   Carried solves count their work in [`SolveStats`] (`pivots`,
 //!   `rebuilt`), so the O(m) → O(1) claim is measured, not assumed.
 //!
-//! Correctness never depends on a warm tier succeeding: every fast path
+//! Correctness never depends on the carry succeeding: every carried path
 //! either proves its exit condition (optimality via phase-2 pricing,
 //! infeasibility via an all-nonnegative row with negative rhs) or reports
 //! [`ChildSolve::Stalled`] / falls back so the caller can arbitrate with a
@@ -84,13 +76,13 @@ const COL_GROW: usize = 16;
 
 /// Ceiling on the number of inserted + deleted constraint rows a carried
 /// tableau absorbs in one adaptation ([`solve_lp_tableau`] with a prior
-/// whose rows differ); past it the prior demotes to its basis. One
+/// whose rows differ); past it the program rebuilds cold. One
 /// retired or added serving-session constraint is 1–2 rows (`≤ ku`, and
 /// `≥ kl` when a floor survives pushdown), so 4 covers a replace.
 pub const ADAPT_MAX_DELTA: usize = 4;
 
-/// Consecutive delta adaptations after which a prior demotes to its
-/// basis and rebuilds even though the delta would fit: every adaptation
+/// Consecutive delta adaptations after which a prior is dropped and the
+/// program rebuilds cold even though the delta would fit: every adaptation
 /// pivots a dead row out on an uncontrolled element and permanently
 /// blocks its column, so an endless serving churn chain would accumulate
 /// floating-point drift and dead tableau width without bound. The
@@ -126,49 +118,23 @@ struct StdRow {
     rhs: f64,
 }
 
-/// An optimal basis carried from one solve to the next.
-///
-/// Opaque: obtained from [`solve_lp_warm`] and only meaningful for a
-/// later program that standardizes to the same tableau shape (same row
-/// count, same structural + slack column count). Mismatches are detected
-/// and degrade to a cold solve.
-#[derive(Debug, Clone)]
-pub struct WarmStart {
-    /// Basis column of each tableau row.
-    basis: Vec<usize>,
-    /// Structural + slack column count the basis refers to.
-    real_cols: usize,
-}
-
 /// Work counters of one LP solve — the honest-measurement companion of
 /// the warm-start tiers. Exposed through [`CanonicalTableau::stats`] and
 /// aggregated into `MilpSolution::search` by branch & bound.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Simplex pivots performed by this solve (basis crash + phase 1 +
-    /// dual restore + phase 2 together).
+    /// Simplex pivots performed by this solve (phase 1 + dual restore +
+    /// phase 2 together).
     pub pivots: u64,
     /// `true` when the solve standardized the program and built a tableau
-    /// from scratch (cold or basis-crash tier); `false` when it reused a
-    /// carried canonical tableau (the O(1)-pivot carry tiers).
+    /// from scratch (a cold solve); `false` when it reused a carried
+    /// canonical tableau (the O(1)-pivot carry).
     pub rebuilt: bool,
 }
 
 /// Solve a linear program with the two-phase simplex method.
 pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, SolverError> {
-    solve_core(lp, None, None, false).map(|(solution, _)| solution)
-}
-
-/// Solve, optionally warm-starting from a previous solve's [`WarmStart`],
-/// and return this solve's final basis for the next one in the chain.
-pub fn solve_lp_warm(
-    lp: &LinearProgram,
-    warm: Option<&WarmStart>,
-) -> Result<(LpSolution, WarmStart), SolverError> {
-    solve_core(lp, None, warm, false).map(|(solution, ct)| {
-        let warm = ct.warm_start();
-        (solution, warm)
-    })
+    solve_core(lp, None, false).map(|(solution, _)| solution)
 }
 
 /// Solve and keep the whole canonical tableau for carrying.
@@ -176,20 +142,18 @@ pub fn solve_lp_warm(
 /// `prior` is a tableau from a previous solve: when its constraint rows
 /// and variable bounds match `lp` exactly, the tableau is **carried** —
 /// only the objective is re-priced and phase 2 re-runs from the old
-/// optimum (no standardization, no build, no crash; `stats().rebuilt`
-/// is `false`). Otherwise the prior degrades to its basis
-/// (`WarmStart`-tier crash) and from there to a cold solve. `basis` is a
-/// separate explicit basis candidate used when no prior tableau is
-/// available; an incompatible basis is ignored.
+/// optimum (no standardization, no build; `stats().rebuilt` is
+/// `false`); when its rows differ by a small delta it is adapted in
+/// place (see the module docs). A prior that fits neither way is
+/// dropped and `lp` is solved cold, exactly as [`solve_lp`] solves it.
 ///
-/// Every tier returns the same `LpSolution` (up to simplex tolerance) —
-/// the priors only ever change the work, never the result.
+/// Both tiers return the same `LpSolution` (up to simplex tolerance) —
+/// a prior only ever changes the work, never the result.
 pub fn solve_lp_tableau(
     lp: &LinearProgram,
     prior: Option<CanonicalTableau>,
-    basis: Option<&WarmStart>,
 ) -> Result<(LpSolution, CanonicalTableau), SolverError> {
-    solve_core(lp, prior, basis, true)
+    solve_core(lp, prior, true)
 }
 
 /// One new bound a branch & bound child imposes on a single variable.
@@ -249,12 +213,9 @@ pub struct CanonicalTableau {
     n: usize,
     /// Structural column count of the standardization.
     ncols: usize,
-    /// Structural + slack column count of the *root* standardization —
-    /// what an exported [`WarmStart`] refers to.
-    real_cols: usize,
     /// Whether the structural snapshot below was captured (only
-    /// [`solve_lp_tableau`] keeps it — basis-tier and one-shot solves
-    /// skip the clone, and a snapshot-less tableau never matches).
+    /// [`solve_lp_tableau`] keeps it — a one-shot [`solve_lp`] skips the
+    /// clone, and a snapshot-less tableau never matches).
     has_snapshot: bool,
     /// Structural snapshot for [`solve_lp_tableau`] reuse: the carried
     /// tableau is valid for a new program exactly when these match
@@ -273,8 +234,8 @@ pub struct CanonicalTableau {
     /// direction) retires the row it supersedes.
     branch_rows: Vec<BranchRow>,
     /// Consecutive delta adaptations since the last rebuild; at
-    /// [`ADAPT_REFRESH_LIMIT`] the next delta demotes to a basis-crash
-    /// rebuild, bounding drift and dead-column growth on endless churn.
+    /// [`ADAPT_REFRESH_LIMIT`] the next delta rebuilds cold, bounding
+    /// drift and dead-column growth on endless churn.
     adapt_streak: u32,
     stats: SolveStats,
 }
@@ -299,8 +260,8 @@ impl CanonicalTableau {
     /// an exact structural match (re-price) or an in-ceiling row delta
     /// with identical bounds (adapt, streak permitting). Chain caches use
     /// this to decide whether to *take* a neighboring slot's tableau —
-    /// stealing an incompatible one would demote-and-discard it, evicting
-    /// another query shape's chain for nothing.
+    /// stealing an incompatible one would discard it, evicting another
+    /// query shape's chain for nothing.
     pub fn can_reuse(&self, lp: &LinearProgram) -> bool {
         if !self.has_snapshot || self.bounds != lp.bounds {
             return false;
@@ -308,14 +269,6 @@ impl CanonicalTableau {
         self.constraints == lp.constraints
             || (self.adapt_streak < ADAPT_REFRESH_LIMIT
                 && delta_plan(&self.constraints, &lp.constraints).is_some())
-    }
-
-    /// Export the optimal basis for the [`solve_lp_warm`] tier.
-    pub fn warm_start(&self) -> WarmStart {
-        WarmStart {
-            basis: self.tab.basis.clone(),
-            real_cols: self.real_cols,
-        }
     }
 
     /// Translate an original-variable row `Σ terms · x ≤ rhs` (or the
@@ -416,7 +369,7 @@ impl CanonicalTableau {
     /// eliminates the row against the parent-optimal basis in a single
     /// pass, dual-restores, and re-verifies phase-2 optimality. Because
     /// the parent basis stays dual-feasible under a bound cut, this is
-    /// O(1) pivots per node where a rebuild + basis crash pays O(m).
+    /// O(1) pivots per node where a cold rebuild pays O(m).
     ///
     /// Every exit is either proven ([`ChildSolve::Solved`] by phase-2
     /// pricing, [`ChildSolve::Infeasible`] by an all-nonnegative row with
@@ -722,18 +675,6 @@ impl StdForm {
     }
 }
 
-/// How a carried prior tableau was (or was not) usable for a new program.
-enum PriorOutcome {
-    /// The prior answered the program (exactly re-priced, or adapted by a
-    /// small row delta).
-    Solved(LpSolution, Box<CanonicalTableau>),
-    /// The prior's structure is too different — crash its basis instead.
-    Demote(WarmStart),
-    /// The prior was mutated mid-adaptation and can no longer vouch for
-    /// anything; rebuild cold with no warm candidate from it.
-    Discard,
-}
-
 /// Row delta between a carried snapshot and a new program: the longest
 /// common prefix and suffix bracket one block of `deleted` prior rows
 /// replaced by `inserted` new rows — the shape of a serving epoch's
@@ -760,33 +701,30 @@ fn delta_plan(old: &[Constraint], new: &[Constraint]) -> Option<(usize, usize, u
     Some((prefix, deleted, inserted))
 }
 
-/// Tier 3: answer `lp` on a carried prior. An exact structural match
-/// re-prices in place; a small row delta (same bounds) is absorbed by
+/// Answer `lp` on a carried prior. An exact structural match re-prices
+/// in place; a small row delta (same bounds) is absorbed by
 /// [`CanonicalTableau::apply_delta`] + dual restore. Every success is
 /// re-verified by phase-2 pricing, so a prior can cost work but never
-/// change a result.
-fn try_prior(mut ct: CanonicalTableau, lp: &LinearProgram) -> PriorOutcome {
+/// change a result. `None` means the prior could not answer `lp`: the
+/// caller rebuilds cold.
+fn try_prior(
+    mut ct: CanonicalTableau,
+    lp: &LinearProgram,
+) -> Option<(LpSolution, CanonicalTableau)> {
     if !ct.has_snapshot || ct.bounds != lp.bounds {
-        return PriorOutcome::Demote(ct.warm_start());
+        return None;
     }
     let exact = ct.constraints == lp.constraints;
-    let delta = if exact {
-        None
-    } else {
-        if ct.adapt_streak >= ADAPT_REFRESH_LIMIT {
-            // periodic refresh: rebuild from the basis instead of
-            // adapting forever (see ADAPT_REFRESH_LIMIT)
-            return PriorOutcome::Demote(ct.warm_start());
-        }
-        match delta_plan(&ct.constraints, &lp.constraints) {
-            Some(plan) => Some(plan),
-            None => return PriorOutcome::Demote(ct.warm_start()),
-        }
-    };
     let start = ct.tab.pivots;
-    if let Some((prefix, deleted, inserted)) = delta {
+    if !exact {
+        // Past the streak limit, rebuild instead of adapting forever (see
+        // ADAPT_REFRESH_LIMIT).
+        if ct.adapt_streak >= ADAPT_REFRESH_LIMIT {
+            return None;
+        }
+        let (prefix, deleted, inserted) = delta_plan(&ct.constraints, &lp.constraints)?;
         if !ct.apply_delta(lp, prefix, deleted, inserted) {
-            return PriorOutcome::Discard;
+            return None;
         }
     }
     let adapted = !exact;
@@ -798,160 +736,92 @@ fn try_prior(mut ct: CanonicalTableau, lp: &LinearProgram) -> PriorOutcome {
     // tableau first restores the feasibility its row churn may have
     // broken. A restore that cannot finish — including an infeasibility
     // certificate, which on a freshly mutated tableau we do not trust to
-    // decide the result — discards the prior and lets the cold oracle
+    // decide the result — drops the prior and lets the cold oracle
     // arbitrate.
     if adapted && ct.tab.dual_restore(&cost) != DualOutcome::Feasible {
-        return PriorOutcome::Discard;
+        return None;
     }
-    match ct.tab.optimize(&cost) {
-        Ok(value) => {
-            ct.cost = cost;
-            ct.obj_const = obj_const;
-            ct.sign = sign;
-            if adapted {
-                ct.constraints = lp.constraints.clone();
-                ct.adapt_streak += 1;
-            }
-            ct.stats = SolveStats {
-                pivots: ct.tab.pivots - start,
-                rebuilt: false,
-            };
-            let solution = ct.recover(value);
-            PriorOutcome::Solved(solution, Box::new(ct))
-        }
-        // A carried re-optimization that errors (iteration cap on a
-        // drifted tableau, or an apparent unbounded ray) must not decide
-        // the result — the prior only ever changes the work. Demote to
-        // the basis tier (or discard a mutated tableau, whose basis
-        // matches no fresh standardization) and let the rebuild
-        // arbitrate; a genuinely unbounded program re-derives its error
-        // cold.
-        Err(_) if adapted => PriorOutcome::Discard,
-        Err(_) => PriorOutcome::Demote(ct.warm_start()),
+    // A carried re-optimization that errors (iteration cap on a drifted
+    // tableau, or an apparent unbounded ray) must not decide the result
+    // either: the cold rebuild arbitrates, and a genuinely unbounded
+    // program re-derives its error there.
+    let value = ct.tab.optimize(&cost).ok()?;
+    ct.cost = cost;
+    ct.obj_const = obj_const;
+    ct.sign = sign;
+    if adapted {
+        ct.constraints = lp.constraints.clone();
+        ct.adapt_streak += 1;
     }
+    ct.stats = SolveStats {
+        pivots: ct.tab.pivots - start,
+        rebuilt: false,
+    };
+    let solution = ct.recover(value);
+    Some((solution, ct))
 }
 
 /// The shared solver core behind every public entry point. `prior` is a
-/// carried tableau (reused outright on a structural match, adapted on a
-/// small row delta, demoted to its basis otherwise); `basis` is an
-/// explicit crash candidate consulted when no matching prior exists.
+/// carried tableau, reused outright on a structural match and adapted on
+/// a small row delta; otherwise (or without one) the program is
+/// standardized and solved cold.
 fn solve_core(
     lp: &LinearProgram,
     prior: Option<CanonicalTableau>,
-    basis: Option<&WarmStart>,
     keep_snapshot: bool,
 ) -> Result<(LpSolution, CanonicalTableau), SolverError> {
     lp.validate()?;
 
-    // --- Tier 3: carried tableau — re-price, or adapt a small row delta. -
-    let mut demoted: Option<WarmStart> = None;
-    if let Some(ct) = prior {
-        match try_prior(ct, lp) {
-            PriorOutcome::Solved(solution, ct) => return Ok((solution, *ct)),
-            PriorOutcome::Demote(w) => demoted = Some(w),
-            PriorOutcome::Discard => {}
-        }
+    // --- Carried tableau: re-price, or adapt a small row delta. ----------
+    if let Some(hit) = prior.and_then(|ct| try_prior(ct, lp)) {
+        return Ok(hit);
     }
-    let warm = basis.or(demoted.as_ref());
 
-    // --- Tiers 2/1: standardize and build fresh. --------------------------
+    // --- Cold: standardize and build fresh. -------------------------------
     let std_form = StdForm::new(lp);
-    let (pristine, pristine_artificials) = std_form.build_tableau();
-    let total = pristine.total;
+    let (mut tab, artificials) = std_form.build_tableau();
+    let total = tab.total;
     let real_cols = std_form.real_cols;
-    // Phase-2 cost vector, built early: the dual restore prices entering
-    // columns against it.
-    let mut cost = vec![0.0; total];
-    cost[..std_form.ncols].copy_from_slice(&std_form.c);
 
-    // Warm path: pivot the previous basis into a copy of the fresh
-    // tableau and skip phase 1 if it can be made primal-feasible. The
-    // pristine build is kept so a failed crash falls through to the cold
-    // path without re-standardizing.
-    //
-    // A crashed basis that is *not* primal-feasible can still pay — but
-    // only when the cold alternative is expensive, i.e. the LP has Ge/Eq
-    // rows whose artificials force a real phase 1. That is exactly the
-    // branch & bound child shape: the parent's *optimal* basis revisited
-    // after one variable bound tightened keeps its reduced costs ≤ 0
-    // (costs unchanged), so a few dual simplex pivots restore
-    // feasibility. For an all-Le program the slack basis is feasible for
-    // free, a cold start pays no phase 1, and both the crash and a
-    // dual restore of a stale chain basis (whose dual feasibility a *new
-    // objective* voids anyway) are pure overhead — so there the warm
-    // basis is only used when it crashes in primal-feasible as-is.
-    let mut warmed: Option<Tableau> = None;
-    if let Some(w) = warm {
-        if w.real_cols == real_cols && w.basis.len() == pristine.m {
-            let phase1_is_costly = !pristine_artificials.is_empty();
-            let mut tab = pristine.clone();
-            let artificials = pristine_artificials.clone();
-            if crash_basis(&mut tab, &w.basis, real_cols) {
-                // Freeze artificial columns at zero exactly as a phase-1
-                // exit would (keeping the unit column of any artificial
-                // that stayed basic on a redundant row).
-                for &j in &artificials {
-                    for r in 0..tab.m {
-                        if tab.basis[r] != j {
-                            tab.set(r, j, 0.0);
-                        }
-                    }
-                }
-                tab.blocked = artificials;
-                if tab.primal_feasible()
-                    || (phase1_is_costly
-                        && matches!(tab.dual_restore(&cost), DualOutcome::Feasible))
-                {
-                    warmed = Some(tab);
+    // Phase 1 drives artificials out.
+    if !artificials.is_empty() {
+        let mut phase1_cost = vec![0.0; total];
+        for &j in &artificials {
+            phase1_cost[j] = -1.0;
+        }
+        let value = tab.optimize(&phase1_cost)?;
+        if value < -1e-7 {
+            return Err(SolverError::Infeasible);
+        }
+        // Pivot any artificial still in the basis out (degenerate rows),
+        // or verify its value is zero.
+        for r in 0..tab.m {
+            if artificials.contains(&tab.basis[r]) {
+                let pivot_col =
+                    (0..real_cols).find(|&j| tab.at(r, j).abs() > TOL && !artificials.contains(&j));
+                if let Some(j) = pivot_col {
+                    tab.pivot(r, j);
+                } else {
+                    // Row is all-zero over real columns: redundant.
+                    debug_assert!(tab.rhs(r).abs() <= 1e-7);
                 }
             }
         }
+        // Freeze artificial columns at zero so phase 2 never re-enters
+        // them.
+        for &j in &artificials {
+            for r in 0..tab.m {
+                if tab.basis[r] != j {
+                    tab.set(r, j, 0.0);
+                }
+            }
+        }
+        tab.blocked = artificials;
     }
-
-    // Cold path: phase 1 drives artificials out.
-    let mut tab = match warmed {
-        Some(tab) => tab,
-        None => {
-            let (mut tab, artificials) = (pristine, pristine_artificials);
-            if !artificials.is_empty() {
-                let mut phase1_cost = vec![0.0; total];
-                for &j in &artificials {
-                    phase1_cost[j] = -1.0;
-                }
-                let value = tab.optimize(&phase1_cost)?;
-                if value < -1e-7 {
-                    return Err(SolverError::Infeasible);
-                }
-                // Pivot any artificial still in the basis out (degenerate
-                // rows), or verify its value is zero.
-                for r in 0..tab.m {
-                    if artificials.contains(&tab.basis[r]) {
-                        let pivot_col = (0..real_cols)
-                            .find(|&j| tab.at(r, j).abs() > TOL && !artificials.contains(&j));
-                        if let Some(j) = pivot_col {
-                            tab.pivot(r, j);
-                        } else {
-                            // Row is all-zero over real columns: redundant.
-                            debug_assert!(tab.rhs(r).abs() <= 1e-7);
-                        }
-                    }
-                }
-                // Freeze artificial columns at zero so phase 2 never
-                // re-enters them.
-                for &j in &artificials {
-                    for r in 0..tab.m {
-                        if tab.basis[r] != j {
-                            tab.set(r, j, 0.0);
-                        }
-                    }
-                }
-                tab.blocked = artificials;
-            }
-            tab
-        }
-    };
 
     // Phase 2: the real objective.
+    let mut cost = vec![0.0; total];
+    cost[..std_form.ncols].copy_from_slice(&std_form.c);
     let value = tab.optimize(&cost)?;
 
     let pivots = tab.pivots;
@@ -974,9 +844,8 @@ fn solve_core(
             .collect();
         (lp.constraints.clone(), lp.bounds.clone(), con_slack)
     } else {
-        // The caller will only ever extract the basis (solve_lp /
-        // solve_lp_warm / basis-tier node solves): skip the structural
-        // clone those paths would immediately drop.
+        // The caller only wants the solution (solve_lp): skip the
+        // structural clone it would immediately drop.
         (Vec::new(), Vec::new(), Vec::new())
     };
     let ct = CanonicalTableau {
@@ -987,7 +856,6 @@ fn solve_core(
         sign: std_form.sign,
         n: lp.num_vars(),
         ncols: std_form.ncols,
-        real_cols,
         has_snapshot: keep_snapshot,
         constraints,
         bounds,
@@ -1001,74 +869,6 @@ fn solve_core(
     };
     let solution = ct.recover(value);
     Ok((solution, ct))
-}
-
-/// Pivot `basis[r]` into row `r` for every row. Returns `true` only if
-/// every pivot element is usable and any artificial-basic rows are sound
-/// (see below) — the caller then decides whether the basic solution is
-/// primal-feasible as-is or needs a dual restore first. A basis entry in
-/// the artificial range is allowed when it is that row's own artificial
-/// (a redundant row whose artificial stayed basic at zero in the previous
-/// solve); the row is left on its fresh artificial, and soundness then
-/// requires its value to be ~0 with no live real coefficients. On `false`
-/// the tableau is garbage and must be rebuilt.
-fn crash_basis(tab: &mut Tableau, basis: &[usize], real_cols: usize) -> bool {
-    let m = tab.m;
-    let mut assigned = vec![false; m];
-    let mut art_row = vec![false; m];
-    // Rows the previous solve left on an artificial (redundant rows):
-    // acceptable only on the row owning that artificial in the fresh
-    // tableau (identical construction order ⇒ identical column), where
-    // there is nothing to pivot.
-    for r in 0..m {
-        if basis[r] >= real_cols {
-            if tab.basis[r] != basis[r] {
-                return false;
-            }
-            assigned[r] = true;
-            art_row[r] = true;
-        }
-    }
-    // Eliminate each structural/slack basis column with free row choice
-    // (partial pivoting): the row labels of a basis are arbitrary, and the
-    // fresh tableau may have a zero exactly where the old tableau had the
-    // unit — only nonsingularity matters.
-    for &j in basis {
-        if j >= real_cols {
-            continue;
-        }
-        let row = (0..m).filter(|&r| !assigned[r]).max_by(|&a, &b| {
-            tab.at(a, j)
-                .abs()
-                .partial_cmp(&tab.at(b, j).abs())
-                .expect("no NaN in tableau")
-        });
-        let Some(row) = row else {
-            return false;
-        };
-        if tab.at(row, j).abs() <= TOL {
-            return false;
-        }
-        tab.pivot(row, j);
-        assigned[row] = true;
-    }
-    (0..m).all(|r| {
-        if art_row[r] {
-            // A basic artificial is only sound if its row is redundant in
-            // *this* LP too: zero rhs AND all-zero over the real columns.
-            // Such a row can never change again (every future pivot
-            // multiplier against it is one of those zeros), so the
-            // artificial provably stays at 0. A merely-zero rhs is NOT
-            // enough — phase 2 could later grow the artificial through a
-            // negative entry in the entering column (its row skips the
-            // ratio test) and report an infeasible "optimum".
-            tab.rhs(r).abs() <= 1e-7 && (0..real_cols).all(|j| tab.at(r, j).abs() <= 1e-7)
-        } else {
-            // Negative rhs here is *recoverable* (dual restore), not a
-            // reason to scrap the crash.
-            true
-        }
-    })
 }
 
 /// Exit state of a dual-simplex restore.
@@ -1257,11 +1057,6 @@ impl Tableau {
         self.pivots += 1;
     }
 
-    /// All basic values non-negative (within the feasibility tolerance)?
-    fn primal_feasible(&self) -> bool {
-        (0..self.m).all(|r| self.rhs(r) >= -1e-7)
-    }
-
     /// Dual simplex pivots from a (near-)dual-feasible basis: repeatedly
     /// pivot the most negative basic value out, entering the column that
     /// keeps reduced costs non-positive (min ratio `dⱼ / a_rⱼ` over
@@ -1274,10 +1069,10 @@ impl Tableau {
     /// restored, [`DualOutcome::Infeasible`] when a leaving row had no
     /// admissible entering column (a basis-independent infeasibility
     /// certificate — see the variant docs), and [`DualOutcome::Stalled`]
-    /// at the iteration cap. Basis-restore callers treat the last two
+    /// at the iteration cap. A freshly adapted prior treats the last two
     /// identically ("give up, rebuild cold" — the cold path is the
-    /// arbiter); the tableau-carry tier trusts the certificate to prune
-    /// without a rebuild.
+    /// arbiter); a carried branch & bound child trusts the certificate to
+    /// prune without a rebuild.
     fn dual_restore(&mut self, cost: &[f64]) -> DualOutcome {
         let iter_limit = 100 + 10 * (self.m + self.total);
         for _ in 0..iter_limit {
@@ -1520,94 +1315,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_matches_cold_across_a_chain() {
-        // A chain of LPs differing only in objective and rhs — the
-        // group-by shape. Warm must agree with cold at every step.
-        let mut warm: Option<WarmStart> = None;
-        for step in 0..6 {
-            let shift = f64::from(step);
-            let mut lp = LinearProgram::maximize(vec![3.0 + shift, 5.0 - 0.3 * shift]);
-            lp.add_constraint(vec![(0, 1.0)], Le, 4.0 + shift);
-            lp.add_constraint(vec![(1, 2.0)], Le, 12.0);
-            lp.add_constraint(vec![(0, 3.0), (1, 2.0)], Le, 18.0 + shift);
-            let cold = solve_lp(&lp).unwrap();
-            let (hot, next) = solve_lp_warm(&lp, warm.as_ref()).unwrap();
-            assert!(
-                (cold.objective - hot.objective).abs() < 1e-6,
-                "step {step}: cold {} vs warm {}",
-                cold.objective,
-                hot.objective
-            );
-            warm = Some(next);
-        }
-    }
-
-    #[test]
-    fn warm_start_shape_mismatch_falls_back() {
-        let mut small = LinearProgram::maximize(vec![1.0]);
-        small.add_constraint(vec![(0, 1.0)], Le, 5.0);
-        let (_, warm) = solve_lp_warm(&small, None).unwrap();
-
-        // different variable and row counts: the stale basis must be
-        // ignored, not crash or corrupt the solve
-        let mut big = LinearProgram::maximize(vec![3.0, 5.0]);
-        big.add_constraint(vec![(0, 1.0)], Le, 4.0);
-        big.add_constraint(vec![(1, 2.0)], Le, 12.0);
-        big.add_constraint(vec![(0, 3.0), (1, 2.0)], Le, 18.0);
-        let (s, _) = solve_lp_warm(&big, Some(&warm)).unwrap();
-        assert_close(s.objective, 36.0);
-    }
-
-    #[test]
-    fn warm_start_with_ge_rows_skips_phase_one_when_feasible() {
-        let build = |rhs: f64| {
-            let mut lp = LinearProgram::minimize(vec![2.0, 3.0]);
-            lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Ge, rhs);
-            lp.add_constraint(vec![(0, 1.0)], Ge, 1.0);
-            lp
-        };
-        let (first, warm) = solve_lp_warm(&build(4.0), None).unwrap();
-        assert_close(first.objective, 8.0);
-        // nearby rhs: the old optimal basis is still feasible
-        let (second, _) = solve_lp_warm(&build(5.0), Some(&warm)).unwrap();
-        assert_close(second.objective, 10.0);
-        // infeasible-for-the-old-basis jump must still solve correctly
-        let (third, _) = solve_lp_warm(&build(0.5), Some(&warm)).unwrap();
-        assert_close(third.objective, 2.0);
-    }
-
-    #[test]
-    fn warm_start_from_redundant_row_basis_stays_sound() {
-        // LP1 has a duplicated Eq row, so its optimal basis keeps an
-        // artificial basic at zero on the redundant row. LP2 has the same
-        // shape but independent rows: a naive crash that accepts the basic
-        // artificial lets phase 2 grow it and report an infeasible
-        // objective (3 instead of the true optimum 1). The warm solve must
-        // match the cold solve exactly.
-        let mut lp1 = LinearProgram::maximize(vec![0.0, 0.0, 1.0]);
-        lp1.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Eq, 3.0);
-        lp1.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Eq, 3.0);
-        let (s1, warm) = solve_lp_warm(&lp1, None).unwrap();
-        assert_close(s1.objective, 3.0);
-
-        let mut lp2 = LinearProgram::maximize(vec![0.0, 0.0, 1.0]);
-        lp2.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Eq, 3.0);
-        lp2.add_constraint(vec![(0, 1.0), (1, 2.0), (2, -1.0)], Eq, 3.0);
-        let cold = solve_lp(&lp2).unwrap();
-        assert_close(cold.objective, 1.0);
-        let (hot, _) = solve_lp_warm(&lp2, Some(&warm)).unwrap();
-        assert_close(hot.objective, 1.0);
-        assert!(
-            lp2.is_feasible(&hot.x, 1e-6),
-            "warm solution must satisfy LP2"
-        );
-
-        // and a genuinely redundant successor may still reuse the basis
-        let (again, _) = solve_lp_warm(&lp1, Some(&warm)).unwrap();
-        assert_close(again.objective, 3.0);
-    }
-
-    #[test]
     fn fec_shape_lp() {
         // The fractional-edge-cover LP for the triangle query:
         // min c1 + c2 + c3 s.t. each attribute covered:
@@ -1621,7 +1328,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Tableau carry (tier 3)
+    // Tableau carry
     // ------------------------------------------------------------------
 
     /// A Ge-bearing allocation-shaped LP (floors force a real phase 1).
@@ -1652,7 +1359,7 @@ mod tests {
     #[test]
     fn child_carry_matches_cold() {
         let lp = ge_lp();
-        let (root, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (root, ct) = solve_lp_tableau(&lp, None).unwrap();
         assert!(ct.stats().rebuilt);
         let parent = Arc::new(ct);
         for (var, bound) in [
@@ -1694,7 +1401,7 @@ mod tests {
         let mut lp = LinearProgram::maximize(vec![3.0, 2.0, 1.0]);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Ge, 1.0);
         lp.add_constraint(vec![(0, 1.0), (1, 2.0), (2, 3.0)], Le, 30.0);
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let mut parent = Arc::new(ct);
         let mut oracle = lp.clone();
         for step in 0..(COL_HEADROOM + 4) {
@@ -1730,7 +1437,7 @@ mod tests {
         let mut lp = LinearProgram::maximize(vec![1.0, 1.0]);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Ge, 3.0);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Le, 5.0);
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         // x0 ≤ 1 then x1 ≤ 1 leaves Σ ≤ 2 < 3: infeasible
         let parent = Arc::new(ct);
         let ChildSolve::Solved { tableau, .. } =
@@ -1753,13 +1460,13 @@ mod tests {
     fn objective_carry_reuses_tableau_without_rebuild() {
         // Same constraints, changing objective — the AVG-probe shape.
         let lp = ge_lp();
-        let (_, mut ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, mut ct) = solve_lp_tableau(&lp, None).unwrap();
         for step in 1..6 {
             let r = f64::from(step) * 0.7;
             let mut probe = lp.clone();
             probe.objective = vec![5.0 - r, 4.0 - r, 3.0 - r, 6.0 - r];
             let want = solve_lp(&probe).unwrap().objective;
-            let (got, next) = solve_lp_tableau(&probe, Some(ct), None).unwrap();
+            let (got, next) = solve_lp_tableau(&probe, Some(ct)).unwrap();
             assert!(
                 (got.objective - want).abs() < 1e-6,
                 "step {step}: carried {} vs cold {want}",
@@ -1773,37 +1480,82 @@ mod tests {
     #[test]
     fn objective_carry_handles_sense_flip() {
         let lp = ge_lp();
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let mut min = lp.clone();
         min.sense = Sense::Minimize;
         let want = solve_lp(&min).unwrap().objective;
-        let (got, next) = solve_lp_tableau(&min, Some(ct), None).unwrap();
+        let (got, next) = solve_lp_tableau(&min, Some(ct)).unwrap();
         assert!((got.objective - want).abs() < 1e-6);
         assert!(!next.stats().rebuilt);
     }
 
     #[test]
-    fn mismatched_prior_demotes_to_basis_then_cold() {
+    fn mismatched_prior_adapts_or_rebuilds_cold() {
         let lp = ge_lp();
         // a different rhs on one row used to force a rebuild; it is now a
         // one-row delta the adapt tier absorbs — still the oracle's result
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let mut other = lp.clone();
         other.constraints[1].rhs = 7.5;
         let want = solve_lp(&other).unwrap().objective;
-        let (got, next) = solve_lp_tableau(&other, Some(ct), None).unwrap();
+        let (got, next) = solve_lp_tableau(&other, Some(ct)).unwrap();
         assert!((got.objective - want).abs() < 1e-6);
         assert!(!next.stats().rebuilt, "a one-row rhs change now adapts");
 
-        // changed variable bounds remain a genuine mismatch: demote to
-        // the basis crash (or cold) and re-solve correctly
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        // changed variable bounds remain a genuine mismatch: drop the
+        // prior, rebuild cold and re-solve correctly
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let mut rebound = lp.clone();
         rebound.set_bounds(2, 0.0, 2.0);
         let want = solve_lp(&rebound).unwrap().objective;
-        let (got, next) = solve_lp_tableau(&rebound, Some(ct), None).unwrap();
+        let (got, next) = solve_lp_tableau(&rebound, Some(ct)).unwrap();
         assert!((got.objective - want).abs() < 1e-6);
         assert!(next.stats().rebuilt, "a bounds mismatch must rebuild");
+    }
+
+    #[test]
+    fn unusable_prior_rebuilds_cold_like_solve_lp() {
+        // Priors whose structure cannot be reused: another variable
+        // count, other bounds, an Eq row insert, a duplicated-Eq program
+        // (whose optimal basis keeps an artificial on the redundant row)
+        // offered to an independent-row one, and a delta past the
+        // ceiling. Each is dropped: the solve rebuilds and answers
+        // exactly as the cold oracle does, bit for bit.
+        let base = ge_lp();
+        let mut small = LinearProgram::maximize(vec![1.0]);
+        small.add_constraint(vec![(0, 1.0)], Le, 5.0);
+        let mut big = LinearProgram::maximize(vec![3.0, 5.0]);
+        big.add_constraint(vec![(0, 1.0)], Le, 4.0);
+        big.add_constraint(vec![(1, 2.0)], Le, 12.0);
+        big.add_constraint(vec![(0, 3.0), (1, 2.0)], Le, 18.0);
+        let mut rebound = base.clone();
+        rebound.set_bounds(2, 0.0, 2.0);
+        let mut with_eq = base.clone();
+        with_eq.add_constraint(vec![(0, 1.0), (1, 1.0)], Eq, 2.5);
+        let mut redundant = LinearProgram::maximize(vec![0.0, 0.0, 1.0]);
+        redundant.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Eq, 3.0);
+        redundant.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Eq, 3.0);
+        let mut independent = LinearProgram::maximize(vec![0.0, 0.0, 1.0]);
+        independent.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Eq, 3.0);
+        independent.add_constraint(vec![(0, 1.0), (1, 2.0), (2, -1.0)], Eq, 3.0);
+        let mut grown = base.clone();
+        for k in 0..(ADAPT_MAX_DELTA + 1) {
+            grown.add_constraint(vec![(0, 1.0), (1, 1.0 + k as f64)], Le, 20.0 + k as f64);
+        }
+        for (from, to) in [
+            (&small, &big),
+            (&base, &rebound),
+            (&base, &with_eq),
+            (&redundant, &independent),
+            (&base, &grown),
+        ] {
+            let (_, prior) = solve_lp_tableau(from, None).unwrap();
+            assert!(!prior.can_reuse(to));
+            let (got, next) = solve_lp_tableau(to, Some(prior)).unwrap();
+            assert!(next.stats().rebuilt, "an unusable prior must rebuild");
+            assert_eq!(got, solve_lp(to).unwrap());
+        }
+        assert_close(solve_lp(&independent).unwrap().objective, 1.0);
     }
 
     #[test]
@@ -1812,11 +1564,11 @@ mod tests {
         // shape. The prior must absorb it (append + dual restore), match
         // the cold oracle, and come back as a first-class prior.
         let lp = ge_lp();
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let mut grown = lp.clone();
         grown.add_constraint(vec![(0, 1.0), (3, 1.0)], Le, 5.5);
         let want = solve_lp(&grown).unwrap().objective;
-        let (got, next) = solve_lp_tableau(&grown, Some(ct), None).unwrap();
+        let (got, next) = solve_lp_tableau(&grown, Some(ct)).unwrap();
         assert_close(got.objective, want);
         assert!(!next.stats().rebuilt, "one appended row must adapt");
 
@@ -1824,7 +1576,7 @@ mod tests {
         let mut probe = grown.clone();
         probe.objective = vec![1.0, 2.0, 3.0, 4.0];
         let want2 = solve_lp(&probe).unwrap().objective;
-        let (got2, next2) = solve_lp_tableau(&probe, Some(next), None).unwrap();
+        let (got2, next2) = solve_lp_tableau(&probe, Some(next)).unwrap();
         assert_close(got2.objective, want2);
         assert!(!next2.stats().rebuilt);
     }
@@ -1836,11 +1588,11 @@ mod tests {
         // shape. Both must adapt in place and match the cold oracle.
         let lp = ge_lp();
         for gone in [0usize, 2] {
-            let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+            let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
             let mut shrunk = lp.clone();
             shrunk.constraints.remove(gone);
             let want = solve_lp(&shrunk).unwrap().objective;
-            let (got, next) = solve_lp_tableau(&shrunk, Some(ct), None).unwrap();
+            let (got, next) = solve_lp_tableau(&shrunk, Some(ct)).unwrap();
             assert_close(got.objective, want);
             assert!(!next.stats().rebuilt, "deleting row {gone} must adapt");
         }
@@ -1850,7 +1602,7 @@ mod tests {
     fn prior_adapts_to_replaced_row_without_rebuild() {
         // delete + insert at one position — the replace_constraint shape
         let lp = ge_lp();
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let mut swapped = lp.clone();
         swapped.constraints[1] = Constraint {
             terms: vec![(0, 1.0), (1, 2.0), (3, 1.0)],
@@ -1858,7 +1610,7 @@ mod tests {
             rhs: 7.0,
         };
         let want = solve_lp(&swapped).unwrap().objective;
-        let (got, next) = solve_lp_tableau(&swapped, Some(ct), None).unwrap();
+        let (got, next) = solve_lp_tableau(&swapped, Some(ct)).unwrap();
         assert_close(got.objective, want);
         assert!(!next.stats().rebuilt, "a one-row swap must adapt");
     }
@@ -1866,13 +1618,13 @@ mod tests {
     #[test]
     fn oversized_delta_demotes_to_rebuild() {
         let lp = ge_lp();
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let mut other = lp.clone();
         for k in 0..(ADAPT_MAX_DELTA + 1) {
             other.add_constraint(vec![(0, 1.0), (1, 1.0 + k as f64)], Le, 20.0 + k as f64);
         }
         let want = solve_lp(&other).unwrap().objective;
-        let (got, next) = solve_lp_tableau(&other, Some(ct), None).unwrap();
+        let (got, next) = solve_lp_tableau(&other, Some(ct)).unwrap();
         assert_close(got.objective, want);
         assert!(next.stats().rebuilt, "a 5-row delta must rebuild");
     }
@@ -1883,7 +1635,7 @@ mod tests {
         // within the delta ceiling, but the streak limit must force a
         // periodic rebuild so drift/dead columns cannot grow forever
         let lp0 = ge_lp();
-        let (_, first) = solve_lp_tableau(&lp0, None, None).unwrap();
+        let (_, first) = solve_lp_tableau(&lp0, None).unwrap();
         let mut ct = first;
         let mut lp = lp0.clone();
         let mut rebuilds = 0;
@@ -1894,7 +1646,7 @@ mod tests {
                 lp.constraints.pop();
             }
             let want = solve_lp(&lp).unwrap().objective;
-            let (got, next) = solve_lp_tableau(&lp, Some(ct), None).unwrap();
+            let (got, next) = solve_lp_tableau(&lp, Some(ct)).unwrap();
             assert_close(got.objective, want);
             if next.stats().rebuilt {
                 rebuilds += 1;
@@ -1914,11 +1666,11 @@ mod tests {
     #[test]
     fn eq_row_delta_demotes_to_rebuild() {
         let lp = ge_lp();
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let mut other = lp.clone();
         other.add_constraint(vec![(0, 1.0), (1, 1.0)], Eq, 2.5);
         let want = solve_lp(&other).unwrap().objective;
-        let (got, next) = solve_lp_tableau(&other, Some(ct), None).unwrap();
+        let (got, next) = solve_lp_tableau(&other, Some(ct)).unwrap();
         assert_close(got.objective, want);
         assert!(next.stats().rebuilt, "an Eq insert cannot adapt");
     }
@@ -1929,12 +1681,12 @@ mod tests {
         // path must not mask it (it discards the prior and lets the cold
         // oracle decide).
         let lp = ge_lp();
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let mut dead = lp.clone();
         dead.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Le, 1.0); // vs Ge 2.0
         assert_eq!(solve_lp(&dead), Err(SolverError::Infeasible));
         assert_eq!(
-            solve_lp_tableau(&dead, Some(ct), None).map(|(s, _)| s),
+            solve_lp_tableau(&dead, Some(ct)).map(|(s, _)| s),
             Err(SolverError::Infeasible)
         );
     }
@@ -1946,7 +1698,7 @@ mod tests {
         let mut lp = LinearProgram::maximize(vec![3.0, 2.0]);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Ge, 1.0);
         lp.add_constraint(vec![(0, 1.0), (1, 2.0)], Le, 20.0);
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let root_rows = ct.tab.m;
         let mut parent = Arc::new(ct);
         let mut oracle = lp.clone();
@@ -1972,11 +1724,9 @@ mod tests {
     #[test]
     fn carried_tableau_counts_fewer_pivots_than_rebuild() {
         // The O(m) → O(1) claim, measured: a carried child must pivot
-        // strictly less than the basis-restore path (rebuild + crash) on
-        // a Ge-bearing program.
+        // strictly less than a cold rebuild on a Ge-bearing program.
         let lp = ge_lp();
-        let (_, ct) = solve_lp_tableau(&lp, None, None).unwrap();
-        let basis = ct.warm_start();
+        let (_, ct) = solve_lp_tableau(&lp, None).unwrap();
         let parent = Arc::new(ct);
         let ChildSolve::Solved { tableau, .. } =
             CanonicalTableau::solve_child(parent, 0, BranchBound::Upper(1.0))
@@ -1987,7 +1737,7 @@ mod tests {
 
         let mut child = lp.clone();
         child.set_bounds(0, 0.0, 1.0);
-        let (_, rebuilt) = solve_lp_tableau(&child, None, Some(&basis)).unwrap();
+        let (_, rebuilt) = solve_lp_tableau(&child, None).unwrap();
         assert!(rebuilt.stats().rebuilt);
         assert!(
             carried_pivots < rebuilt.stats().pivots,

@@ -85,12 +85,11 @@
 //!   one-shot engine (`BoundEngine`), which decomposes only the query's
 //!   region: one query has nothing to amortize, so `bound` rejects the
 //!   flag.
-//! * `--warmth cold|basis|carry` — the simplex warm-start tier of every
-//!   chain of related solves: branch & bound parent to child, the probes
-//!   of an AVG binary search, and a session's queries. `carry` (the
-//!   default) hands on whole canonical tableaux (O(1) pivots per branch
-//!   & bound child), `basis` only the optimal basis, `cold` nothing. An
-//!   A/B knob; never changes results.
+//! * `--warmth cold|carry` — the simplex warm-start tier of every chain
+//!   of related solves: branch & bound parent to child, the probes of an
+//!   AVG binary search, and a session's queries. `carry` (the default)
+//!   hands on whole canonical tableaux (O(1) pivots per branch & bound
+//!   child), `cold` nothing. An A/B knob; never changes results.
 //! * `--no-admission` — configures sessions only (`batch`, `serve`;
 //!   `bound` rejects it): answer every query on the exact rung instead of
 //!   letting the pressure gauge degrade or shed queries whose deadlines
@@ -237,9 +236,8 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--warmth needs a value")?;
                 args.warmth = match v.as_str() {
                     "cold" => Warmth::Cold,
-                    "basis" => Warmth::Basis,
                     "carry" => Warmth::Carry,
-                    _ => return Err(format!("--warmth: `{v}` is not cold, basis or carry")),
+                    _ => return Err(format!("--warmth: `{v}` is not cold or carry")),
                 };
             }
             "--no-admission" => args.no_admission = true,

@@ -168,7 +168,7 @@ fn batch_command_streams_queries_through_one_session() {
     for extra in [
         &[][..],
         &["--no-session-cache"],
-        &["--warmth", "basis"],
+        &["--warmth", "carry"],
         &["--warmth", "cold"],
     ] {
         let out = pc_bin()
@@ -627,15 +627,21 @@ fn unsupported_flag_combinations_are_rejected() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    // a warm-start tier the engine does not have is rejected for every
-    // command, naming the flag, never silently replaced by the default
+    // a warm-start tier the engine does not have (`basis` included) is
+    // rejected for every command, naming the flag and the tiers it has,
+    // never silently replaced by the default
     for cmd in ["bound", "batch"] {
-        let out = base(cmd).args(["--warmth", "lukewarm"]).output().unwrap();
-        assert!(!out.status.success(), "{cmd} must reject an unknown tier");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("--warmth: `lukewarm`"),
-            "{cmd} must name the flag and the value"
-        );
+        for tier in ["lukewarm", "basis"] {
+            let out = base(cmd).args(["--warmth", tier]).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{cmd} must reject `{tier}`");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("--warmth: `{tier}`"))
+                    && stderr.contains("cold")
+                    && stderr.contains("carry"),
+                "{cmd} must name the flag, the value and the tiers it has: {stderr}"
+            );
+        }
     }
 }
 
